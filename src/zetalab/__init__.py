@@ -7,10 +7,10 @@ from .walk import (MultiscaleWalk, WalkConfig, euler_product_check, evaluate_on_
                    higher_order_tail, increments, partial_sum)
 from .mollifier import (MollifierSpec, SparsePoly, evaluate_poly, mollifier_approx_check,
                         mollifier_coeffs, newton_tail_bound, newton_tail_bound_scan)
-from .zeta import (ZetaSample, cross_checked_sample, high_points, max_on_grid,
-                   moment_estimate, relative_gap, smoothed_dirichlet, z_function,
-                   zeta_critical, zeta_euler_maclaurin, zeta_riemann_siegel)
-from .model import (GaussianWalk, HierarchicalField, RandomEulerPath, centering,
+from .zeta import (high_points, max_on_grid, moment_estimate, relative_gap,
+                   smoothed_dirichlet, z_function, zeta_critical, zeta_euler_maclaurin,
+                   zeta_riemann_siegel)
+from .model import (HierarchicalField, RandomEulerPath, centering,
                     density_check, increment_gaussianity, laplace_check,
                     make_hierarchical, sample_euler_path, sample_gaussian_walk,
                     sample_hierarchical_maxima, sample_window_sums, sample_x_p)

@@ -8,7 +8,6 @@ so constant-barrier survival matches the Brownian-bridge formula.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -316,12 +315,3 @@ def ballot_bound_constant(m: int, z1: float, z2: float) -> float:
     if z1 < 1 or z2 > z1:
         raise DomainError("need z1 >= 1 and z2 <= z1")
     return (z1 + 1.0) * (z1 - z2 + 1.0) / m
-
-
-def sweep_to_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "y", "w", "dp", "mc", "bound", "ratio"])
-        for r in rows:
-            w.writerow([r["k"], r["y"], r["w"], repr(r["dp"]), repr(r["mc"]),
-                        repr(r["bound"]), repr(r["ratio"])])

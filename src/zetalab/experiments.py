@@ -3,6 +3,10 @@
 Every Monte Carlo experiment draws from counter-based streams derived from
 (seed, chunk index), and chunk boundaries are fixed by sample count, so the
 collected statistics are identical for any worker count.
+
+A suite body registered with `@suite` only computes: it returns its metrics,
+its verdicts and any side tables `(filename, header, rows)`.  `run` does the
+rest: timing, the time bound, type coercion, the CSV files and the record.
 """
 
 from __future__ import annotations
@@ -56,9 +60,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls(**data)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:   # ValueError covers JSONDecodeError
+            raise UsageError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path} must hold a JSON object, "
+                             f"not {type(data).__name__}")
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise UsageError(f"bad config {path}: {exc}") from exc
 
 
 @dataclass
@@ -67,34 +80,31 @@ class ResultRecord:
     params_hash: str
     metrics: dict[str, float]
     passes: dict[str, bool]
-    wall_time: float
 
     @property
     def all_passed(self) -> bool:
         return all(self.passes.values())
 
     def save(self, out_dir: str) -> str:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{self.experiment}_record.json")
         with open(path, "w") as fh:
-            json.dump({
-                "experiment": self.experiment,
-                "params_hash": self.params_hash,
-                "metrics": self.metrics,
-                "passes": self.passes,
-                "wall_time": self.wall_time,
-            }, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
         return path
 
 
-def write_metrics_csv(config: ExperimentConfig, metrics: dict[str, float]) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, f"{config.experiment}_metrics.csv")
+def _write_rows(path: str, header: str, rows, eol: str = "\n") -> None:
+    """One CSV line per row; cells are ints, floats or names, written with str
+    (which is repr for Python ints and floats).  Tables first written by the
+    csv module keep its "\r\n" line end, so their bytes stay as they were."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        fh.write("metric,value\n")
-        for name in sorted(metrics):
-            fh.write(f"{name},{metrics[name]!r}\n")
+        fh.write(header + eol)
+        for row in rows:
+            fh.write(",".join(map(str, row)) + eol)
+
+
+def write_metrics_csv(config: ExperimentConfig, metrics: dict[str, float]) -> str:
+    path = os.path.join(config.out_dir, f"{config.experiment}_metrics.csv")
+    _write_rows(path, "metric,value", sorted(metrics.items()))
     return path
 
 
@@ -117,30 +127,67 @@ def parallel_chunks(config: ExperimentConfig, total: int, fn) -> list:
         return [f.result() for f in futures]
 
 
+# --- the harness -------------------------------------------------------------
+
+# name -> (suite body, wall-time bound in seconds or None)
+REGISTRY: dict[str, tuple] = {}
+
+
+def suite(name: str, time_limit: float | None = None):
+    """Register a suite body `fn(config) -> (metrics, passes, *tables)`; with
+    `time_limit`, every verdict also requires the body to finish within it."""
+    def register(fn):
+        REGISTRY[name] = (fn, time_limit)
+        return fn
+    return register
+
+
+def run(config: ExperimentConfig) -> ResultRecord:
+    if config.experiment not in REGISTRY:
+        raise UsageError(
+            f"unknown experiment '{config.experiment}'; available: "
+            + ", ".join(sorted(REGISTRY))
+        )
+    if not isinstance(config.workers, int) or config.workers < 1:
+        raise UsageError(f"workers must be an integer of at least 1, got {config.workers!r}")
+    body, time_limit = REGISTRY[config.experiment]
+    os.makedirs(config.out_dir, exist_ok=True)
+    t0 = time.perf_counter()
+    metrics, passes, *tables = body(config)
+    elapsed = time.perf_counter() - t0
+    metrics = {name: float(value) for name, value in metrics.items()}
+    in_time = time_limit is None or elapsed < time_limit
+    passes = {crit: bool(ok) and in_time for crit, ok in passes.items()}
+    # write_metrics_csv and record.save are looked up at call time, so a
+    # stand-in patched onto the module or class (a tracer) sees every call
+    write_metrics_csv(config, metrics)
+    for filename, header, rows, *eol in tables:
+        _write_rows(os.path.join(config.out_dir, filename), header, rows, *eol)
+    metrics["elapsed_s"] = elapsed   # timings go to the record, not the CSV
+    record = ResultRecord(config.experiment, config.params_hash, metrics, passes)
+    record.save(config.out_dir)
+    return record
+
+
 # --- individual experiments -------------------------------------------------
 
-def run_mertens(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("mertens", time_limit=60.0)
+def run_mertens(config: ExperimentConfig):
     limit = int(config.params.get("limit", 10 ** 8))
     table = cached_sieve(limit)
     value = mertens_sum(table, 1e3, float(limit))
     target = loglog(limit) - loglog(1e3)
-    elapsed = time.time() - t0
     metrics = {
         "mertens_sum": value,
         "loglog_difference": target,
         "abs_error_vs_loglog": abs(value - target),
         "abs_error_vs_0.98079": abs(value - 0.98079),
-        "elapsed_s": elapsed,
     }
-    passes = {"AC1": abs(value - 0.98079) <= 0.01 and elapsed < 60.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC1": abs(value - 0.98079) <= 0.01}
 
 
-def run_mollifier_suite(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("mollifier_suite")
+def run_mollifier_suite(config: ExperimentConfig):
     limit = max(int(config.sieve_limit), 2 * 10 ** 5)
     table = cached_sieve(limit)
     rng = seed_stream(config.seed, 0)
@@ -160,16 +207,13 @@ def run_mollifier_suite(config: ExperimentConfig) -> ResultRecord:
         "euler_product_max_residual": worst,
         "mollifier_equality_max_residual": report.max_equality_residual,
         "mollifier_fraction_hold": report.fraction,
-        "n_configs": float(n_cfg),
+        "n_configs": n_cfg,
     }
-    passes = {"AC2": worst <= 1e-10 and report.max_equality_residual <= 1e-10}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC2": worst <= 1e-10 and report.max_equality_residual <= 1e-10}
 
 
-def run_fourth_moment_suite(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("fourth_moment_suite", time_limit=10.0)
+def run_fourth_moment_suite(config: ExperimentConfig):
     vanish_worst = 0.0
     rows = []
     for p in (11, 101, 1009):
@@ -198,26 +242,20 @@ def run_fourth_moment_suite(config: ExperimentConfig) -> ResultRecord:
                 resid = abs(lf.b_series(p, alpha, z) - complex(lf.b_closed(p, alpha, z)))
                 series_worst = max(series_worst, resid)
                 rows.append((float(p), alpha, z.norm(), resid))
-    elapsed = time.time() - t0
-    os.makedirs(config.out_dir, exist_ok=True)
-    lf.identity_report_csv(rows, os.path.join(config.out_dir, "fourth_moment_identities.csv"))
     metrics = {
         "vanishing_worst": vanish_worst,
         "newton_worst": newton_worst,
         "b_identity_worst": b_identity_worst,
         "series_vs_closed_worst": series_worst,
-        "elapsed_s": elapsed,
     }
     passes = {"AC3": vanish_worst <= 1e-10 and newton_worst <= 1e-12
-              and b_identity_worst <= 1e-12 and series_worst <= 1e-8
-              and elapsed < 10.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+              and b_identity_worst <= 1e-12 and series_worst <= 1e-8}
+    return metrics, passes, ("fourth_moment_identities.csv", "p,alpha,z_norm,residual",
+                             rows, "\r\n")
 
 
-def run_poisson_suite(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("poisson_suite", time_limit=60.0)
+def run_poisson_suite(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     window = sm.make_window(0.5)
     n_polys = int(config.params.get("n_polys", 100))
@@ -233,21 +271,16 @@ def run_poisson_suite(config: ExperimentConfig) -> ResultRecord:
     # grid-max comparison report
     coeffs = rng.normal(size=1024) + 1j * rng.normal(size=1024)
     gm = sm.discretized_max_bound([coeffs[:512], coeffs[512:]], 54321.0)
-    elapsed = time.time() - t0
     metrics = {
         "max_relative_error": worst,
         "grid_max_ratio": gm.ratio,
         "grid_tail_fraction": gm.tail_fraction,
-        "elapsed_s": elapsed,
     }
-    passes = {"AC4": worst <= 1e-9 and elapsed < 60.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC4": worst <= 1e-9}
 
 
-def run_smoothing_suite(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("smoothing_suite")
+def run_smoothing_suite(config: ExperimentConfig):
     limit = max(int(config.sieve_limit), 10 ** 5)
     table = cached_sieve(limit)
     rng = seed_stream(config.seed, 0)
@@ -272,18 +305,15 @@ def run_smoothing_suite(config: ExperimentConfig) -> ResultRecord:
         metrics[f"{tag}_sandwich_fraction"] = min(rep.fraction_hold_bump,
                                                   rep.fraction_hold_poly)
         metrics[f"{tag}_measured_c"] = rep.measured_c_bump
-        metrics[f"{tag}_in_bin"] = float(rep.n_in_bin)
+        metrics[f"{tag}_in_bin"] = rep.n_in_bin
         ok = ok and range_violation <= 1e-9 and support_mass <= 1e-8 \
             and l1 <= 2.0 * bump.spread \
             and rep.fraction_hold_bump == 1.0 and rep.fraction_hold_poly == 1.0
-    passes = {"AC5": ok}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC5": ok}
 
 
-def run_ballot_sweep(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("ballot_sweep", time_limit=300.0)
+def run_ballot_sweep(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     n_rand = int(config.params.get("n_random_configs", 20))
     mc_paths = int(config.params.get("mc_paths", 60_000))
@@ -311,28 +341,21 @@ def run_ballot_sweep(config: ExperimentConfig) -> ResultRecord:
             bound = bar.ballot_bound(k, y, w, profile)
             ratio = dp.joint / bound
             max_ratio = max(max_ratio, ratio)
-            rows.append({"k": k, "y": y, "w": w, "dp": dp.joint, "mc": math.nan,
-                         "bound": bound, "ratio": ratio})
-    os.makedirs(config.out_dir, exist_ok=True)
-    bar.sweep_to_csv(rows, os.path.join(config.out_dir, "ballot_sweep.csv"))
-    elapsed = time.time() - t0
+            rows.append((k, y, w, dp.joint, math.nan, bound, ratio))
     metrics = {
         "mc_dp_worst_sigma": worst_sigma,
         "constant_barrier_dp": dp_const.conditional,
         "constant_barrier_continuum": continuum,
         "sweep_max_ratio": max_ratio,
-        "elapsed_s": elapsed,
     }
     passes = {"AC6": worst_sigma <= 3.0
               and abs(dp_const.conditional - continuum) <= 0.02
-              and max_ratio <= 50.0 and elapsed < 300.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+              and max_ratio <= 50.0}
+    return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,mc,bound,ratio", rows, "\r\n")
 
 
-def run_moments_model(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("moments_model", time_limit=600.0)
+def run_moments_model(config: ExperimentConfig):
     j, k = float(config.params.get("j", 2.0)), float(config.params.get("k", 2.9))
     n_samples = int(config.params.get("n_samples", 1_000_000))
     limit = int(math.exp(math.exp(k))) + 10
@@ -341,7 +364,7 @@ def run_moments_model(config: ExperimentConfig) -> ResultRecord:
                              lambda rng, n: model.sample_window_sums(rng, table, j, k, n)[0])
     samples = np.concatenate(chunks)
     sigma2 = 0.5 * (k - j)
-    metrics: dict[str, float] = {"n_samples": float(len(samples))}
+    metrics: dict[str, float] = {"n_samples": len(samples)}
     ok = True
     for q in (1, 2, 3):
         emp = float(np.mean(samples ** (2 * q)))
@@ -354,16 +377,11 @@ def run_moments_model(config: ExperimentConfig) -> ResultRecord:
     metrics["laplace_estimate"] = lap.estimate
     metrics["laplace_bound"] = lap.bound
     metrics["laplace_quadrature_residual"] = lap.quadrature_residuals[10007]
-    elapsed = time.time() - t0
-    metrics["elapsed_s"] = elapsed
-    passes = {"AC7": ok and elapsed < 600.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC7": ok}
 
 
-def run_berry_esseen(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("berry_esseen")
+def run_berry_esseen(config: ExperimentConfig):
     k = float(config.params.get("k", 2.9))
     n_samples = int(config.params.get("n_samples", 1_000_000))
     limit = int(math.exp(math.exp(k))) + 10
@@ -372,17 +390,13 @@ def run_berry_esseen(config: ExperimentConfig) -> ResultRecord:
     metrics = {
         "sup_distance": comp.sup_distance,
         "window_variance": comp.variance,
-        "n_samples": float(comp.n_samples),
-        "elapsed_s": time.time() - t0,
+        "n_samples": comp.n_samples,
     }
-    passes = {"AC8": comp.sup_distance <= 0.01}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC8": comp.sup_distance <= 0.01}
 
 
-def run_density_check(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("density_check")
+def run_density_check(config: ExperimentConfig):
     r = float(config.params.get("r", 2.9))
     delta = float(config.params.get("delta", 4.0))
     n_samples = int(config.params.get("n_samples", 1_000_000))
@@ -390,26 +404,19 @@ def run_density_check(config: ExperimentConfig) -> ResultRecord:
     table = cached_sieve(max(limit, config.sieve_limit))
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "density_ratios.csv"), "w", newline="") as fh:
-        fh.write("v_lo,v_hi,empirical,asymptotic,ratio\n")
-        for row in rows:
-            fh.write(f"{row.v!r},{(row.v + 1 / delta)!r},{row.empirical!r},"
-                     f"{row.asymptotic!r},{row.ratio!r}\n")
     metrics = {
         "ratio_min": min(ratios),
         "ratio_max": max(ratios),
-        "n_bins": float(len(rows)),
-        "elapsed_s": time.time() - t0,
+        "n_bins": len(rows),
     }
-    passes = {"AC9": 0.2 <= min(ratios) and max(ratios) <= 5.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    table_rows = [(row.v, row.v + 1 / delta, row.empirical, row.asymptotic, row.ratio)
+                  for row in rows]
+    return (metrics, {"AC9": 0.2 <= min(ratios) and max(ratios) <= 5.0},
+            ("density_ratios.csv", "v_lo,v_hi,empirical,asymptotic,ratio", table_rows))
 
 
-def run_moments_zeta(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("moments_zeta", time_limit=600.0)
+def run_moments_zeta(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     first_zero = abs(zt.zeta_critical(14.1347251417))
     n_cross = int(config.params.get("n_cross", 200))
@@ -423,7 +430,6 @@ def run_moments_zeta(config: ExperimentConfig) -> ResultRecord:
     ratio2 = est2.mean / math.log(big_t)
     est4 = zt.moment_estimate(1e6, 4, 400, seed_stream(config.seed, 2))
     ratio4 = est4.mean / math.log(1e6) ** 4
-    elapsed = time.time() - t0
     metrics = {
         "first_zero_abs": first_zero,
         "rs_vs_em_worst": worst_gap,
@@ -431,17 +437,13 @@ def run_moments_zeta(config: ExperimentConfig) -> ResultRecord:
         "second_moment_ci_lo": est2.ci_lo / math.log(big_t),
         "second_moment_ci_hi": est2.ci_hi / math.log(big_t),
         "fourth_moment_over_log4T": ratio4,
-        "elapsed_s": elapsed,
     }
-    passes = {"AC10": first_zero <= 1e-4 and worst_gap <= 1e-6
-              and 0.7 <= ratio2 <= 1.4 and elapsed < 600.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return metrics, {"AC10": first_zero <= 1e-4 and worst_gap <= 1e-6
+                     and 0.7 <= ratio2 <= 1.4}
 
 
-def run_tail_surrogate(config: ExperimentConfig) -> ResultRecord:
-    t0 = time.time()
+@suite("tail_surrogate", time_limit=900.0)
+def run_tail_surrogate(config: ExperimentConfig):
     depth = int(config.params.get("depth", 14))
     runs = int(config.params.get("runs", 2000))
     # the occupied-bin slope estimator needs deep tail bins populated; at the
@@ -455,35 +457,25 @@ def run_tail_surrogate(config: ExperimentConfig) -> ResultRecord:
     median = float(np.median(maxima[:runs]))
     ys = np.arange(1.0, 5.01, 0.5)
     slope, pts = model.tail_slope(maxima, ys)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "surrogate_tail.csv"), "w", newline="") as fh:
-        fh.write("y,log_tail_prob\n")
-        for y, lp in pts:
-            fh.write(f"{y!r},{lp!r}\n")
-    elapsed = time.time() - t0
     metrics = {
         "median_centered_max": median,
         "tail_slope": slope,
-        "n_runs": float(runs),
-        "n_slope_runs": float(len(maxima)),
-        "elapsed_s": elapsed,
+        "n_runs": runs,
+        "n_slope_runs": len(maxima),
     }
-    passes = {"AC11": abs(median) <= 1.5 and -2.4 <= slope <= -1.7 and elapsed < 900.0}
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, passes,
-                        time.time() - t0)
+    return (metrics, {"AC11": abs(median) <= 1.5 and -2.4 <= slope <= -1.7},
+            ("surrogate_tail.csv", "y,log_tail_prob", pts))
 
 
-def run_tail_zeta(config: ExperimentConfig) -> ResultRecord:
+@suite("tail_zeta")
+def run_tail_zeta(config: ExperimentConfig):
     """Shape-only report: no pass/fail is asserted against the asymptotic
     constant, which lives far beyond reachable heights."""
-    t0 = time.time()
     big_t = float(config.params.get("big_t", 1e7))
     n_taus = int(config.params.get("n_taus", 60))
     n = loglog(big_t)
     step = 2.0 * math.pi / (8.0 * math.log(big_t))
     grid = np.arange(-1.0, 1.0 + step / 2, step)
-    rng = seed_stream(config.seed, 0)
 
     def one(rng_c, count):
         rows = []
@@ -495,45 +487,10 @@ def run_tail_zeta(config: ExperimentConfig) -> ResultRecord:
 
     rows = [r for chunk in parallel_chunks(config, n_taus, one) for r in chunk]
     ys = np.array([r[3] for r in rows])
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "tail_zeta_samples.csv"), "w", newline="") as fh:
-        fh.write("tau,h_star,max_abs,y_coordinate\n")
-        for tau, h_star, mx, y in rows:
-            fh.write(f"{tau!r},{h_star!r},{mx!r},{y!r}\n")
     metrics = {
-        "y_median": float(np.median(ys)),
-        "y_q90": float(np.quantile(ys, 0.9)),
-        "y_max": float(np.max(ys)),
-        "n_taus": float(len(ys)),
-        "elapsed_s": time.time() - t0,
+        "y_median": np.median(ys),
+        "y_q90": np.quantile(ys, 0.9),
+        "y_max": np.max(ys),
+        "n_taus": len(ys),
     }
-    write_metrics_csv(config, metrics)
-    return ResultRecord(config.experiment, config.params_hash, metrics, {},
-                        time.time() - t0)
-
-
-REGISTRY = {
-    "tail_zeta": run_tail_zeta,
-    "tail_surrogate": run_tail_surrogate,
-    "mertens": run_mertens,
-    "moments_model": run_moments_model,
-    "moments_zeta": run_moments_zeta,
-    "ballot_sweep": run_ballot_sweep,
-    "smoothing_suite": run_smoothing_suite,
-    "poisson_suite": run_poisson_suite,
-    "fourth_moment_suite": run_fourth_moment_suite,
-    "mollifier_suite": run_mollifier_suite,
-    "berry_esseen": run_berry_esseen,
-    "density_check": run_density_check,
-}
-
-
-def run(config: ExperimentConfig) -> ResultRecord:
-    if config.experiment not in REGISTRY:
-        raise UsageError(
-            f"unknown experiment '{config.experiment}'; available: "
-            + ", ".join(sorted(REGISTRY))
-        )
-    record = REGISTRY[config.experiment](config)
-    record.save(config.out_dir)
-    return record
+    return metrics, {}, ("tail_zeta_samples.csv", "tau,h_star,max_abs,y_coordinate", rows)

@@ -7,7 +7,6 @@ form; their agreement is one of the package's acceptance checks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -237,11 +236,3 @@ def frak_s_bound(table: PrimeTable, lo: float, hi: float, c1: int, c2: int,
         return out
 
     return math.exp(log_prod) * h_of(c1p) * h_of(c2p) / (r * c1p * c2p)
-
-
-def identity_report_csv(rows: list[tuple[float, int, float, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "alpha", "z_norm", "residual"])
-        for p, alpha, z_norm, resid in rows:
-            w.writerow([p, alpha, repr(z_norm), repr(resid)])

@@ -211,19 +211,9 @@ def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: 
     return rows
 
 
-@dataclass
-class GaussianWalk:
-    """Surrogate walk with independent N(0, 1/2) increments per scale."""
-
-    increments: np.ndarray
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.increments)
-
-
-def sample_gaussian_walk(rng: np.random.Generator, n_steps: int) -> GaussianWalk:
-    return GaussianWalk(increments=rng.normal(0.0, math.sqrt(0.5), size=n_steps))
+def sample_gaussian_walk(rng: np.random.Generator, n_steps: int) -> np.ndarray:
+    """Increments of the surrogate walk: independent N(0, 1/2), one per scale."""
+    return rng.normal(0.0, math.sqrt(0.5), size=n_steps)
 
 
 # --- hierarchical branching surrogate ---

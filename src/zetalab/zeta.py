@@ -53,13 +53,6 @@ def zeta_euler_maclaurin(s: complex, cutoff: int | None = None, tail_terms: int 
     return total
 
 
-def theta_rs(t: float) -> float:
-    """Argument of the completed zeta factor, Stirling series with 3 corrections."""
-    t = float(t)
-    main = 0.5 * t * math.log(t / TWO_PI) - 0.5 * t - math.pi / 8
-    return main + 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
-
-
 def _theta_mod_2pi(t: float) -> tuple[float, float]:
     """(main argument mod 2pi in extended precision, Stirling correction)."""
     tl = np.longdouble(t)
@@ -168,14 +161,6 @@ RS_SWITCH = 50.0
 MAX_T = 1e12
 
 
-@dataclass(frozen=True)
-class ZetaSample:
-    t: float
-    value: complex
-    method: str
-    cross_error: float = math.nan   # relative gap to the other method, if computed
-
-
 def zeta_critical(t: float) -> complex:
     """zeta(1/2 + i t): Euler-Maclaurin below t=50, Riemann-Siegel above."""
     if t <= 0:
@@ -196,16 +181,6 @@ def z_function(t: float) -> float:
 def relative_gap(a: complex, b: complex) -> float:
     """|a - b| / max(1, |a|, |b|); the guard keeps the gap meaningful at zeros."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def cross_checked_sample(t: float) -> ZetaSample:
-    """Evaluate with the method for this t and store the cross-method gap."""
-    v = zeta_critical(t)
-    if t >= RS_SWITCH:
-        other = zeta_euler_maclaurin(0.5 + 1j * t)
-        return ZetaSample(t=t, value=v, method="riemann_siegel",
-                          cross_error=relative_gap(v, other))
-    return ZetaSample(t=t, value=v, method="euler_maclaurin")
 
 
 def smoothed_dirichlet(t: float, length: int, weight_power: int = 100) -> complex:

@@ -68,20 +68,45 @@ def test_run_writes_outputs(out_dir):
         data = json.load(fh)
     assert data["passes"]["AC3"] is True
     assert data["params_hash"] == cfg.params_hash
+    with open(os.path.join(out_dir, "fourth_moment_identities.csv"), newline="") as fh:
+        lines = fh.read().split("\r\n")
+    assert lines[0] == "p,alpha,z_norm,residual"
+    assert len(lines) == 1 + 42 + 1   # header, 18 vanishing + 24 series rows, final line end
 
 
-def test_metrics_csv_deterministic_mod_header(out_dir, tmp_path):
-    cfg_a = ExperimentConfig(experiment="fourth_moment_suite", seed=3,
-                             out_dir=str(tmp_path / "a"))
-    cfg_b = ExperimentConfig(experiment="fourth_moment_suite", seed=3,
-                             out_dir=str(tmp_path / "b"))
-    rec_a, rec_b = run(cfg_a), run(cfg_b)
-    body_a = open(os.path.join(cfg_a.out_dir, "fourth_moment_suite_metrics.csv")).read().splitlines()[1:]
-    body_b = open(os.path.join(cfg_b.out_dir, "fourth_moment_suite_metrics.csv")).read().splitlines()[1:]
-    # elapsed-time metrics vary run to run; everything else is byte-identical
-    kept_a = [l for l in body_a if not l.startswith("elapsed")]
-    kept_b = [l for l in body_b if not l.startswith("elapsed")]
-    assert kept_a == kept_b
+def test_metrics_csv_deterministic_mod_header(tmp_path):
+    # timings stay in the record, so whole CSV files repeat byte for byte
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        run(ExperimentConfig(experiment="fourth_moment_suite", seed=3, out_dir=str(d)))
+    names = sorted(p.name for p in dirs[0].glob("*.csv"))
+    assert names == ["fourth_moment_identities.csv", "fourth_moment_suite_metrics.csv"]
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    assert "elapsed_s" not in (dirs[0] / "fourth_moment_suite_metrics.csv").read_text()
+
+
+def test_harness_coerces_numpy_results(monkeypatch, out_dir):
+    def body(config):
+        return {"x": np.float64(0.25), "n": np.int64(3)}, {"AC0": np.False_}
+
+    monkeypatch.setitem(REGISTRY, "numpy_types", (body, None))
+    record = run(ExperimentConfig(experiment="numpy_types", out_dir=out_dir))
+    assert not record.all_passed
+    with open(os.path.join(out_dir, "numpy_types_record.json")) as fh:
+        data = json.load(fh)
+    assert data["passes"] == {"AC0": False}
+    assert data["metrics"]["x"] == 0.25 and "elapsed_s" in data["metrics"]
+    with open(os.path.join(out_dir, "numpy_types_metrics.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "metric,value"
+    assert [float(row.split(",")[1]) for row in rows] == [3.0, 0.25]
+
+
+def test_time_limit_fails_every_verdict(monkeypatch, out_dir):
+    monkeypatch.setitem(REGISTRY, "slow", (lambda config: ({}, {"A": True, "B": True}), 0.0))
+    record = run(ExperimentConfig(experiment="slow", out_dir=out_dir))
+    assert record.passes == {"A": False, "B": False}
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -115,6 +140,26 @@ def test_cli_runs_suite(capsys, out_dir):
     out = capsys.readouterr().out
     assert code == 0
     assert "AC3: PASS" in out
+
+
+@pytest.mark.parametrize("config_text, flags", [
+    ('{"experiment": "mertens", "colour": 1}', []),   # unknown key
+    ('{"experiment": "mertens",', []),                 # bad JSON
+    (None, []),                                        # missing file
+    ('["mertens"]', []),                               # not a JSON object
+    ('{"experiment": "mertens"}', ["--workers", "0"]),
+    ('{"experiment": "mertens"}', ["--workers", "-3"]),
+    ('{"experiment": "mertens", "workers": "2"}', []),
+])
+def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
+    cfg_path = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg_path.write_text(config_text)
+    out_dir = tmp_path / "out"
+    code = main(["mertens", "--config", str(cfg_path), "--out", str(out_dir)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_cli_flag_overrides(tmp_path, capsys):

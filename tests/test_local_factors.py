@@ -188,9 +188,14 @@ def test_frak_s_bound_dominates(table_small):
 
 
 def test_identity_report_csv(tmp_path):
-    from zetalab.local_factors import identity_report_csv
-    path = str(tmp_path / "ids.csv")
-    identity_report_csv([(11.0, 1, 0.0, 1e-17)], path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "p,alpha,z_norm,residual"
-    assert len(lines) == 2
+    # the fourth-moment suite hands the identity report to the harness as a
+    # side table; the file the harness writes is checked in test_cli
+    from zetalab.experiments import ExperimentConfig, run_fourth_moment_suite
+    cfg = ExperimentConfig(experiment="fourth_moment_suite", seed=3, out_dir=str(tmp_path))
+    _, _, (filename, header, rows, _) = run_fourth_moment_suite(cfg)
+    assert filename == "fourth_moment_identities.csv"
+    assert header == "p,alpha,z_norm,residual"
+    assert len(rows) == 42
+    for p, alpha, z_norm, resid in rows:
+        assert p in (11.0, 101.0, 1009.0) and alpha in (1, 2, 3, 4)
+        assert z_norm >= 0.0 and 0.0 <= resid <= 1e-8
