@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 from scipy.special import erf
 
 from .errors import DomainError, InsufficientSampleError, StructuralError, ToleranceError
@@ -191,6 +191,20 @@ def _gauss_kernel(mesh_step: float, half_width: float = 8.0) -> np.ndarray:
     return k / (k.sum())
 
 
+def _same_convolver(kernel: np.ndarray, n: int):
+    """`fftconvolve(x, kernel, mode="same")` for real x of length n, bit for
+    bit, with the kernel's spectrum computed once for all calls."""
+    full = n + len(kernel) - 1
+    flen = sp_fft.next_fast_len(full, True)
+    spectrum = sp_fft.rfftn(kernel, [flen], axes=[0])
+    start = (full - n) // 2
+
+    def convolve(x: np.ndarray) -> np.ndarray:
+        out = sp_fft.irfftn(sp_fft.rfftn(x, [flen], axes=[0]) * spectrum, [flen], axes=[0])
+        return out[start:start + n]
+    return convolve
+
+
 def _cut_above(density: np.ndarray, grid: np.ndarray, level: float) -> np.ndarray:
     """Zero mass above `level`, with a linear fraction for the straddling cell."""
     if math.isinf(level):
@@ -240,7 +254,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200,
     n_lo = int(math.ceil(8.0 * sigma_total / step))
     n_hi = int(math.ceil(top / step))
     grid = np.arange(-n_lo, n_hi + 1) * step          # 0 sits exactly on the grid
-    kernel = _gauss_kernel(step)
+    convolve = _same_convolver(_gauss_kernel(step), len(grid))
     density = np.zeros_like(grid)
     density[n_lo] = 1.0 / step                        # delta at the origin
     prev_constrained = True                           # the start point is known
@@ -251,10 +265,10 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200,
             # the step's barrier applies on the whole step, so mass already
             # above it is absorbed before diffusing
             density = _cut_above(density, grid, level)
-        new = fftconvolve(density, kernel, mode="same")
+        new = convolve(density)
         if reflect:
             reflected = np.interp(2.0 * level - grid, grid, density, left=0.0, right=0.0)
-            new -= fftconvolve(reflected, kernel, mode="same")
+            new -= convolve(reflected)
             np.clip(new, 0.0, None, out=new)
         density = _cut_above(new, grid, level)
         prev_constrained = not math.isinf(level)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import sici
@@ -22,6 +25,31 @@ from .errors import CapacityError, DomainError, ToleranceError
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _map_blocks(fn, n: int, block: int) -> None:
+    """Call fn(lo, hi) on the fixed blocks [lo, lo + block) of range(n).
+
+    Blocks run on one process-wide thread pool with a worker per usable core
+    (a single block runs in the caller).  The boundaries do not depend on the
+    core count and each block writes only its own slice, so the results are
+    bit-identical for any core count.  `fn` must not call `_map_blocks`.
+    """
+    global _pool
+    bounds = [(lo, min(n, lo + block)) for lo in range(0, n, block)]
+    if len(bounds) <= 1:
+        for lo, hi in bounds:
+            fn(lo, hi)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                                       thread_name_prefix="zetalab-blocks")
+    for future in [_pool.submit(fn, lo, hi) for lo, hi in bounds]:
+        future.result()
 
 
 def phi_three_sinc(x) -> np.ndarray:
@@ -63,10 +91,12 @@ class SmoothingFunction:
         pos = self.nodes > 0
         vals, nds = self.node_values[pos], self.nodes[pos]
         v0 = self.node_values[np.argmin(np.abs(self.nodes))]
-        for lo in range(0, len(xi), 512):
-            hi = min(len(xi), lo + 512)
+
+        def block(lo: int, hi: int) -> None:
             c = np.cos(2.0 * math.pi * np.outer(xi[lo:hi], nds))
             out[lo:hi] = NODE_SPACING * (v0 + 2.0 * c @ vals)
+
+        _map_blocks(block, len(xi), 512)
         return out
 
     def fhat_normalized(self, xi) -> np.ndarray:
@@ -81,16 +111,24 @@ class SmoothingFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x)
         scale = math.pi / NODE_SPACING
-        for lo in range(0, len(x), 256):
-            hi = min(len(x), lo + 256)
+
+        def block(lo: int, hi: int) -> None:
             args = scale * (x[lo:hi, None] - self.nodes[None, :])
             si = sici(args)[0]
             bracket = 0.5 + si / math.pi
             out[lo:hi] = NODE_SPACING * (bracket @ self.node_values)
+
+        _map_blocks(block, len(x), 256)
         return out / self.l1_norm
 
-    def transform_tail_mass(self, grid_extent: float = 4.0, n_points: int = 1 << 17) -> float:
+    def transform_tail_mass(self) -> float:
         """Numerical mass of the transform outside [-1, 1] (FFT route)."""
+        return self._tail_mass
+
+    @cached_property
+    def _tail_mass(self) -> float:
+        # every bump shares its base object, so the FFT runs once per base
+        grid_extent, n_points = 4.0, 1 << 17
         dx = 2.0 * NODE_EXTENT / n_points
         xs = (np.arange(n_points) - n_points // 2) * dx
         vals = self.value(xs)
@@ -218,14 +256,16 @@ def _osc_cell_integrals(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndar
     return i0, i1, i2
 
 
-def _filon_piecewise(edges: np.ndarray, values: np.ndarray, c: float) -> complex:
+def _filon_piecewise(edges: np.ndarray, values: np.ndarray,
+                     integrals: tuple[np.ndarray, ...]) -> complex:
     """int f(xi) e^{i c xi} with f quadratic per cell through (edge, mid, edge).
 
-    `values` holds f at [a, mid, b] per cell, shape (n_cells, 3).
+    `values` holds f at [a, mid, b] per cell, shape (n_cells, 3);
+    `integrals` is `_osc_cell_integrals(edges[:-1], edges[1:], c)`.
     """
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
-    i0, i1, i2 = _osc_cell_integrals(a, b, c)
+    i0, i1, i2 = integrals
     fa, fm, fb = values[:, 0], values[:, 1], values[:, 2]
     # Lagrange quadratic coefficients on (a, mid, b)
     h = 0.5 * (b - a)
@@ -328,16 +368,19 @@ def make_expansion(bump: BandlimitedBump, order: int, symmetrized: bool = False,
 
     sides = [cells_for(u_edges), cells_for(-u_edges[::-1])]
     powers = [1.0 / s[0] for s in sides]   # u^{ell-1} at the nodes, ell = 0 here
+    # cell edges and their oscillatory integrals do not depend on ell
+    edge_vecs = [np.append(pts[:, 0], pts[-1, 2]) for pts, _ in sides]
+    integrals = [[_osc_cell_integrals(e[:-1], e[1:], f * spread) for f in freqs]
+                 for e in edge_vecs]
     log_spread = math.log(spread)
     out = np.zeros(order + 1, dtype=complex)
     for ell in range(order + 1):
         head = complex(np.sum(w_nodes * xi_nodes ** ell * ghead))
         tail = 0.0 + 0.0j
-        for (pts, slow), upow in zip(sides, powers):
+        for (_, slow), upow, edge_vec, (fwd, bwd) in zip(sides, powers, edge_vecs, integrals):
             vals = slow * upow
-            edge_vec = np.append(pts[:, 0], pts[-1, 2])
-            tail += _filon_piecewise(edge_vec, vals, freqs[0] * spread)
-            tail -= _filon_piecewise(edge_vec, vals, freqs[1] * spread)
+            tail += _filon_piecewise(edge_vec, vals, fwd)
+            tail -= _filon_piecewise(edge_vec, vals, bwd)
         log_pref = ell * math.log(2.0 * math.pi) - math.lgamma(ell + 1)
         value = (1j ** ell) * (_exp_or_raise(log_pref) * head
                                + _exp_or_raise(log_pref + ell * log_spread) * tail)

@@ -5,10 +5,10 @@ import pytest
 
 from zetalab.errors import (DomainError, InsufficientSampleError, StructuralError,
                             ToleranceError)
-from zetalab.barrier import (BarrierFunction, BarrierProfile, ballot_bound,
-                             ballot_bound_constant, bridge_survival_dp,
-                             bridge_survival_mc, centering_m, event_flags,
-                             lower_barrier, upper_barrier)
+from zetalab.barrier import (STEP_VAR, BarrierFunction, BarrierProfile, _gauss_kernel,
+                             _same_convolver, ballot_bound, ballot_bound_constant,
+                             bridge_survival_dp, bridge_survival_mc, centering_m,
+                             event_flags, lower_barrier, upper_barrier)
 from zetalab.primes import LadderParams, scale_ladder_from_loglog
 from zetalab.walk import MultiscaleWalk, WalkConfig
 
@@ -132,6 +132,25 @@ def test_dp_unreachable_bin():
 def test_dp_continuum_cross_check():
     out = bridge_survival_dp(100, -0.5, lambda j: 3.0)
     assert out.conditional == pytest.approx(0.30232, abs=0.02)
+
+
+def test_dp_golden_bits():
+    # pinned float.hex: any change to the DP's arithmetic shows here
+    out = bridge_survival_dp(100, -0.5, lambda j: 3.0)
+    assert out.conditional.hex() == "0x1.3526a3ba62544p-2"
+    assert out.joint.hex() == "0x1.16d6d57c05460p-6"
+
+
+def test_dp_convolution_matches_fftconvolve(rng):
+    from scipy.signal import fftconvolve
+    step = math.sqrt(STEP_VAR) / 200          # the DP's default mesh
+    kernel = _gauss_kernel(step)
+    n = 18_733                                # the grid of k = 100 under a level-3 barrier
+    convolve = _same_convolver(kernel, n)
+    delta = np.zeros(n)
+    delta[16_000] = 1.0 / step
+    for x in (delta, rng.random(n), np.clip(rng.normal(size=n), 0.0, None)):
+        assert np.array_equal(convolve(x), fftconvolve(x, kernel, mode="same"))
 
 
 def test_dp_mesh_convergence_and_guard():

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import zetalab
 from zetalab.cli import main
 from zetalab.errors import UsageError
 from zetalab.experiments import (REGISTRY, ExperimentConfig, ResultRecord,
@@ -150,6 +153,8 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "mertens"}', ["--workers", "0"]),
     ('{"experiment": "mertens"}', ["--workers", "-3"]),
     ('{"experiment": "mertens", "workers": "2"}', []),
+    ('{"experiment": "mertens", "params": {"limit": "abc"}}', []),
+    ('{"experiment": "mertens", "params": [1]}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -171,3 +176,14 @@ def test_cli_flag_overrides(tmp_path, capsys):
     code = main(["fourth_moment_suite", "--config", cfg_path, "--out", out_dir])
     assert code == 0
     assert os.path.exists(os.path.join(out_dir, "fourth_moment_suite_record.json"))
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal costs over a second of start-up; no module needs it
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, zetalab; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,11 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
+from zetalab import smoothing
 from zetalab.barrier import BarrierProfile, lower_barrier, upper_barrier
 from zetalab.errors import CapacityError, DomainError
 from zetalab.model import centering
@@ -12,6 +15,52 @@ from zetalab.smoothing import (dirichlet_value, discretized_max_bound,
                                poisson_reconstruct, tuple_set)
 
 DECAY_CONSTANT = 1.0   # calibrated from the direct-evaluation sweep below
+
+# float.hex of make_expansion(make_bump(5, 3), 40).coefficients (real, imag),
+# pinned so that any change to the expansion's arithmetic shows
+EXPANSION_D5_HEX = [
+    ("0x1.000000000153cp+0", "0x1.17c0000000000p-53"),
+    ("0x1.e810000000000p-33", "0x1.cd64854a71fccp-47"),
+    ("-0x1.4689800000000p-20", "0x1.faa6e56ed79ebp-31"),
+    ("0x1.3871bcb800000p-5", "-0x1.d6a396857b927p-20"),
+    ("-0x1.4c8ccf1000000p+5", "-0x1.66cae34a918ffp-1"),
+    ("0x1.87259fe40f400p+20", "-0x1.812eb2d33593dp+11"),
+    ("0x1.588dc9ee6e96cp+34", "0x1.a246017bdd1c6p+27"),
+    ("-0x1.2246226531b41p+45", "0x1.f3386b2b1b0a1p+38"),
+    ("-0x1.32533a5f47082p+57", "-0x1.020477df9cc4ap+55"),
+    ("0x1.261e154a7d3c8p+68", "-0x1.0e9a4bf91831ap+66"),
+    ("-0x1.0ae70b36024ebp+82", "0x1.9bfb07ee6e04ep+81"),
+    ("-0x1.91a52c295b933p+93", "0x1.46bffc9b575e9p+92"),
+    ("0x1.46e599dadabd1p+108", "-0x1.bfbdc2bf1b9bdp+107"),
+    ("0x1.b471006f4738bp+119", "-0x1.212c073ccba64p+118"),
+    ("-0x1.f82d70cbe654cp+133", "0x1.60213c727389ap+133"),
+    ("-0x1.4cf220e359813p+145", "0x1.768ac6157fb85p+143"),
+    ("0x1.27d4336e6d525p+159", "-0x1.a571c160be899p+158"),
+    ("0x1.768e0590f6a05p+170", "-0x1.74f0a50747c14p+168"),
+    ("-0x1.124361c06f4b9p+184", "0x1.8ae3fb4758c2cp+183"),
+    ("-0x1.457b87363f1fcp+195", "0x1.274e2298379e9p+193"),
+    ("0x1.9b58e32c1fe33p+208", "-0x1.2a0fcb00035acp+208"),
+    ("0x1.c63ec6776b2d6p+219", "-0x1.7d787c71b4935p+217"),
+    ("-0x1.fd136d0669a55p+232", "0x1.7215a75dd85bdp+232"),
+    ("-0x1.05e2dcaad655fp+244", "0x1.9a1a8723c8a18p+241"),
+    ("0x1.083cb5025bf73p+257", "-0x1.80a4c02344fe9p+256"),
+    ("0x1.f8a40b1162569p+267", "-0x1.74b6de578e524p+265"),
+    ("-0x1.d29c129d0d213p+280", "0x1.538b8d417ca59p+280"),
+    ("-0x1.9e0ae185a2721p+291", "0x1.2243f11bd8436p+289"),
+    ("0x1.629898eac6550p+304", "-0x1.01be669277100p+304"),
+    ("0x1.26066c110c7bap+315", "-0x1.87d41d1452241p+312"),
+    ("-0x1.d4a7e740af1f2p+327", "0x1.54115cf3f92efp+327"),
+    ("-0x1.6a848aced2bdep+338", "0x1.cef3ecf1e582dp+335"),
+    ("0x1.0fbdd6ce945f1p+351", "-0x1.898d9dbf60026p+350"),
+    ("0x1.89092967930fdp+361", "-0x1.e2da179fab271p+358"),
+    ("-0x1.16b30f308c027p+374", "0x1.92b9576035241p+373"),
+    ("-0x1.7b1ed29483fdep+384", "0x1.bfe250407c540p+381"),
+    ("0x1.fd262f4b7ac15p+396", "-0x1.6f025712d856ap+396"),
+    ("0x1.45289b13a3e68p+407", "-0x1.73ee7c3fbbf27p+404"),
+    ("-0x1.a0d1cdcc80ff8p+419", "0x1.2bc1e4026c61cp+419"),
+    ("-0x1.f4e56c01594a6p+429", "0x1.1623d8a8278bfp+427"),
+    ("0x1.338e5bb831345p+442", "-0x1.b95ad3ca95e5ap+441"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +93,49 @@ def test_ingham_transform_support(ingham):
     assert ingham.transform_tail_mass() <= 1e-8
     # exact lattice series vanishes outside the band
     assert np.max(np.abs(ingham.fhat(np.array([1.1, 1.6, 2.3])))) < 1e-12
+
+
+def reference_cdf(sf, x):
+    """The serial block loop that cdf threads; blocks of 256 rows."""
+    out = np.empty_like(x)
+    scale = math.pi / smoothing.NODE_SPACING
+    for lo in range(0, len(x), 256):
+        hi = min(len(x), lo + 256)
+        si = sici(scale * (x[lo:hi, None] - sf.nodes[None, :]))[0]
+        bracket = 0.5 + si / math.pi
+        out[lo:hi] = smoothing.NODE_SPACING * (bracket @ sf.node_values)
+    return out / sf.l1_norm
+
+
+def reference_fhat(sf, xi):
+    """The serial block loop that fhat threads; blocks of 512 rows."""
+    pos = sf.nodes > 0
+    vals, nds = sf.node_values[pos], sf.nodes[pos]
+    v0 = sf.node_values[np.argmin(np.abs(sf.nodes))]
+    out = np.empty_like(xi)
+    for lo in range(0, len(xi), 512):
+        hi = min(len(xi), lo + 512)
+        c = np.cos(2.0 * math.pi * np.outer(xi[lo:hi], nds))
+        out[lo:hi] = smoothing.NODE_SPACING * (v0 + 2.0 * c @ vals)
+    return out
+
+
+def test_threaded_blocks_bit_identical(ingham, monkeypatch):
+    x = np.linspace(-60.0, 60.0, 3 * 256 + 41)       # three full blocks and a ragged one
+    xi = np.linspace(-1.3, 1.3, 3 * 512 + 77)
+    want_cdf, want_fhat = reference_cdf(ingham, x), reference_fhat(ingham, xi)
+    assert np.array_equal(ingham.cdf(x), want_cdf)
+    assert np.array_equal(ingham.fhat(xi), want_fhat)
+    with ThreadPoolExecutor(max_workers=1) as one_worker:
+        monkeypatch.setattr(smoothing, "_pool", one_worker)
+        assert np.array_equal(ingham.cdf(x), want_cdf)
+        assert np.array_equal(ingham.fhat(xi), want_fhat)
+
+
+def test_golden_bits():
+    assert make_ingham(50).transform_tail_mass().hex() == "0x1.31e599550c0c0p-51"
+    coefficients = make_expansion(make_bump(5.0, 3.0), 40).coefficients
+    assert [(c.real.hex(), c.imag.hex()) for c in coefficients] == EXPANSION_D5_HEX
 
 
 def test_ingham_normalization(ingham):
