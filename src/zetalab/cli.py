@@ -17,7 +17,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", nargs="?", help="experiment suite name")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--sieve-limit", type=int, default=None)
     parser.add_argument("--list", action="store_true", help="list experiment suites")
@@ -41,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
             config = ExperimentConfig(experiment=args.experiment)
         if args.seed is not None:
             config.seed = args.seed
-        if args.workers is not None:
-            config.workers = args.workers
         if args.out is not None:
             config.out_dir = args.out
         if args.sieve_limit is not None:

@@ -2,7 +2,7 @@
 
 Every Monte Carlo experiment draws from counter-based streams derived from
 (seed, chunk index), and chunk boundaries are fixed by sample count, so the
-collected statistics are identical for any worker count.
+collected statistics are identical however many threads run the chunks.
 
 A suite body registered with `@suite` only computes: it returns its metrics,
 its verdicts and any side tables `(filename, header, rows)`.  `run` does the
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -29,9 +28,10 @@ from . import smoothing as sm
 from . import walk as wk
 from . import zeta as zt
 from .errors import UsageError
+from .parallel import map_blocks
 from .primes import cached_sieve, mertens_sum, loglog
 
-CHUNKS = 32   # fixed chunk count keeps statistics worker-count independent
+CHUNKS = 32   # fixed chunk count keeps statistics thread-count independent
 
 
 def seed_stream(seed: int, index: int) -> np.random.Generator:
@@ -44,7 +44,6 @@ def seed_stream(seed: int, index: int) -> np.random.Generator:
 class ExperimentConfig:
     experiment: str
     seed: int = 7
-    workers: int = 1
     sieve_limit: int = 10 ** 6
     out_dir: str = "lab_out"
     params: dict = field(default_factory=dict)
@@ -92,14 +91,13 @@ class ResultRecord:
         return path
 
 
-def _write_rows(path: str, header: str, rows, eol: str = "\n") -> None:
+def _write_rows(path: str, header: str, rows) -> None:
     """One CSV line per row; cells are ints, floats or names, written with str
-    (which is repr for Python ints and floats).  Tables first written by the
-    csv module keep its "\r\n" line end, so their bytes stay as they were."""
+    (which is repr for Python ints and floats)."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + eol)
+        fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(str, row)) + eol)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_metrics_csv(config: ExperimentConfig, metrics: dict[str, float]) -> str:
@@ -116,15 +114,14 @@ def _chunk_sizes(total: int, chunks: int = CHUNKS) -> list[int]:
     return [c for c in out if c > 0]
 
 
-def parallel_chunks(config: ExperimentConfig, total: int, fn) -> list:
-    """fn(rng, size) per chunk; merged in index order regardless of workers."""
-    sizes = _chunk_sizes(total)
-    streams = [(i, seed_stream(config.seed, i), n) for i, n in enumerate(sizes)]
-    if config.workers <= 1:
-        return [fn(rng, n) for _, rng, n in streams]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(fn, rng, n) for _, rng, n in streams]
-        return [f.result() for f in futures]
+def chunk_streams(seed: int, total: int) -> list[tuple[np.random.Generator, int]]:
+    """(stream, size) per fixed chunk of `total` draws, in chunk order."""
+    return [(seed_stream(seed, i), n) for i, n in enumerate(_chunk_sizes(total))]
+
+
+def parallel_chunks(seed: int, total: int, fn) -> list:
+    """fn(rng, size) per chunk on the shared pool; results in chunk order."""
+    return map_blocks(lambda chunk: fn(*chunk), chunk_streams(seed, total))
 
 
 # --- the harness -------------------------------------------------------------
@@ -148,8 +145,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
             f"unknown experiment '{config.experiment}'; available: "
             + ", ".join(sorted(REGISTRY))
         )
-    if not isinstance(config.workers, int) or config.workers < 1:
-        raise UsageError(f"workers must be an integer of at least 1, got {config.workers!r}")
+    for name in ("seed", "sieve_limit"):
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
     if not isinstance(config.params, dict):
         raise UsageError(f"params must be a JSON object, got {config.params!r}")
     body, time_limit = REGISTRY[config.experiment]
@@ -163,8 +162,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
     # write_metrics_csv and record.save are looked up at call time, so a
     # stand-in patched onto the module or class (a tracer) sees every call
     write_metrics_csv(config, metrics)
-    for filename, header, rows, *eol in tables:
-        _write_rows(os.path.join(config.out_dir, filename), header, rows, *eol)
+    for filename, header, rows in tables:
+        _write_rows(os.path.join(config.out_dir, filename), header, rows)
     metrics["elapsed_s"] = elapsed   # timings go to the record, not the CSV
     record = ResultRecord(config.experiment, config.params_hash, metrics, passes)
     record.save(config.out_dir)
@@ -263,8 +262,7 @@ def run_fourth_moment_suite(config: ExperimentConfig):
     }
     passes = {"AC3": vanish_worst <= 1e-10 and newton_worst <= 1e-12
               and b_identity_worst <= 1e-12 and series_worst <= 1e-8}
-    return metrics, passes, ("fourth_moment_identities.csv", "p,alpha,z_norm,residual",
-                             rows, "\r\n")
+    return metrics, passes, ("fourth_moment_identities.csv", "p,alpha,z_norm,residual", rows)
 
 
 @suite("poisson_suite", time_limit=60.0)
@@ -364,7 +362,7 @@ def run_ballot_sweep(config: ExperimentConfig):
     passes = {"AC6": worst_sigma <= 3.0
               and abs(dp_const.conditional - continuum) <= 0.02
               and max_ratio <= 50.0}
-    return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,mc,bound,ratio", rows, "\r\n")
+    return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,mc,bound,ratio", rows)
 
 
 @suite("moments_model", time_limit=600.0)
@@ -373,11 +371,13 @@ def run_moments_model(config: ExperimentConfig):
     n_samples = param(config, "n_samples", 1_000_000)
     limit = int(math.exp(math.exp(k))) + 10
     table = cached_sieve(max(limit, config.sieve_limit))
-    chunks = parallel_chunks(config, n_samples,
-                             lambda rng, n: model.sample_window_sums(rng, table, j, k, n)[0])
+    split = model.window_split(table, j, k)
+    chunks = parallel_chunks(config.seed, n_samples,
+                             lambda rng, n: model.draw_window_sums(rng, split, n))
     samples = np.concatenate(chunks)
     sigma2 = 0.5 * (k - j)
-    metrics: dict[str, float] = {"n_samples": len(samples)}
+    metrics: dict[str, float] = {"n_samples": len(samples), "n_exact_primes": split.n_exact,
+                                 "tail_bias_bound": split.tail_bias_bound}
     ok = True
     for q in (1, 2, 3):
         emp = float(np.mean(samples ** (2 * q)))
@@ -464,7 +464,7 @@ def run_tail_surrogate(config: ExperimentConfig):
     # is measured on a larger pool (a stricter check of the same shape) while
     # the summary statistics keep the stated run count
     slope_runs = param(config, "slope_runs", max(4 * runs, runs))
-    chunks = parallel_chunks(config, max(runs, slope_runs),
+    chunks = parallel_chunks(config.seed, max(runs, slope_runs),
                              lambda rng, n: model.sample_hierarchical_maxima(rng, depth, math.e, n))
     maxima = np.concatenate(chunks)
     median = float(np.median(maxima[:runs]))
@@ -498,7 +498,9 @@ def run_tail_zeta(config: ExperimentConfig):
             rows.append((tau, h_star, mx, math.log(mx) - n + 0.75 * math.log(n)))
         return rows
 
-    rows = [r for chunk in parallel_chunks(config, n_taus, one) for r in chunk]
+    # chunk by chunk in the caller, not on the pool: perfbench's tracer sums the
+    # self times of the zeta spans, which holds only while they never overlap
+    rows = [r for rng, count in chunk_streams(config.seed, n_taus) for r in one(rng, count)]
     ys = np.array([r[3] for r in rows])
     metrics = {
         "y_median": np.median(ys),

@@ -76,24 +76,26 @@ def sample_euler_path(rng: np.random.Generator, table: PrimeTable,
     return RandomEulerPath(config=config, angles=angles, values=values)
 
 
-@dataclass
-class SplitSampleInfo:
-    n_exact: int
+@dataclass(frozen=True)
+class WindowSplit:
+    head: np.ndarray          # primes <= the cutoff, simulated exactly
     tail_variance: float
     total_variance: float
-    tail_bias_bound: float   # Edgeworth skew bound for the Gaussianized block
+    tail_bias_bound: float    # Edgeworth skew bound for the Gaussianized block
+
+    @property
+    def n_exact(self) -> int:
+        return len(self.head)
 
 
-def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
-                       n_samples: int, exact_below: float = EXACT_PRIME_CUTOFF,
-                       ) -> tuple[np.ndarray, SplitSampleInfo]:
-    """Monte Carlo draws of sum_{window} X_p at h = 0.
-
-    Primes up to `exact_below` are simulated exactly; the remaining block is
-    replaced by a single Gaussian with the exact variance.  The replacement
-    bias (third-moment Edgeworth bound, reported) is orders of magnitude
-    below any tolerance used in the experiments.
-    """
+def window_split(table: PrimeTable, j: float, k: float,
+                 exact_below: float = EXACT_PRIME_CUTOFF) -> WindowSplit:
+    """Split the primes of the window (j, k]: those up to `exact_below` are
+    simulated exactly, the rest are replaced by one Gaussian of their exact
+    variance.  The replacement bias (third-moment Edgeworth bound, reported)
+    is orders of magnitude below any tolerance used in the experiments.  The
+    tail sums run over every prime in the window (millions for k near 3), so
+    a caller drawing many chunks computes the split once."""
     primes = primes_in_log_range(table, j, k)
     head = primes[primes <= exact_below]
     tail = primes[len(head):]
@@ -102,12 +104,17 @@ def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k:
     total_var = tail_var + (float(np.sum(x_p_variance(head))) if len(head) else 0.0)
     skew = float(np.sum(0.375 / (tail_f * tail_f))) if len(tail) else 0.0
     bias = skew / max(total_var, 1e-30) ** 1.5
-    info = SplitSampleInfo(n_exact=len(head), tail_variance=tail_var,
-                           total_variance=total_var, tail_bias_bound=bias)
+    return WindowSplit(head=head, tail_variance=tail_var, total_variance=total_var,
+                       tail_bias_bound=bias)
 
+
+def draw_window_sums(rng: np.random.Generator, split: WindowSplit,
+                     n_samples: int) -> np.ndarray:
+    """Monte Carlo draws of the window sum of X_p at h = 0 over a split."""
     out = np.zeros(n_samples)
-    if tail_var > 0:
-        out += rng.normal(0.0, math.sqrt(tail_var), size=n_samples)
+    if split.tail_variance > 0:
+        out += rng.normal(0.0, math.sqrt(split.tail_variance), size=n_samples)
+    head = split.head
     head_f = head.astype(float)
     amp1 = 1.0 / np.sqrt(head_f)
     amp2 = 0.5 / head_f
@@ -120,7 +127,15 @@ def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k:
             c = np.cos(theta)
             acc += c @ amp1[b:be] + (2.0 * c * c - 1.0) @ amp2[b:be]
         out[lo:hi] += acc
-    return out, info
+    return out
+
+
+def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
+                       n_samples: int, exact_below: float = EXACT_PRIME_CUTOFF,
+                       ) -> tuple[np.ndarray, WindowSplit]:
+    """Draws of sum_{window} X_p at h = 0, and the `window_split` they used."""
+    split = window_split(table, j, k, exact_below)
+    return draw_window_sums(rng, split, n_samples), split
 
 
 @dataclass

@@ -7,9 +7,8 @@ their log-log counterparts n_ell = loglog T_ell.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ SEGMENT_SIZE = 1 << 20
 class PrimeTable:
     """Sieved primes up to `limit` with prefix sums of 1/p.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across threads.
     """
 
     limit: int
@@ -229,51 +228,11 @@ def scale_ladder_from_loglog(n: float, params: LadderParams | None = None,
                        n_levels=tuple(levels), T_levels=tuple(T_levels))
 
 
-# --- flat binary sieve cache: little-endian u64 count, then u64 primes ---
+@functools.lru_cache(maxsize=1)
+def cached_sieve(limit: int) -> PrimeTable:
+    """`sieve_primes(limit)`, memoized for the last limit asked for.
 
-def save_prime_cache(table: PrimeTable, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(table.primes)))
-        fh.write(table.primes.astype("<u8").tobytes())
-
-
-def load_prime_cache(path: str, limit: int) -> PrimeTable | None:
-    """Load a cached sieve if it plausibly covers `limit`; None otherwise.
-
-    The flat format carries no explicit limit, so coverage is judged by the
-    gap between the last stored prime and the request; gaps below 1e8 never
-    exceed a few hundred.
+    Consecutive suites that need the same table share one sieve; with a single
+    slot, a new limit releases the previous table instead of keeping them all.
     """
-    try:
-        with open(path, "rb") as fh:
-            (count,) = struct.unpack("<Q", fh.read(8))
-            primes = np.frombuffer(fh.read(count * 8), dtype="<u8").astype(np.int64)
-    except (OSError, struct.error):
-        return None
-    if len(primes) != count or count == 0 or limit - int(primes[-1]) > 500:
-        return None
-    primes = primes[primes <= limit]
-    cum = np.cumsum(1.0 / primes.astype(np.longdouble)).astype(np.float64)
-    return PrimeTable(limit=int(limit), primes=primes, cum_recip=cum)
-
-
-def cache_path_for(limit: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"primes_{limit}.bin")
-
-
-def cached_sieve(limit: int, cache_dir: str | None = None) -> PrimeTable:
-    """Sieve with an optional on-disk cache keyed by limit.
-
-    `cache_dir` falls back to the LAB_SIEVE_CACHE environment variable.
-    """
-    cache_dir = cache_dir or os.environ.get("LAB_SIEVE_CACHE")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = cache_path_for(limit, cache_dir)
-        table = load_prime_cache(path, limit)
-        if table is not None:
-            return table
-        table = sieve_primes(limit)
-        save_prime_cache(table, path)
-        return table
     return sieve_primes(limit)

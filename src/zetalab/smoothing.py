@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,35 +19,10 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import CapacityError, DomainError, ToleranceError
+from .parallel import map_blocks
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _map_blocks(fn, n: int, block: int) -> None:
-    """Call fn(lo, hi) on the fixed blocks [lo, lo + block) of range(n).
-
-    Blocks run on one process-wide thread pool with a worker per usable core
-    (a single block runs in the caller).  The boundaries do not depend on the
-    core count and each block writes only its own slice, so the results are
-    bit-identical for any core count.  `fn` must not call `_map_blocks`.
-    """
-    global _pool
-    bounds = [(lo, min(n, lo + block)) for lo in range(0, n, block)]
-    if len(bounds) <= 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
-                                       thread_name_prefix="zetalab-blocks")
-    for future in [_pool.submit(fn, lo, hi) for lo, hi in bounds]:
-        future.result()
-
 
 def phi_three_sinc(x) -> np.ndarray:
     """sinc^2(x-1) + sinc^2(x) + sinc^2(x+1); transform supported in [-1, 1]."""
@@ -92,11 +64,12 @@ class SmoothingFunction:
         vals, nds = self.node_values[pos], self.nodes[pos]
         v0 = self.node_values[np.argmin(np.abs(self.nodes))]
 
-        def block(lo: int, hi: int) -> None:
+        def block(lo: int) -> None:
+            hi = lo + 512
             c = np.cos(2.0 * math.pi * np.outer(xi[lo:hi], nds))
             out[lo:hi] = NODE_SPACING * (v0 + 2.0 * c @ vals)
 
-        _map_blocks(block, len(xi), 512)
+        map_blocks(block, range(0, len(xi), 512))   # fixed blocks: same bits on any pool
         return out
 
     def fhat_normalized(self, xi) -> np.ndarray:
@@ -112,13 +85,14 @@ class SmoothingFunction:
         out = np.empty_like(x)
         scale = math.pi / NODE_SPACING
 
-        def block(lo: int, hi: int) -> None:
+        def block(lo: int) -> None:
+            hi = lo + 256
             args = scale * (x[lo:hi, None] - self.nodes[None, :])
             si = sici(args)[0]
             bracket = 0.5 + si / math.pi
             out[lo:hi] = NODE_SPACING * (bracket @ self.node_values)
 
-        _map_blocks(block, len(x), 256)
+        map_blocks(block, range(0, len(x), 256))   # fixed blocks: same bits on any pool
         return out / self.l1_norm
 
     def transform_tail_mass(self) -> float:

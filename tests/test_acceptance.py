@@ -1,18 +1,17 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-Criteria run through the same experiment registry the CLI uses; the sieve
-cache directory is shared so the large tables are built once.
+Criteria run through the same experiment registry the CLI uses; consecutive
+criteria that need the same large sieve share it through `cached_sieve`.
 """
 
 import math
-import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from zetalab import parallel
 from zetalab.experiments import ExperimentConfig, run, seed_stream
-
-os.environ.setdefault("LAB_SIEVE_CACHE", "/tmp/zetalab_sieve_cache")
 
 pytestmark = pytest.mark.acceptance
 
@@ -138,20 +137,24 @@ def _stable(metrics):
     return {k: v for k, v in metrics.items() if k not in VOLATILE}
 
 
-def test_ac12_reproducibility(tmp_path):
+def test_ac12_reproducibility(tmp_path, monkeypatch):
     base = dict(experiment="moments_model", seed=SEED,
                 params={"n_samples": 40_000, "j": 1.0, "k": 2.0})
-    rec_a = run(ExperimentConfig(out_dir=str(tmp_path / "a"), workers=1, **base))
-    rec_b = run(ExperimentConfig(out_dir=str(tmp_path / "b"), workers=1, **base))
-    rec_c = run(ExperimentConfig(out_dir=str(tmp_path / "c"), workers=8, **base))
+    rec_a = run(ExperimentConfig(out_dir=str(tmp_path / "a"), **base))   # the default pool
+    rec_b = run(ExperimentConfig(out_dir=str(tmp_path / "b"), **base))
     same_seed = _stable(rec_a.metrics) == _stable(rec_b.metrics)
-    same_workers = _stable(rec_a.metrics) == _stable(rec_c.metrics)
-    # whole CSV files agree byte for byte: timings are kept in the record only
-    csv_a = (tmp_path / "a" / "moments_model_metrics.csv").read_bytes()
-    csv_c = (tmp_path / "c" / "moments_model_metrics.csv").read_bytes()
-    csv_match = csv_a == csv_c
+    same_workers = csv_match = True
+    for workers in (1, 8):
+        out = tmp_path / f"w{workers}"
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(parallel, "_pool", pool)
+            rec = run(ExperimentConfig(out_dir=str(out), **base))
+        same_workers = same_workers and _stable(rec_a.metrics) == _stable(rec.metrics)
+        # whole CSV files agree byte for byte: timings are kept in the record only
+        csv_match = csv_match and ((tmp_path / "a" / "moments_model_metrics.csv").read_bytes()
+                                   == (out / "moments_model_metrics.csv").read_bytes())
     passed = same_seed and same_workers and csv_match
     report("AC12", passed,
-           f"same-seed identical: {same_seed}, workers 1 vs 8 identical: {same_workers}, "
-           f"csv files identical: {csv_match}")
+           f"same-seed identical: {same_seed}, default vs 1 and 8 pool workers identical: "
+           f"{same_workers}, csv files identical: {csv_match}")
     assert passed

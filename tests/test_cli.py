@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import zetalab
+from zetalab import parallel
 from zetalab.cli import main
 from zetalab.errors import UsageError
 from zetalab.experiments import (REGISTRY, ExperimentConfig, ResultRecord,
@@ -43,15 +45,15 @@ def test_seed_stream_equidistribution():
     assert p_value > 1e-6
 
 
-def test_parallel_chunks_worker_independent(out_dir):
+def test_parallel_chunks_worker_independent(monkeypatch):
     def sampler(rng, n):
         return rng.normal(size=n)
 
-    cfg1 = ExperimentConfig(experiment="mertens", seed=9, workers=1, out_dir=out_dir)
-    cfg8 = ExperimentConfig(experiment="mertens", seed=9, workers=8, out_dir=out_dir)
-    a = np.concatenate(parallel_chunks(cfg1, 1000, sampler))
-    b = np.concatenate(parallel_chunks(cfg8, 1000, sampler))
-    assert np.array_equal(a, b)
+    want = np.concatenate(parallel_chunks(9, 1000, sampler))   # the default pool
+    for workers in (1, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(parallel, "_pool", pool)
+            assert np.array_equal(np.concatenate(parallel_chunks(9, 1000, sampler)), want)
 
 
 def test_mertens_experiment_small_limit(out_dir):
@@ -72,7 +74,7 @@ def test_run_writes_outputs(out_dir):
     assert data["passes"]["AC3"] is True
     assert data["params_hash"] == cfg.params_hash
     with open(os.path.join(out_dir, "fourth_moment_identities.csv"), newline="") as fh:
-        lines = fh.read().split("\r\n")
+        lines = fh.read().split("\n")
     assert lines[0] == "p,alpha,z_norm,residual"
     assert len(lines) == 1 + 42 + 1   # header, 18 vanishing + 24 series rows, final line end
 
@@ -113,8 +115,8 @@ def test_time_limit_fails_every_verdict(monkeypatch, out_dir):
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = ExperimentConfig(experiment="mertens", seed=11, workers=2,
-                           sieve_limit=12345, out_dir="x", params={"limit": 10})
+    cfg = ExperimentConfig(experiment="mertens", seed=11, sieve_limit=12345,
+                           out_dir="x", params={"limit": 10})
     path = str(tmp_path / "cfg.json")
     with open(path, "w") as fh:
         json.dump(cfg.__dict__, fh)
@@ -150,20 +152,29 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "mertens",', []),                 # bad JSON
     (None, []),                                        # missing file
     ('["mertens"]', []),                               # not a JSON object
+    ('{"experiment": "mertens"}', ["--workers", "2"]),   # removed flag
     ('{"experiment": "mertens"}', ["--workers", "0"]),
-    ('{"experiment": "mertens"}', ["--workers", "-3"]),
-    ('{"experiment": "mertens", "workers": "2"}', []),
+    ('{"experiment": "mertens", "workers": "2"}', []),   # removed field: unknown key
     ('{"experiment": "mertens", "params": {"limit": "abc"}}', []),
     ('{"experiment": "mertens", "params": [1]}', []),
+    ('{"experiment": "mertens", "seed": "x"}', []),
+    ('{"experiment": "mertens", "sieve_limit": "x"}', []),
+    ('{"experiment": "mertens", "seed": 1.5}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
     out_dir = tmp_path / "out"
-    code = main(["mertens", "--config", str(cfg_path), "--out", str(out_dir)] + flags)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    argv = ["mertens", "--config", str(cfg_path), "--out", str(out_dir)] + flags
+    if "--workers" in flags:   # argparse rejects an unknown flag itself
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     assert not out_dir.exists()
 
 

@@ -192,7 +192,7 @@ def test_identity_report_csv(tmp_path):
     # side table; the file the harness writes is checked in test_cli
     from zetalab.experiments import ExperimentConfig, run_fourth_moment_suite
     cfg = ExperimentConfig(experiment="fourth_moment_suite", seed=3, out_dir=str(tmp_path))
-    _, _, (filename, header, rows, _) = run_fourth_moment_suite(cfg)
+    _, _, (filename, header, rows) = run_fourth_moment_suite(cfg)
     assert filename == "fourth_moment_identities.csv"
     assert header == "p,alpha,z_norm,residual"
     assert len(rows) == 42

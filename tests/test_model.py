@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from zetalab.errors import CapacityError, DomainError
+from zetalab.experiments import chunk_streams, parallel_chunks
 from zetalab.model import (branching_pattern, centering, density_check,
                            e_z_xp_quadrature, increment_gaussianity, laplace_check,
                            make_hierarchical, sample_euler_path, sample_gaussian_walk,
                            sample_hierarchical_leaves, sample_hierarchical_maxima,
-                           sample_window_sums, sample_x_p, tail_slope, x_p_values,
-                           x_p_variance)
+                           draw_window_sums, sample_window_sums, sample_x_p, tail_slope,
+                           window_split, x_p_values, x_p_variance)
+from zetalab.primes import primes_in_log_range
 from zetalab.walk import WalkConfig, partial_sum
 
 
@@ -83,9 +85,45 @@ def test_window_sums_split_consistency(table_medium):
     assert abs(np.var(exact) - np.var(split)) < 4 * np.var(exact) / math.sqrt(40_000)
 
 
+def reference_window_sums(rng, table, j, k, n_samples, exact_below=10_000):
+    """The sampler as it was before the split was factored out: the split is
+    recomputed on every call."""
+    primes = primes_in_log_range(table, j, k)
+    head = primes[primes <= exact_below]
+    tail = primes[len(head):]
+    tail_var = float(np.sum(x_p_variance(tail))) if len(tail) else 0.0
+    out = np.zeros(n_samples)
+    if tail_var > 0:
+        out += rng.normal(0.0, math.sqrt(tail_var), size=n_samples)
+    head_f = head.astype(float)
+    amp1, amp2 = 1.0 / np.sqrt(head_f), 0.5 / head_f
+    for lo in range(0, n_samples, 1 << 14):
+        hi = min(n_samples, lo + (1 << 14))
+        acc = np.zeros(hi - lo)
+        for b in range(0, len(head), 256):
+            be = min(len(head), b + 256)
+            c = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=(hi - lo, be - b)))
+            acc += c @ amp1[b:be] + (2.0 * c * c - 1.0) @ amp2[b:be]
+        out[lo:hi] += acc
+    return out
+
+
+def test_chunked_draws_with_one_split_match_per_chunk_calls(table_medium):
+    split = window_split(table_medium, 1.0, 2.3)
+    assert split.tail_variance > 0 and split.n_exact > 256   # a Gaussian tail, two blocks
+    got = np.concatenate(parallel_chunks(3, 3000, lambda rng, n: draw_window_sums(rng, split, n)))
+    want = np.concatenate([reference_window_sums(rng, table_medium, 1.0, 2.3, n)
+                           for rng, n in chunk_streams(3, 3000)])
+    assert np.array_equal(got, want)
+    samples, info = sample_window_sums(np.random.default_rng(4), table_medium, 1.0, 2.3, 100)
+    assert np.array_equal(samples, reference_window_sums(np.random.default_rng(4), table_medium,
+                                                         1.0, 2.3, 100))
+    assert (info.n_exact, info.tail_variance, info.tail_bias_bound) == \
+        (split.n_exact, split.tail_variance, split.tail_bias_bound)
+
+
 def test_window_sum_variance_matches(table_medium, rng):
     samples, info = sample_window_sums(rng, table_medium, 1.0, 2.3, 200_000)
-    from zetalab.primes import primes_in_log_range
     target = float(np.sum(x_p_variance(primes_in_log_range(table_medium, 1.0, 2.3))))
     assert info.total_variance == pytest.approx(target, rel=1e-12)
     assert np.var(samples) == pytest.approx(target, rel=0.02)

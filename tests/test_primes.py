@@ -1,13 +1,12 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
 from zetalab.errors import CapacityError, DomainError
-from zetalab.primes import (LadderParams, cached_sieve, load_prime_cache, loglog,
-                            mertens_sum, primes_in_log_range, save_prime_cache,
-                            scale_ladder, scale_ladder_from_loglog, sieve_primes)
+from zetalab.primes import (LadderParams, cached_sieve, loglog, mertens_sum,
+                            primes_in_log_range, scale_ladder, scale_ladder_from_loglog,
+                            sieve_primes)
 
 
 def brute_primes(limit):
@@ -135,19 +134,9 @@ def test_feasible_level_small_constants():
     assert roomy.max_feasible_level() >= 0
 
 
-def test_prime_cache_roundtrip(tmp_path, table_small):
-    path = os.path.join(tmp_path, "primes.bin")
-    save_prime_cache(table_small, path)
-    loaded = load_prime_cache(path, table_small.limit)
-    assert loaded is not None
-    assert loaded.primes.tolist() == table_small.primes.tolist()
-    # a cache that stops short of the requested limit is rejected
-    assert load_prime_cache(path, 10 ** 7) is None
-
-
-def test_cached_sieve_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("LAB_SIEVE_CACHE", str(tmp_path))
+def test_cached_sieve_memo():
     t1 = cached_sieve(10 ** 4)
-    assert os.path.exists(os.path.join(tmp_path, "primes_10000.bin"))
-    t2 = cached_sieve(10 ** 4)
-    assert t1.primes.tolist() == t2.primes.tolist()
+    assert cached_sieve(10 ** 4) is t1
+    t2 = cached_sieve(2 * 10 ** 4)
+    assert t2 is not t1 and t2.limit == 2 * 10 ** 4
+    assert t2.primes.tolist() == sieve_primes(2 * 10 ** 4).primes.tolist()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from zetalab import smoothing
+from zetalab import parallel, smoothing
 from zetalab.barrier import BarrierProfile, lower_barrier, upper_barrier
 from zetalab.errors import CapacityError, DomainError
 from zetalab.model import centering
@@ -127,7 +127,7 @@ def test_threaded_blocks_bit_identical(ingham, monkeypatch):
     assert np.array_equal(ingham.cdf(x), want_cdf)
     assert np.array_equal(ingham.fhat(xi), want_fhat)
     with ThreadPoolExecutor(max_workers=1) as one_worker:
-        monkeypatch.setattr(smoothing, "_pool", one_worker)
+        monkeypatch.setattr(parallel, "_pool", one_worker)
         assert np.array_equal(ingham.cdf(x), want_cdf)
         assert np.array_equal(ingham.fhat(xi), want_fhat)
 
