@@ -1,6 +1,6 @@
 """Barriers, event flags, and the ballot-probability engine.
 
-The walk model is Gaussian with variance-1/2 increments checked at integer
+The walk model is Gaussian with variance-1/2 steps checked at integer
 times; within each unit step the barrier is treated as constant at its
 right-endpoint value and crossing is handled by the exact reflection kernel,
 so constant-barrier survival matches the Brownian-bridge formula.
@@ -144,39 +144,6 @@ def event_flags(walk: MultiscaleWalk, profile: BarrierProfile, ladder: ScaleLadd
                       in_c=np.array(c_rows), in_d=np.array(d_rows), in_h=in_h)
 
 
-@dataclass(frozen=True)
-class BarrierFunction:
-    """f(x) = g(x) + alpha x + y with concave g sampled on 0..k."""
-
-    k: int
-    g: np.ndarray
-    alpha: float
-    y: float
-    theta: float = 0.0
-    c1: float = 1.0
-
-    def __post_init__(self):
-        if abs(self.g[0]) > 1e-12 or abs(self.g[-1]) > 1e-12:
-            raise DomainError("g must vanish at both endpoints")
-
-    def values(self) -> np.ndarray:
-        xs = np.arange(self.k + 1, dtype=float)
-        return self.g + self.alpha * xs + self.y
-
-    def envelope_report(self) -> dict[str, float]:
-        """Finite-difference check of the slope/curvature envelopes (step 1)."""
-        xs = np.arange(self.k + 1, dtype=float)
-        scale = np.minimum(xs + 1.0, self.k - xs + 1.0)
-        d1 = np.diff(self.g)
-        mid_scale = scale[:-1]
-        slope_ratio = float(np.max(np.abs(d1) * self.c1 * mid_scale ** (1.0 - self.theta)))
-        d2 = np.diff(self.g, 2)
-        curv_low = float(np.min(d2 * scale[1:-1] ** (2.0 - self.theta) / self.c1)) if self.k >= 2 else 0.0
-        curv_high = float(np.max(d2)) if self.k >= 2 else 0.0
-        return {"slope_ratio": slope_ratio, "curvature_low": curv_low,
-                "curvature_high": curv_high}
-
-
 @dataclass
 class BridgeSurvival:
     joint: float          # P(stay below barrier and end in [w, w+1])
@@ -229,15 +196,14 @@ def _bin_mass(density: np.ndarray, grid: np.ndarray, a: float, b: float) -> floa
     return float(cb - ca)
 
 
-def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200,
-                       continuous: bool = True) -> BridgeSurvival:
+def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurvival:
     """Transfer-operator survival below barrier(j), endpoint in [w, w+1].
 
-    `barrier` maps j = 1..k to a level (may be +inf).  With `continuous`,
-    within-step crossings of the step's level are removed by the reflection
-    image charge, so a constant barrier reproduces the Brownian-bridge
-    formula.  State space is truncated at 8 total standard deviations with
-    the tail mass counted as absorbed.
+    `barrier` maps j = 1..k to a level (may be +inf).  Within-step crossings
+    of the step's level are removed by the reflection image charge, so a
+    constant barrier reproduces the Brownian-bridge formula.  State space is
+    truncated at 8 total standard deviations with the tail mass counted as
+    absorbed.
     """
     if mesh < 200:
         raise ToleranceError("mesh below 200 points per unit standard deviation")
@@ -260,7 +226,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200,
     prev_constrained = True                           # the start point is known
     for j in range(1, k + 1):
         level = levels[j - 1]
-        reflect = continuous and not math.isinf(level) and prev_constrained
+        reflect = not math.isinf(level) and prev_constrained
         if reflect:
             # the step's barrier applies on the whole step, so mass already
             # above it is absorbed before diffusing
@@ -281,7 +247,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200,
 
 
 def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
-                       n_paths: int, continuous: bool = True) -> tuple[float, float, int]:
+                       n_paths: int) -> tuple[float, float, int]:
     """(estimate, binomial std error, endpoint hits) for the same event as the DP."""
     if n_paths < 10_000:
         raise DomainError("need at least 1e4 paths")
@@ -298,14 +264,13 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
         steps = rng.normal(0.0, math.sqrt(STEP_VAR), size=(m, k))
         paths = np.cumsum(steps, axis=1)
         below = np.all(paths <= levels[None, :], axis=1)
-        if continuous:
-            prev = np.concatenate([np.zeros((m, 1)), paths[:, :-1]], axis=1)
-            safe_levels = np.where(finite, levels, 0.0)
-            p_cross = np.exp(-2.0 * np.clip(safe_levels - prev, 0, None)
-                             * np.clip(safe_levels - paths, 0, None) / STEP_VAR)
-            p_cross = np.where(active[None, :], p_cross, 0.0)
-            u = rng.uniform(size=(m, k))
-            below &= ~np.any(u < p_cross, axis=1)
+        prev = np.concatenate([np.zeros((m, 1)), paths[:, :-1]], axis=1)
+        safe_levels = np.where(finite, levels, 0.0)
+        p_cross = np.exp(-2.0 * np.clip(safe_levels - prev, 0, None)
+                         * np.clip(safe_levels - paths, 0, None) / STEP_VAR)
+        p_cross = np.where(active[None, :], p_cross, 0.0)
+        u = rng.uniform(size=(m, k))
+        below &= ~np.any(u < p_cross, axis=1)
         endpoint = paths[:, -1]
         in_bin = (endpoint >= w) & (endpoint < w + 1.0)
         hits += int(np.sum(in_bin))
@@ -323,9 +288,3 @@ def ballot_bound(k: float, y: float, w: float, profile: BarrierProfile) -> float
     gap = u + centering(k, profile.n) - w + 1.0
     return (y + 1.0) * gap * k ** -1.5 * math.exp(-w * w / k)
 
-
-def ballot_bound_constant(m: int, z1: float, z2: float) -> float:
-    """Constant-barrier form (z1+1)(z1-z2+1)/m for z1 >= 1, z2 <= z1."""
-    if z1 < 1 or z2 > z1:
-        raise DomainError("need z1 >= 1 and z2 <= z1")
-    return (z1 + 1.0) * (z1 - z2 + 1.0) / m

@@ -170,15 +170,19 @@ def run(config: ExperimentConfig) -> ResultRecord:
     return record
 
 
-def param(config: ExperimentConfig, name: str, default):
+def param(config: ExperimentConfig, name: str, default, above: float | None = None):
     """`config.params[name]` (or `default`) cast to the type of `default`;
-    a value that does not cast is a usage error (CLI exit 2)."""
+    a value that does not cast, or is not greater than `above`, is a usage
+    error (CLI exit 2).  Counts pass `above=0`: a zero count runs nothing."""
     value = config.params.get(name, default)
     try:
-        return type(default)(value)
+        value = type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"param {name!r} must be {type(default).__name__}, "
                          f"got {value!r}") from exc
+    if above is not None and not value > above:
+        raise UsageError(f"param {name!r} must be above {above}, got {value!r}")
+    return value
 
 
 # --- individual experiments -------------------------------------------------
@@ -204,7 +208,7 @@ def run_mollifier_suite(config: ExperimentConfig):
     table = cached_sieve(limit)
     rng = seed_stream(config.seed, 0)
     k_max = math.log(math.log(limit)) - 0.02
-    n_cfg = param(config, "n_configs", 100)
+    n_cfg = param(config, "n_configs", 100, above=0)
     worst = 0.0
     for _ in range(n_cfg):
         k_lo = rng.uniform(0.0, k_max - 0.3)
@@ -269,7 +273,7 @@ def run_fourth_moment_suite(config: ExperimentConfig):
 def run_poisson_suite(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     window = sm.make_window(0.5)
-    n_polys = param(config, "n_polys", 100)
+    n_polys = param(config, "n_polys", 100, above=0)
     worst = 0.0
     for _ in range(n_polys):
         n = int(rng.integers(2, 4097))
@@ -292,7 +296,7 @@ def run_poisson_suite(config: ExperimentConfig):
 
 @suite("smoothing_suite")
 def run_smoothing_suite(config: ExperimentConfig):
-    n_samples = param(config, "n_samples", 20000)
+    n_samples = param(config, "n_samples", 20000, above=0)
     limit = max(int(config.sieve_limit), 10 ** 5)
     table = cached_sieve(limit)
     rng = seed_stream(config.seed, 0)
@@ -326,8 +330,8 @@ def run_smoothing_suite(config: ExperimentConfig):
 @suite("ballot_sweep", time_limit=300.0)
 def run_ballot_sweep(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
-    n_rand = param(config, "n_random_configs", 20)
-    mc_paths = param(config, "mc_paths", 60_000)
+    n_rand = param(config, "n_random_configs", 20, above=0)
+    mc_paths = param(config, "mc_paths", 60_000, above=0)
     worst_sigma = 0.0
     for _ in range(n_rand):
         k = int(rng.integers(20, 120))
@@ -368,7 +372,7 @@ def run_ballot_sweep(config: ExperimentConfig):
 @suite("moments_model", time_limit=600.0)
 def run_moments_model(config: ExperimentConfig):
     j, k = param(config, "j", 2.0), param(config, "k", 2.9)
-    n_samples = param(config, "n_samples", 1_000_000)
+    n_samples = param(config, "n_samples", 1_000_000, above=0)
     limit = int(math.exp(math.exp(k))) + 10
     table = cached_sieve(max(limit, config.sieve_limit))
     split = model.window_split(table, j, k)
@@ -396,7 +400,7 @@ def run_moments_model(config: ExperimentConfig):
 @suite("berry_esseen")
 def run_berry_esseen(config: ExperimentConfig):
     k = param(config, "k", 2.9)
-    n_samples = param(config, "n_samples", 1_000_000)
+    n_samples = param(config, "n_samples", 1_000_000, above=0)
     limit = int(math.exp(math.exp(k))) + 10
     table = cached_sieve(max(limit, config.sieve_limit))
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
@@ -411,8 +415,8 @@ def run_berry_esseen(config: ExperimentConfig):
 @suite("density_check")
 def run_density_check(config: ExperimentConfig):
     r = param(config, "r", 2.9)
-    delta = param(config, "delta", 4.0)
-    n_samples = param(config, "n_samples", 1_000_000)
+    delta = param(config, "delta", 4.0, above=0)
+    n_samples = param(config, "n_samples", 1_000_000, above=0)
     limit = int(math.exp(math.exp(r))) + 10
     table = cached_sieve(max(limit, config.sieve_limit))
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
@@ -432,13 +436,13 @@ def run_density_check(config: ExperimentConfig):
 def run_moments_zeta(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     first_zero = abs(zt.zeta_critical(14.1347251417))
-    n_cross = param(config, "n_cross", 200)
+    n_cross = param(config, "n_cross", 200, above=0)
     ts = rng.uniform(50.0, 1e4, size=n_cross)
     worst_gap = max(zt.relative_gap(zt.zeta_riemann_siegel(float(t)),
                                     zt.zeta_euler_maclaurin(0.5 + 1j * float(t)))
                     for t in ts)
     big_t = param(config, "big_t", 1e7)
-    est2 = zt.moment_estimate(big_t, 2, param(config, "n_samples", 2000),
+    est2 = zt.moment_estimate(big_t, 2, param(config, "n_samples", 2000, above=0),
                               seed_stream(config.seed, 1))
     ratio2 = est2.mean / math.log(big_t)
     est4 = zt.moment_estimate(1e6, 4, 400, seed_stream(config.seed, 2))
@@ -457,13 +461,13 @@ def run_moments_zeta(config: ExperimentConfig):
 
 @suite("tail_surrogate", time_limit=900.0)
 def run_tail_surrogate(config: ExperimentConfig):
-    depth = param(config, "depth", 14)
-    runs = param(config, "runs", 2000)
+    depth = param(config, "depth", 14, above=0)
+    runs = param(config, "runs", 2000, above=0)
     # the occupied-bin slope estimator needs deep tail bins populated; at the
     # headline run count its spread straddles the tolerance band, so the slope
     # is measured on a larger pool (a stricter check of the same shape) while
     # the summary statistics keep the stated run count
-    slope_runs = param(config, "slope_runs", max(4 * runs, runs))
+    slope_runs = param(config, "slope_runs", max(4 * runs, runs), above=0)
     chunks = parallel_chunks(config.seed, max(runs, slope_runs),
                              lambda rng, n: model.sample_hierarchical_maxima(rng, depth, math.e, n))
     maxima = np.concatenate(chunks)
@@ -485,7 +489,7 @@ def run_tail_zeta(config: ExperimentConfig):
     """Shape-only report: no pass/fail is asserted against the asymptotic
     constant, which lives far beyond reachable heights."""
     big_t = param(config, "big_t", 1e7)
-    n_taus = param(config, "n_taus", 60)
+    n_taus = param(config, "n_taus", 60, above=0)
     n = loglog(big_t)
     step = 2.0 * math.pi / (8.0 * math.log(big_t))
     grid = np.arange(-1.0, 1.0 + step / 2, step)

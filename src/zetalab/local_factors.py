@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .primes import PrimeTable
 
 F_WEIGHTS = (1.0, -2.0, 1.0)    # multiplicative weights at p^0, p^1, p^2
 
@@ -36,10 +35,6 @@ class ShiftVector:
 
     def norm(self) -> float:
         return sum(abs(z) for z in (self.z1, self.z2, self.z3, self.z4))
-
-    def admissible_for(self, p: float, alpha: int) -> bool:
-        limit = 81.0 / (alpha * math.log(p))
-        return all(abs(z) <= limit for z in (self.z1, self.z2, self.z3, self.z4))
 
 
 ZERO_SHIFT = ShiftVector(0, 0, 0, 0)
@@ -129,11 +124,6 @@ def b_closed(p, alpha: int, z: ShiftVector):
     return out if np.asarray(out).shape else complex(out)
 
 
-def d3(alpha: int) -> float:
-    """Triple divisor function on a prime power: (a+1)(a+2)/2."""
-    return 0.5 * (alpha + 1) * (alpha + 2)
-
-
 def local_factor(p, v1: int, v2: int, z: ShiftVector):
     """The 3x3 twisted-moment factor at a prime with coefficient valuations.
 
@@ -164,75 +154,3 @@ def local_factor(p, v1: int, v2: int, z: ShiftVector):
             out = out + weight * b_val("z", e1 - m) * b_val("w", e2 - m)
     return out if out.shape else complex(out)
 
-
-@dataclass
-class EulerProductValue:
-    log_magnitude: float      # -inf when some factor vanishes exactly
-    phase: float
-    n_factors: int
-    n_zero_factors: int
-
-    @property
-    def value(self) -> complex:
-        if math.isinf(self.log_magnitude):
-            return 0.0 + 0.0j
-        return math.exp(self.log_magnitude) * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-def _valuation(c: int, p: int) -> int:
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
-def frak_s(table: PrimeTable, lo: float, hi: float, c1: int, c2: int,
-           z: ShiftVector) -> EulerProductValue:
-    """Product of local factors over primes in (lo, hi], accumulated in logs."""
-    primes = table.slice_leq(lo, hi)
-    if len(primes) == 0:
-        return EulerProductValue(0.0, 0.0, 0, 0)
-    special = [int(p) for p in primes if c1 % int(p) == 0 or c2 % int(p) == 0]
-    generic = primes[~np.isin(primes, special)] if special else primes
-    vals = np.asarray(local_factor(generic.astype(float), 0, 0, z), dtype=complex)
-    n_zero = int(np.sum(vals == 0))
-    with np.errstate(divide="ignore"):
-        log_mag = float(np.sum(np.log(np.abs(vals[vals != 0])), dtype=np.longdouble))
-    phase = float(np.sum(np.angle(vals), dtype=np.longdouble))
-    for p in special:
-        v = complex(local_factor(float(p), _valuation(c1, p), _valuation(c2, p), z))
-        if abs(v) < 1e-12:     # exact analytic vanishing lands here numerically
-            n_zero += 1
-            continue
-        log_mag += math.log(abs(v))
-        phase += math.atan2(v.imag, v.real)
-    if n_zero:
-        return EulerProductValue(-math.inf, 0.0, len(primes), n_zero)
-    return EulerProductValue(log_mag, math.fmod(phase, 2.0 * math.pi), len(primes), 0)
-
-
-def frak_s_bound(table: PrimeTable, lo: float, hi: float, c1: int, c2: int,
-                 h_const: float, eps_const: float, scale: float) -> float:
-    """Envelope prod (1 - 4/p + eps log p / (p scale) + eps / p^2)
-    * h(c1') h(c2') / (r c1' c2') with h(p^a) = h_const a^2 log(p) / scale.
-
-    Calibration constants stand in for the huge absolute constants of the
-    generic estimate; the sweep reports the measured ratio.
-    """
-    primes = table.slice_leq(lo, hi).astype(float)
-    terms = 1.0 - 4.0 / primes + eps_const * np.log(primes) / (primes * scale) \
-        + eps_const / primes ** 2
-    if np.any(terms <= 0):
-        return math.inf
-    log_prod = float(np.sum(np.log(terms), dtype=np.longdouble))
-    r = math.gcd(c1, c2)
-    c1p, c2p = c1 // r, c2 // r
-
-    def h_of(c: int) -> float:
-        out = 1.0
-        for p in [int(q) for q in table.slice_leq(1.5, hi) if c % int(q) == 0]:
-            out *= h_const * _valuation(c, p) ** 2 * math.log(p) / scale
-        return out
-
-    return math.exp(log_prod) * h_of(c1p) * h_of(c2p) / (r * c1p * c2p)

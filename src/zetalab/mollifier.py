@@ -1,9 +1,8 @@
 """Restricted Moebius mollifiers: squarefree supported polynomials with a cap
-on the number of prime factors, plus the tail bound that justifies the cap."""
+on the number of prime factors."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import PrimeTable
-from .walk import higher_order_tail, partial_sum, primes_in_log_range
+from .walk import higher_order_tail, partial_sum, primes_in_log_range, unit_phases
 
 TERM_BUDGET = 10_000_000
 
@@ -43,14 +42,6 @@ class SparsePoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["m", "re", "im"])
-            for m in sorted(self.terms):
-                c = complex(self.terms[m])
-                w.writerow([m, repr(c.real), repr(c.imag)])
-
 
 def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> SparsePoly:
     """Moebius coefficients on squarefree m with all factors in the range.
@@ -81,52 +72,7 @@ def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> SparsePoly:
 def evaluate_poly(poly: SparsePoly, s: complex) -> complex:
     ms = np.array(sorted(poly.terms), dtype=float)
     coeffs = np.array([poly.terms[m] for m in sorted(poly.terms)], dtype=complex)
-    from .walk import unit_phases
     return complex(np.sum(coeffs * np.exp(-s.real * np.log(ms)) * unit_phases(ms, s.imag)))
-
-
-def prime_zeta_partial(table: PrimeTable, spec: MollifierSpec, s: complex) -> complex:
-    """P(s) = sum of p^{-s} over the configured prime range."""
-    primes = spec.primes(table).astype(float)
-    if len(primes) == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(np.exp(-s * np.log(primes))))
-
-
-def newton_tail_bound(table: PrimeTable, spec: MollifierSpec, s: complex,
-                      alpha: float = 1.0) -> float:
-    """Rankin-type bound e^{-alpha V} * prod_j exp(e^{j alpha} |P(js)| / j).
-
-    The product is truncated once its log-terms drop below 1e-18.  When the
-    smallest range prime satisfies sigma*log(p) <= alpha the product diverges
-    and the bound degenerates to +inf (still a valid upper bound).
-    """
-    if not 0 < alpha <= 2:
-        raise DomainError("alpha must lie in (0, 2]")
-    primes = spec.primes(table).astype(float)
-    v = spec.omega_cap
-    if len(primes) == 0:
-        return math.exp(-alpha * min(v, 700.0))
-    sigma = s.real
-    p_min = float(primes[0])
-    if sigma * math.log(p_min) <= alpha:
-        return math.inf
-    log_bound = -alpha * v
-    j = 1
-    while True:
-        pj = abs(complex(np.sum(np.exp(-(j * s) * np.log(primes)))))
-        term = math.exp(j * alpha) * pj / j
-        if term < 1e-18:
-            break
-        log_bound += term
-        j += 1
-    return math.exp(log_bound) if log_bound < 700 else math.inf
-
-
-def newton_tail_bound_scan(table: PrimeTable, spec: MollifierSpec, s: complex,
-                           alphas: tuple[float, ...] = tuple(np.linspace(0.1, 2.0, 20))) -> float:
-    """Minimum of the tail bound over an alpha grid; each value is valid."""
-    return min(newton_tail_bound(table, spec, s, a) for a in alphas)
 
 
 @dataclass

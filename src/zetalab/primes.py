@@ -47,22 +47,6 @@ class PrimeTable:
         j = self.count_leq(hi)
         return self.primes[i:j]
 
-    def verify_sample(self, rng: np.random.Generator, n_checks: int = 64) -> bool:
-        """Trial-divide a random sample of entries; True iff all are prime."""
-        if len(self.primes) == 0:
-            return True
-        idx = rng.integers(0, len(self.primes), size=min(n_checks, len(self.primes)))
-        for p in self.primes[idx]:
-            p = int(p)
-            if p < 2:
-                return False
-            d = 2
-            while d * d <= p:
-                if p % d == 0:
-                    return False
-                d += 1
-        return True
-
 
 def _simple_sieve(limit: int) -> np.ndarray:
     mask = np.ones(limit + 1, dtype=bool)
@@ -73,7 +57,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of all primes <= limit, with compensated 1/p prefix sums."""
     if limit < 2 or limit > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} outside [2, {MAX_SIEVE_LIMIT}]")
@@ -82,7 +66,7 @@ def sieve_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
     chunks = [base[base <= limit]]
     lo = base_limit + 1
     while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         mask = np.ones(hi - lo + 1, dtype=bool)
         for p in base:
             p = int(p)
@@ -147,7 +131,6 @@ class LadderParams:
 
     base_cutoff: float = 1000.0   # n_{-1}
     exponent: float = 1e6         # multiplies the iterated log in n_ell
-    cap_power: float = 1e5        # exponent in the feasibility inequality
 
 
 def _iterated_log(x: float, times: int) -> float:
@@ -177,38 +160,13 @@ class ScaleLadder:
         """Largest ell with n_ell defined."""
         return len(self.n_levels) - 2
 
-    def max_feasible_level(self) -> int:
-        """Largest ell such that the recursion-budget inequality holds.
 
-        In log form: log(exponent) + cap_power*log(n - n_ell) + n_{ell+1}
-        <= n - log(100).
-        """
-        p = self.params
-        best = -1
-        for ell in range(0, self.top_index):
-            gap = self.n - self.level(ell)
-            if gap <= 0:
-                break
-            lhs = math.log(p.exponent) + p.cap_power * math.log(gap) + self.level(ell + 1)
-            if lhs <= self.n - math.log(100.0):
-                best = ell
-        return best
-
-
-def scale_ladder(T: float, params: LadderParams | None = None) -> ScaleLadder:
-    """Build the ladder n_{-1}, n_0 = n/2, n_ell = n - exponent*log_ell(n)."""
-    if T < 3:
-        raise DomainError(f"T must be >= 3, got {T}")
-    return scale_ladder_from_loglog(loglog(T), params, T=T)
-
-
-def scale_ladder_from_loglog(n: float, params: LadderParams | None = None,
-                             T: float | None = None) -> ScaleLadder:
-    """Ladder from n = loglog T directly; the time itself may overflow floats."""
+def scale_ladder_from_loglog(n: float, params: LadderParams | None = None) -> ScaleLadder:
+    """Ladder n_{-1}, n_0 = n/2, n_ell = n - exponent*log_ell(n) from n = loglog T;
+    the time itself may overflow floats."""
     params = params or LadderParams()
-    if T is None:
-        en = math.exp(n) if n < 700 else math.inf
-        T = math.exp(en) if en < 700 else math.inf
+    en = math.exp(n) if n < 700 else math.inf
+    T = math.exp(en) if en < 700 else math.inf
     levels = [params.base_cutoff, n / 2.0]
     ell = 1
     while True:

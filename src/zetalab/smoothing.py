@@ -10,7 +10,6 @@ uses for fast, certified evaluation of integrals and CDFs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -18,11 +17,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import sici
 
-from .errors import CapacityError, DomainError, ToleranceError
+from .errors import CapacityError, DomainError
 from .parallel import map_blocks
+from .walk import log_phase
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
+
 
 def phi_three_sinc(x) -> np.ndarray:
     """sinc^2(x-1) + sinc^2(x) + sinc^2(x+1); transform supported in [-1, 1]."""
@@ -52,9 +53,6 @@ class SmoothingFunction:
         for a in self.half_widths:
             out *= np.sinc(2.0 * a * x)
         return out * out
-
-    def normalized(self, x) -> np.ndarray:
-        return self.value(x) / self.l1_norm
 
     def fhat(self, xi) -> np.ndarray:
         """Transform of F0 by the exact lattice cosine series (|xi| < 3)."""
@@ -168,22 +166,6 @@ class BandlimitedBump:
         lower = self.base.cdf(self.spread * (x - hi))
         return upper - lower
 
-    def value_quad(self, x: float, tol: float = 1e-12) -> float:
-        """Adaptive-quadrature evaluation of the defining integral."""
-        from scipy.integrate import quad
-        lo, hi = self.window
-        spread = self.spread
-        total = 0.0
-        n_pieces = max(8, int(spread * (hi - lo) / 2.0))
-        edges = np.linspace(lo, hi, n_pieces + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, err = quad(lambda t: spread * self.base.normalized(spread * (x - t))[0],
-                            a, b, epsabs=tol, limit=200)
-            if err > 1e-9:
-                raise ToleranceError(f"quadrature stalled near x={x}")
-            total += val
-        return total
-
     def ghat(self, xi) -> np.ndarray:
         """Transform: F-hat scaled, times the window's sinc and center phase."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -256,11 +238,6 @@ class TruncatedExpansion:
     delta: float
     a_param: float
     coefficients: np.ndarray
-    symmetrized: bool = False
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
 
     def value(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=complex))
@@ -269,25 +246,7 @@ class TruncatedExpansion:
             out = out * x + c
         return out
 
-    def tail_bound_log(self, x: float) -> float:
-        """log of the first-omitted-term coefficient envelope at |x|."""
-        ell = self.order + 1
-        spread = self.delta ** (2.0 * self.a_param)
-        return ell * math.log(2.0 * math.pi * max(abs(x), 1e-300)) \
-            - math.lgamma(ell + 1) + (ell + 1) * math.log(spread) + math.log(2.0)
-
-    def to_csv(self, bump: BandlimitedBump, xs: np.ndarray, path: str) -> None:
-        g = bump.value(xs)
-        d = self.value(xs)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "g", "d_real", "d_imag"])
-            for x, gv, dv in zip(xs, g, d):
-                w.writerow([repr(float(x)), repr(float(gv)),
-                            repr(float(dv.real)), repr(float(dv.imag))])
-
-
-def make_expansion(bump: BandlimitedBump, order: int, symmetrized: bool = False,
+def make_expansion(bump: BandlimitedBump, order: int,
                    head_panels: int = 128, gl_nodes: int = 8) -> TruncatedExpansion:
     """Moment coefficients c_l = (2 pi i)^l / l! * int xi^l ghat(xi) d xi.
 
@@ -310,10 +269,7 @@ def make_expansion(bump: BandlimitedBump, order: int, symmetrized: bool = False,
     half = 0.5 * (edges[1:] - edges[:-1])
     xi_nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     w_nodes = (half[:, None] * gl_w[None, :]).ravel()
-    if symmetrized:
-        ghead = bump.base.fhat_normalized(xi_nodes / spread) * length * np.sinc(length * xi_nodes)
-    else:
-        ghead = bump.ghat(xi_nodes)
+    ghead = bump.ghat(xi_nodes)
 
     # tail lobes in u = xi / spread: sinc zeroes sit at multiples of
     # 1/(length*spread); subdivide where 1/u or u^order bends within a lobe
@@ -328,11 +284,8 @@ def make_expansion(bump: BandlimitedBump, order: int, symmetrized: bool = False,
         n_sub = min(n_sub, 24)
         refined.append(np.linspace(a_e, b_e, n_sub + 1)[1:])
     u_edges = np.concatenate(refined)
-    if symmetrized:
-        freqs = (math.pi * length, -math.pi * length)
-    else:
-        freqs = (math.pi * length - math.pi / bump.delta,
-                 -math.pi * length - math.pi / bump.delta)
+    freqs = (math.pi * length - math.pi / bump.delta,
+             -math.pi * length - math.pi / bump.delta)
 
     def cells_for(u_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a_e, b_e = u_e[:-1], u_e[1:]
@@ -362,8 +315,7 @@ def make_expansion(bump: BandlimitedBump, order: int, symmetrized: bool = False,
             raise CapacityError(f"coefficient {ell} overflows double precision")
         out[ell] = value
         powers = [pw * s[0] for pw, s in zip(powers, sides)]
-    return TruncatedExpansion(delta=bump.delta, a_param=bump.a_param,
-                              coefficients=out, symmetrized=symmetrized)
+    return TruncatedExpansion(delta=bump.delta, a_param=bump.a_param, coefficients=out)
 
 
 def _exp_or_raise(log_value: float) -> float:
@@ -417,40 +369,6 @@ def indicator_sandwich_check(rng: np.random.Generator, bump: BandlimitedBump,
     )
 
 
-def tuple_set(profile, r: int, k: int, v: float, w: float, deltas) -> list[tuple[float, ...]]:
-    """Enumerate step tuples (u_{r+1}..u_k) on the lattices 1/delta_j Z whose
-    partial sums stay between the barriers (slack 1) and land within 1 of w.
-
-    `profile` provides barriers and the centering; `deltas` maps j to the
-    lattice density.  Intended for toy chains (k - r <= 4).
-    """
-    from .barrier import lower_barrier, upper_barrier
-    from .model import centering
-    if k - r > 6:
-        raise CapacityError("tuple enumeration is for toy chains only")
-    out: list[tuple[float, ...]] = []
-
-    def recurse(j: int, partial: float, prefix: tuple[float, ...]):
-        if j > k:
-            if abs(partial - w) <= 1.0:
-                out.append(prefix)
-            return
-        d = float(deltas(j))
-        m_j = centering(j, profile.n)
-        lo = lower_barrier(j, profile) + m_j - 1.0
-        hi = upper_barrier(j, profile) + m_j + 1.0
-        if math.isinf(hi):
-            raise CapacityError(f"infinite barrier at j={j} makes the set infinite")
-        n_lo = math.ceil((lo - partial) * d)
-        n_hi = math.floor((hi - partial) * d)
-        for step in range(n_lo, n_hi + 1):
-            u_j = step / d
-            recurse(j + 1, partial + u_j, prefix + (u_j,))
-
-    recurse(r + 1, v, ())
-    return out
-
-
 # --- Poisson-summation reconstruction of band-limited Dirichlet samples ---
 
 @dataclass(frozen=True)
@@ -484,9 +402,7 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     ns = np.arange(1, len(coeffs) + 1, dtype=float)
-    logs_ld = np.log(ns.astype(np.longdouble))
-    base = np.mod(np.longdouble(t) * logs_ld, np.longdouble(2 * math.pi)).astype(float)
-    logs = logs_ld.astype(float)
+    logs, base = log_phase(ns, t)
     amp = (coeffs / np.sqrt(ns)) * np.exp(-1j * base)
     phases = np.exp(-1j * np.outer(h, logs))
     return phases @ amp

@@ -1,4 +1,4 @@
-"""Multiscale prime sums S_k along the critical line and their increments.
+"""Multiscale prime sums S_k along the critical line.
 
 The complex walk at scale k and shift h is
 
@@ -10,7 +10,6 @@ terms of -log(1 - p^{-s}); the alpha >= 3 tail is `higher_order_tail`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .primes import PrimeTable, primes_in_log_range
 
 RENORM_EVERY = 1 << 10   # keeps unit-modulus drift of the rotation below 1e-12
 PRIME_BLOCK = 1 << 16    # fixed reduction blocks make grid sums bit-stable
+TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,22 @@ class MultiscaleWalk:
     config: WalkConfig
     values: np.ndarray   # complex128, shape (n_scales, n_shifts)
 
-    @property
-    def real_part(self) -> np.ndarray:
-        return self.values.real
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scale", "h", "re", "im"])
-            for i, k in enumerate(self.config.scales):
-                for j, h in enumerate(self.config.grid):
-                    v = self.values[i, j]
-                    w.writerow([repr(k), repr(h), repr(v.real), repr(v.imag)])
+def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log n, t log n mod 2 pi), both from one extended-precision log of n.
+
+    This is the package's one reduction of `t log n`.  Taking the log in
+    extended precision keeps phases of products coherent: t*log(m) and
+    sum_p t*log(p) agree to ~1e-12 rad even at t ~ 1e6, which the
+    multiplicative identities rely on.
+    """
+    logs = np.log(np.asarray(n).astype(np.longdouble))
+    return logs.astype(float), np.mod(np.longdouble(t) * logs, TWO_PI_LD).astype(float)
 
 
 def unit_phases(values: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-i scale * log(values)), log and reduction in extended precision.
-
-    Taking the log in extended precision keeps phases of products coherent:
-    scale*log(m) and sum_p scale*log(p) agree to ~1e-12 rad even at
-    scale ~ 1e6, which the multiplicative identities rely on.
-    """
-    logs = np.log(np.asarray(values).astype(np.longdouble))
-    arg = np.mod(np.longdouble(scale) * logs, np.longdouble(2 * math.pi)).astype(float)
-    return np.exp(-1j * arg)
+    """exp(-i scale * log(values)) with the phase from `log_phase`."""
+    return np.exp(-1j * log_phase(values, scale)[1])
 
 
 def _pair_terms(primes: np.ndarray, scale: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CapacityError
+from .walk import TWO_PI_LD, log_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,10 +28,9 @@ _BERNOULLI = [
 
 
 def _powers_negs(ns: np.ndarray, s: complex) -> np.ndarray:
-    """n^{-s} with the phase t*log(n) reduced in extended precision."""
-    logs = np.log(ns.astype(np.longdouble))
-    phase = np.mod(np.longdouble(s.imag) * logs, np.longdouble(TWO_PI)).astype(float)
-    return np.exp(-s.real * logs.astype(float)) * np.exp(-1j * phase)
+    """n^{-s}, with log n and the phase t*log(n) from one `log_phase`."""
+    logs, phase = log_phase(ns, s.imag)
+    return np.exp(-s.real * logs) * np.exp(-1j * phase)
 
 
 def zeta_euler_maclaurin(s: complex, cutoff: int | None = None, tail_terms: int = 12) -> complex:
@@ -56,8 +56,8 @@ def zeta_euler_maclaurin(s: complex, cutoff: int | None = None, tail_terms: int 
 def _theta_mod_2pi(t: float) -> tuple[float, float]:
     """(main argument mod 2pi in extended precision, Stirling correction)."""
     tl = np.longdouble(t)
-    main = 0.5 * tl * np.log(tl / np.longdouble(TWO_PI)) - 0.5 * tl - np.longdouble(math.pi) / 8
-    main = float(np.mod(main, np.longdouble(TWO_PI)))
+    main = 0.5 * tl * np.log(tl / TWO_PI_LD) - 0.5 * tl - np.longdouble(math.pi) / 8
+    main = float(np.mod(main, TWO_PI_LD))
     corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
     return main, corr
 
@@ -183,25 +183,6 @@ def relative_gap(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def smoothed_dirichlet(t: float, length: int, weight_power: int = 100) -> complex:
-    """sum_{n <= N} n^{-1/2 - it} (1 - (log n / log N)^{weight_power}).
-
-    The weight is ~1 through n = N^0.9 and vanishes at n = N, so for
-    t in [N, 2N] the sum tracks zeta to ~1e-3 or better.
-    """
-    if length > 10 ** 8:
-        raise CapacityError("direct summation budget is N <= 1e8")
-    total = 0.0 + 0.0j
-    s = 0.5 + 1j * t
-    log_n = math.log(length)
-    for lo in range(1, length + 1, 1 << 22):
-        hi = min(length, lo + (1 << 22) - 1)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        weight = 1.0 - (np.log(ns.astype(float)) / log_n) ** weight_power
-        total += complex(np.sum(weight * _powers_negs(ns, s)))
-    return total
-
-
 def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
     """(argmax shift, max |zeta|) over shifts h in the grid."""
     grid = np.asarray(grid, dtype=float)
@@ -255,25 +236,3 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
     return MomentEstimate(power, mean, float(lo), float(hi), n_samples,
                           n_samples < 100)
 
-
-def disc_mean_fourth(t: float, h: float, radius: float,
-                     n_r: int = 16, n_theta: int = 32) -> float:
-    """Area mean of |zeta|^4 over the disc of given radius around 1/2 + i(t+h).
-
-    Polar quadrature: Gauss-Legendre in r^2, trapezoid in angle; evaluation by
-    Euler-Maclaurin which is valid off the half line.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    u = 0.5 * (nodes + 1.0)        # r^2/R^2 nodes on (0, 1)
-    w = 0.5 * weights
-    total = 0.0
-    for ui, wi in zip(u, w):
-        r = radius * math.sqrt(ui)
-        ring = 0.0
-        for j in range(n_theta):
-            ang = TWO_PI * (j + 0.5) / n_theta
-            x, y = r * math.cos(ang), r * math.sin(ang)
-            val = zeta_euler_maclaurin(0.5 + x + 1j * (t + h + y))
-            ring += abs(val) ** 4
-        total += wi * ring / n_theta
-    return total

@@ -1,4 +1,5 @@
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ def table_medium():
     return cached_sieve(2 * 10 ** 6)
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260808)
+@pytest.fixture()
+def rng(request):
+    """A generator per test, seeded from the test's node id, so no test's
+    draws depend on which tests ran before it."""
+    return np.random.default_rng([20260808, zlib.crc32(request.node.nodeid.encode())])
 
 
 @pytest.fixture()

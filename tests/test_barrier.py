@@ -5,10 +5,10 @@ import pytest
 
 from zetalab.errors import (DomainError, InsufficientSampleError, StructuralError,
                             ToleranceError)
-from zetalab.barrier import (STEP_VAR, BarrierFunction, BarrierProfile, _gauss_kernel,
-                             _same_convolver, ballot_bound, ballot_bound_constant,
-                             bridge_survival_dp, bridge_survival_mc, centering_m,
-                             event_flags, lower_barrier, upper_barrier)
+from zetalab.barrier import (STEP_VAR, BarrierProfile, _gauss_kernel, _same_convolver,
+                             ballot_bound, bridge_survival_dp, bridge_survival_mc,
+                             centering_m, event_flags, lower_barrier, upper_barrier)
+from zetalab.model import centering
 from zetalab.primes import LadderParams, scale_ladder_from_loglog
 from zetalab.walk import MultiscaleWalk, WalkConfig
 
@@ -72,7 +72,7 @@ def test_event_flags_zero_path():
 
 def test_event_flags_breach_is_sticky():
     # breach the upper barrier at the second scale of level 0
-    breach = centering_m(6.0, 16.0) + upper_barrier(6.0, BarrierProfile(y=8.0, n=16.0, c_upper=3.0, c_lower=2.0)) + 1.0
+    breach = centering(6.0, 16.0) + upper_barrier(6.0, BarrierProfile(y=8.0, n=16.0, c_upper=3.0, c_lower=2.0)) + 1.0
     walk, profile, ladder, moll = _flags_setup([0.0, breach, 0.0, 0.0])
     flags = event_flags(walk, profile, ladder, zeta_mags=np.array([1.0]),
                         moll_prod_mags=moll, max_level=1)
@@ -104,19 +104,6 @@ def test_event_flags_missing_inputs():
     with pytest.raises(StructuralError, match="ell=1"):
         event_flags(walk, profile, ladder, zeta_mags=np.array([1.0]),
                     moll_prod_mags=moll, max_level=1)
-
-
-def test_barrier_function_envelopes():
-    k = 64
-    xs = np.arange(k + 1, dtype=float)
-    g = np.sqrt(np.minimum(xs, k - xs) + 1.0) - 1.0   # concave-ish bridge shape
-    g[0] = g[-1] = 0.0
-    fy = BarrierFunction(k=k, g=g, alpha=0.1, y=2.0, theta=0.4, c1=1.0)
-    rep = fy.envelope_report()
-    assert rep["curvature_high"] <= 1e-9 or rep["curvature_high"] < 0.2
-    assert fy.values()[0] == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        BarrierFunction(k=4, g=np.array([0.0, 1.0, 1.0, 1.0, 0.5]), alpha=0.0, y=1.0)
 
 
 def test_dp_infinite_barrier_unit():
@@ -202,12 +189,9 @@ def test_mc_single_step_bin_probability(rng):
 
 
 def test_ballot_bound_forms():
-    assert ballot_bound_constant(100, 3, 0) == pytest.approx(0.16)
-    with pytest.raises(DomainError):
-        ballot_bound_constant(100, 0.5, 0)
     profile = BarrierProfile(y=4.0, n=40.0, c_upper=3.0, c_lower=2.0)
     k = 16
-    w = centering_m(k, 40.0) + upper_barrier(k, profile)
+    w = centering(k, 40.0) + upper_barrier(k, profile)
     got = ballot_bound(k, 4.0, w, profile)
     expect = (4 + 1) * 1.0 * k ** -1.5 * math.exp(-w * w / k)
     assert got == pytest.approx(expect)

@@ -160,13 +160,25 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "mertens", "seed": "x"}', []),
     ('{"experiment": "mertens", "sieve_limit": "x"}', []),
     ('{"experiment": "mertens", "seed": 1.5}', []),
+    # params that would run nothing, or crash with a raw traceback
+    ('{"experiment": "density_check", "params": {"delta": 0}}', []),
+    ('{"experiment": "tail_surrogate", "params": {"runs": 0}}', []),
+    ('{"experiment": "tail_zeta", "params": {"n_taus": 0}}', []),
+    ('{"experiment": "moments_zeta", "params": {"n_cross": 0}}', []),
+    ('{"experiment": "poisson_suite", "params": {"n_polys": 0}}', []),
+    ('{"experiment": "mollifier_suite", "params": {"n_configs": 0}}', []),
+    ('{"experiment": "ballot_sweep", "params": {"n_random_configs": 0}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"
     if config_text is not None:
         cfg_path.write_text(config_text)
+    try:
+        name = json.loads(config_text)["experiment"]
+    except (TypeError, ValueError, KeyError):   # configs that cannot name a suite
+        name = "mertens"
     out_dir = tmp_path / "out"
-    argv = ["mertens", "--config", str(cfg_path), "--out", str(out_dir)] + flags
+    argv = [name, "--config", str(cfg_path), "--out", str(out_dir)] + flags
     if "--workers" in flags:   # argparse rejects an unknown flag itself
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
-from zetalab.local_factors import (ZERO_SHIFT, EulerProductValue, ShiftVector,
-                                   b_closed, b_series, b_zero, d3, frak_s,
-                                   frak_s_bound, local_factor, sigma_zw)
+from zetalab.local_factors import (ZERO_SHIFT, ShiftVector, b_closed, b_series, b_zero,
+                                   local_factor, sigma_zw)
 
 
 def brute_sigma(p, alpha, z, w):
@@ -103,13 +102,8 @@ def test_d3_domination():
     z = ShiftVector(1e-3, -0.7e-3, 0.4e-3, -1.3e-3)
     for p in (11, 101):
         for alpha in (1, 2, 3, 4):
-            assert abs(complex(b_closed(p, alpha, z))) <= 2 * d3(alpha)
-
-
-def test_admissibility_radius():
-    z = ShiftVector(1e-3, 0, 0, 0)
-    assert z.admissible_for(11.0, 2)
-    assert not ShiftVector(50.0, 0, 0, 0).admissible_for(11.0, 2)
+            d3 = (alpha + 1) * (alpha + 2) / 2   # triple divisor function at p^alpha
+            assert abs(complex(b_closed(p, alpha, z))) <= 2 * d3
 
 
 def test_local_factor_vanishing():
@@ -142,49 +136,6 @@ def test_local_factor_brute_force(rng):
 def test_local_factor_guard():
     with pytest.raises(DomainError):
         local_factor(11.0, -1, 0, ZERO_SHIFT)
-
-
-def test_frak_s_empty_and_zero(table_small):
-    empty = frak_s(table_small, 50, 40, 1, 1, ZERO_SHIFT)
-    assert empty.value == 1.0
-    # a prime dividing exactly one coefficient kills the product at zero shift
-    killed = frak_s(table_small, 10, 20, 11, 1, ZERO_SHIFT)
-    assert killed.n_zero_factors >= 1
-    assert killed.log_magnitude == -math.inf
-    assert killed.value == 0.0
-
-
-def test_frak_s_log_sum(table_small):
-    ev = frak_s(table_small, 1e3, 1e4, 1, 1, ZERO_SHIFT)
-    primes = table_small.slice_leq(1e3, 1e4).astype(float)
-    approx = float(np.sum(np.log(np.abs(1 - 4 / primes))))
-    assert ev.log_magnitude == pytest.approx(approx, abs=2e-3)
-    assert ev.n_factors == len(primes)
-
-
-def test_frak_s_matches_direct_product(table_small):
-    z = ShiftVector(1e-4, -0.7e-4, 0.4e-4, -1.3e-4)
-    ev = frak_s(table_small, 100, 300, 101 * 103, 7, z)
-    direct = 1.0 + 0.0j
-    from zetalab.local_factors import _valuation
-    for p in table_small.slice_leq(100, 300):
-        direct *= complex(local_factor(float(p), _valuation(101 * 103, int(p)),
-                                       _valuation(7, int(p)), z))
-    assert abs(ev.value - direct) < 1e-12 * abs(direct) + 1e-15
-
-
-def test_frak_s_bound_dominates(table_small):
-    # calibrated surrogate bound covers the measured product on a small sweep
-    scale = 20.0
-    h_const, eps_const = 60.0, 60.0
-    worst = 0.0
-    z = ShiftVector(1e-4, -0.5e-4, 0.3e-4, -0.8e-4)
-    for c1, c2 in ((1, 1), (1009, 1), (1009 * 1013, 1013)):
-        ev = frak_s(table_small, 1e3, 1e4, c1, c2, z)
-        bound = frak_s_bound(table_small, 1e3, 1e4, c1, c2, h_const, eps_const, scale)
-        assert math.isfinite(bound)
-        worst = max(worst, math.exp(ev.log_magnitude) / bound)
-    assert worst <= 1.0
 
 
 def test_identity_report_csv(tmp_path):

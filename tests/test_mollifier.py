@@ -1,13 +1,9 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 
-from zetalab.errors import CapacityError, DomainError
+from zetalab.errors import CapacityError
 from zetalab.mollifier import (MollifierSpec, evaluate_poly, mollifier_approx_check,
-                               mollifier_coeffs, newton_tail_bound,
-                               newton_tail_bound_scan, prime_zeta_partial)
+                               mollifier_coeffs)
 
 
 def test_coeffs_hand_cases(table_small):
@@ -74,56 +70,6 @@ def test_uncapped_poly_on_critical_line(table_small, rng):
     assert worst < 1e-10
 
 
-def test_newton_tail_bound_degenerate(table_small):
-    empty = MollifierSpec(prime_lo=14.5, prime_hi=15.5, omega_cap=7.0)
-    assert newton_tail_bound(table_small, empty, 0.5 + 0j) == pytest.approx(math.exp(-7.0))
-    v0 = MollifierSpec(prime_lo=100.5, prime_hi=120.0, omega_cap=0)
-    assert newton_tail_bound(table_small, v0, 2.0 + 0j) >= 1.0
-
-
-def test_newton_tail_bound_divergence_guard(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=14.0, omega_cap=10)
-    assert newton_tail_bound(table_small, spec, 0.5 + 0j, alpha=1.0) == math.inf
-    with pytest.raises(DomainError):
-        newton_tail_bound(table_small, spec, 0.5 + 0j, alpha=0.0)
-
-
-def enumerate_tail(primes, cap, sigma):
-    """Exhaustive sum of |mu(m)| m^{-sigma} over terms with more than cap factors."""
-    total = 0.0
-    for r in range(len(primes) + 1):
-        if r <= cap:
-            continue
-        for combo in itertools.combinations(primes, r):
-            total += math.prod(combo) ** -sigma
-    return total
-
-
-@pytest.mark.parametrize("cap", [2, 4, 10])
-def test_newton_bound_dominates_enumeration(table_small, cap):
-    primes = [3, 5, 7, 11, 13]
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=14.0, omega_cap=cap)
-    truth = enumerate_tail(primes, cap, 0.5)
-    bound = newton_tail_bound_scan(table_small, spec, 0.5 + 0j)
-    assert bound >= truth
-
-
-def test_newton_bound_dominates_larger_range(table_small):
-    # 12 primes, real evaluation point where the product converges
-    primes = [int(p) for p in table_small.slice_leq(2.5, 40.0)]
-    assert len(primes) == 11
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=40.0, omega_cap=3)
-    truth = enumerate_tail(primes, 3, 1.0)
-    bound = newton_tail_bound_scan(table_small, spec, 1.0 + 0j)
-    assert bound >= truth
-
-
-def test_prime_zeta_partial(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=14.0)
-    got = prime_zeta_partial(table_small, spec, 2.0 + 0j)
-    assert got == pytest.approx(sum(p ** -2.0 for p in [3, 5, 7, 11, 13]))
-
-
 def test_approx_check_exact_mode(table_small, rng):
     taus = rng.uniform(1e6, 2e6, size=10)
     report = mollifier_approx_check(table_small, 0.0, 1.0, taus)
@@ -146,12 +92,3 @@ def test_approx_check_hypothesis_exclusion(table_small):
                                     hyp_const=1e-9)
     assert report.excluded == 1
 
-
-def test_sparse_poly_csv(tmp_path, table_small):
-    spec = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=2)
-    poly = mollifier_coeffs(table_small, spec)
-    path = str(tmp_path / "poly.csv")
-    poly.to_csv(path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "m,re,im"
-    assert len(lines) == len(poly) + 1

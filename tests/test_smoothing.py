@@ -6,13 +6,11 @@ import pytest
 from scipy.special import sici
 
 from zetalab import parallel, smoothing
-from zetalab.barrier import BarrierProfile, lower_barrier, upper_barrier
 from zetalab.errors import CapacityError, DomainError
-from zetalab.model import centering
 from zetalab.smoothing import (dirichlet_value, discretized_max_bound,
                                indicator_sandwich_check, make_bump, make_expansion,
                                make_ingham, make_window, phi_three_sinc,
-                               poisson_reconstruct, tuple_set)
+                               poisson_reconstruct)
 
 DECAY_CONSTANT = 1.0   # calibrated from the direct-evaluation sweep below
 
@@ -178,9 +176,26 @@ def test_bump_indicator_sandwich_items(bump3):
     assert np.all(bump3.value(outside) <= 1e-6 + 1e-12)
 
 
+def value_quad(bump, x):
+    """The bump's defining integral by adaptive quadrature: the oracle for the
+    sine-integral route that `BandlimitedBump.value` takes."""
+    from scipy.integrate import quad
+    lo, hi = bump.window
+    spread, base = bump.spread, bump.base
+    total = 0.0
+    n_pieces = max(8, int(spread * (hi - lo) / 2.0))
+    edges = np.linspace(lo, hi, n_pieces + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = quad(lambda t: spread * (base.value(spread * (x - t)) / base.l1_norm)[0],
+                        a, b, epsabs=1e-12, limit=200)
+        assert err <= 1e-9, f"quadrature stalled near x={x}"
+        total += val
+    return total
+
+
 def test_bump_quad_cross_check(bump3, rng):
     for x in (-0.05, 0.1, 0.21, 0.4):
-        assert bump3.value_quad(x) == pytest.approx(bump3.value(x)[0], abs=1e-9)
+        assert value_quad(bump3, x) == pytest.approx(bump3.value(x)[0], abs=1e-9)
 
 
 def test_bump_transform_l1(bump3):
@@ -193,19 +208,28 @@ def test_bump_guard():
         make_bump(2.0, 3.0)
 
 
+def tail_bound_log(expansion, x):
+    """log of the first omitted term's coefficient envelope at |x|: the error
+    the truncated expansion is held to."""
+    ell = len(expansion.coefficients)
+    spread = expansion.delta ** (2.0 * expansion.a_param)
+    return ell * math.log(2.0 * math.pi * max(abs(x), 1e-300)) \
+        - math.lgamma(ell + 1) + (ell + 1) * math.log(spread) + math.log(2.0)
+
+
 def test_expansion_c0_and_small_x(bump3):
     exp40 = make_expansion(bump3, 40)
     assert abs(exp40.coefficients[0] - bump3.value(0.0)[0]) < 1e-5
     for x in (1e-4, 5e-4, 1e-3):
         assert abs(exp40.value(x)[0] - bump3.value(x)[0]) <= \
-            max(1e-10, math.exp(exp40.tail_bound_log(x)))
+            max(1e-10, math.exp(tail_bound_log(exp40, x)))
 
 
 def test_expansion_matches_g_within_tail_bound(bump3):
     exp40 = make_expansion(bump3, 40)
     for x in np.linspace(-3.0 ** 0.25, 3.0 ** 0.25, 7):
         gap = abs(exp40.value(x)[0] - bump3.value(x)[0])
-        bound = math.exp(min(exp40.tail_bound_log(x), 700.0))
+        bound = math.exp(min(tail_bound_log(exp40, x), 700.0))
         assert gap <= bound + 1e-9   # slack for the moment quadrature
 
 
@@ -215,15 +239,6 @@ def test_expansion_coefficient_bound(bump3):
         log_bound = ell * math.log(2 * math.pi) - math.lgamma(ell + 1) \
             + (ell + 1) * math.log(bump3.spread) + math.log(2.0)
         assert math.log(abs(c)) <= log_bound + 1e-9
-
-
-def test_expansion_symmetrized_real(bump3):
-    sym = make_expansion(bump3, 40, symmetrized=True)
-    even = sym.coefficients[::2]
-    assert np.max(np.abs(even.imag) / np.maximum(1.0, np.abs(even))) <= 1e-10
-    # odd coefficients of the symmetric bump vanish
-    odd = sym.coefficients[1::2]
-    assert np.max(np.abs(odd.real) / np.maximum(1.0, np.abs(odd) + 1)) <= 1e-8
 
 
 def test_expansion_order_guard(bump3):
@@ -246,55 +261,6 @@ def test_sandwich_check_reports(bump3, rng):
 def test_poly_value_at_bin_center(bump3):
     exp40 = make_expansion(bump3, 40)
     assert abs(exp40.value(1.0 / 6.0)[0]) ** 2 >= 0.9
-
-
-def test_function_table_csv(tmp_path, bump3):
-    exp10 = make_expansion(bump3, 10)
-    path = str(tmp_path / "table.csv")
-    exp10.to_csv(bump3, np.linspace(-0.001, 0.001, 5), path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "x,g,d_real,d_imag"
-    assert len(lines) == 6
-
-
-def test_tuple_set_toy_chain():
-    profile = BarrierProfile(y=2.0, n=12.0, c_upper=2.0, c_lower=2.0)
-    deltas = lambda j: 2.0
-    tuples = tuple_set(profile, r=1, k=3, v=0.0, w=1.0, deltas=deltas)
-    assert tuples
-    for u in tuples:
-        partial = 0.0
-        for j, step in zip((2, 3), u):
-            partial += step
-            m_j = centering(j, profile.n)
-            assert lower_barrier(j, profile) - 1 <= partial - m_j <= upper_barrier(j, profile) + 1
-            assert (step * 2.0) == pytest.approx(round(step * 2.0))
-        assert abs(partial - 1.0) <= 1.0
-    # brute-force cross-check of the enumeration
-    grid = np.arange(-40, 41) / 2.0
-    count = 0
-    for u2 in grid:
-        for u3 in grid:
-            ok = True
-            part = 0.0
-            for j, step in ((2, u2), (3, u3)):
-                part += step
-                m_j = centering(j, profile.n)
-                if not (lower_barrier(j, profile) - 1 <= part - m_j <= upper_barrier(j, profile) + 1):
-                    ok = False
-                    break
-            if ok and abs(part - 1.0) <= 1.0:
-                count += 1
-    assert count == len(tuples)
-
-
-def test_tuple_set_guards():
-    profile = BarrierProfile(y=2.0, n=12.0, c_upper=2.0, c_lower=2.0)
-    with pytest.raises(CapacityError):
-        tuple_set(profile, r=0, k=8, v=0.0, w=0.0, deltas=lambda j: 1.0)
-    with pytest.raises(CapacityError):
-        # barrier is +inf below r, enumeration cannot close
-        tuple_set(profile, r=-2, k=0, v=0.0, w=0.0, deltas=lambda j: 1.0)
 
 
 def test_poisson_monomials(rng):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from zetalab.errors import CapacityError, DomainError
-from zetalab.zeta import (MomentEstimate, disc_mean_fourth, high_point_threshold,
-                          high_points, max_on_grid, moment_estimate, relative_gap,
-                          smoothed_dirichlet, z_function, zeta_critical,
-                          zeta_euler_maclaurin, zeta_riemann_siegel)
+from zetalab.zeta import (high_point_threshold, high_points, max_on_grid, moment_estimate,
+                          relative_gap, z_function, zeta_critical, zeta_euler_maclaurin,
+                          zeta_riemann_siegel)
 
 FIRST_ZERO = 14.134725141734695
 
@@ -60,31 +59,6 @@ def test_z_function_is_real_scale():
     # |Z(t)| must equal |zeta(1/2+it)|
     for t in (61.8, 250.3, 1077.2):
         assert abs(abs(z_function(t)) - abs(zeta_critical(t))) < 1e-9
-
-
-def test_smoothed_dirichlet_small():
-    got = smoothed_dirichlet(1.5, 10)
-    ns = np.arange(1, 11)
-    expect = np.sum(ns ** -0.5 * np.exp(-1.5j * np.log(ns))
-                    * (1 - (np.log(ns) / math.log(10)) ** 100))
-    assert abs(got - expect) < 1e-12
-    # weight vanishes at n = N
-    assert 1 - (math.log(10) / math.log(10)) ** 100 == 0.0
-
-
-def test_smoothed_dirichlet_tracks_zeta():
-    length = 10 ** 6
-    worst = 0.0
-    for t in (1e6, 1.3e6, 1.9e6):
-        approx = smoothed_dirichlet(t, length)
-        exact = zeta_critical(t)
-        worst = max(worst, abs(approx - exact))
-    assert worst <= 1e-3
-
-
-def test_smoothed_dirichlet_budget():
-    with pytest.raises(CapacityError):
-        smoothed_dirichlet(10.0, 10 ** 8 + 1)
 
 
 def test_max_on_grid_basics():
@@ -145,14 +119,6 @@ def test_moment_estimate_second(rng):
 def test_moment_guards(rng):
     with pytest.raises(DomainError):
         moment_estimate(1e6, 3, 100, rng)
-
-
-def test_subharmonic_mean_bound(rng):
-    # |zeta|^4 at the center is below the disc average (up to quadrature slack)
-    for t in (60.0, 83.0):
-        center = abs(zeta_critical(t)) ** 4
-        mean = disc_mean_fourth(t, 0.0, 0.05)
-        assert center <= mean * 1.05
 
 
 def test_grid_max_discretization(rng):
