@@ -1,20 +1,16 @@
 """Numerical laboratory for extreme values of zeta on the critical line."""
 
-from .primes import (LadderParams, PrimeTable, ScaleLadder, cached_sieve, loglog,
-                     mertens_sum, primes_in_log_range, scale_ladder_from_loglog,
-                     sieve_primes)
-from .walk import (MultiscaleWalk, WalkConfig, euler_product_check, evaluate_on_grid,
-                   higher_order_tail, partial_sum)
+from .primes import PrimeTable, cached_sieve, loglog, mertens_sum, primes_in_log_range, sieve_primes
+from .walk import euler_product_check, higher_order_tail, partial_sum
 from .mollifier import (MollifierSpec, SparsePoly, evaluate_poly, mollifier_approx_check,
                         mollifier_coeffs)
 from .zeta import (max_on_grid, moment_estimate, relative_gap, zeta_critical,
                    zeta_euler_maclaurin, zeta_riemann_siegel)
-from .model import (HierarchicalField, RandomEulerPath, centering,
-                    density_check, increment_gaussianity, laplace_check,
-                    make_hierarchical, sample_euler_path,
-                    sample_hierarchical_maxima, sample_window_sums)
-from .barrier import (BarrierProfile, EventFlags, ballot_bound, bridge_survival_dp,
-                      bridge_survival_mc, event_flags, lower_barrier, upper_barrier)
+from .model import (HierarchicalField, centering, density_check, increment_gaussianity,
+                    laplace_check, make_hierarchical, sample_hierarchical_maxima,
+                    sample_window_sums)
+from .barrier import (BarrierProfile, ballot_bound, bridge_survival_dp, bridge_survival_mc,
+                      upper_barrier)
 from .smoothing import (BandlimitedBump, SmoothingFunction, TruncatedExpansion,
                         dirichlet_value, discretized_max_bound, indicator_sandwich_check,
                         make_bump, make_expansion, make_ingham, make_window,

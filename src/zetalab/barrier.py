@@ -1,4 +1,4 @@
-"""Barriers, event flags, and the ballot-probability engine.
+"""The upper barrier and the ballot-probability engine.
 
 The walk model is Gaussian with variance-1/2 steps checked at integer
 times; within each unit step the barrier is treated as constant at its
@@ -15,10 +15,8 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import erf
 
-from .errors import DomainError, InsufficientSampleError, StructuralError, ToleranceError
+from .errors import DomainError, InsufficientSampleError, ToleranceError
 from .model import centering
-from .primes import ScaleLadder
-from .walk import MultiscaleWalk
 
 STEP_VAR = 0.5
 
@@ -28,18 +26,10 @@ class BarrierProfile:
     y: float
     n: float
     c_upper: float = 1e3
-    c_lower: float = 20.0
 
     @property
     def r(self) -> int:
         return math.ceil(self.y / 4.0)
-
-    def c_ell(self, ladder: ScaleLadder, ell: int) -> float:
-        """prod_{i=0}^{ell} (1 + exp(-n_{i-1})) along the ladder."""
-        out = 1.0
-        for i in range(0, ell + 1):
-            out *= 1.0 + math.exp(-min(ladder.level(i - 1), 700.0))
-        return out
 
 
 def upper_barrier(k: float, profile: BarrierProfile) -> float:
@@ -52,96 +42,6 @@ def upper_barrier(k: float, profile: BarrierProfile) -> float:
     if k < n:
         return y + profile.c_upper * math.log(n - k)
     raise DomainError(f"barrier defined for k < n, got k={k}, n={n}")
-
-
-def lower_barrier(k: float, profile: BarrierProfile) -> float:
-    """L_y(k): -inf below r, then y - c_lower * min(k, n-k)."""
-    y, n = profile.y, profile.n
-    if k < profile.r:
-        return -math.inf
-    if k <= n / 2.0:
-        return y - profile.c_lower * k
-    if k < n:
-        return y - profile.c_lower * (n - k)
-    raise DomainError(f"barrier defined for k < n, got k={k}, n={n}")
-
-
-centering_m = centering   # same centering drives barriers and surrogates
-
-
-@dataclass
-class EventFlags:
-    """Per-level, per-shift membership bits; rows are cumulative over levels."""
-
-    levels: list[int]
-    in_a: np.ndarray
-    in_b: np.ndarray
-    in_c: np.ndarray
-    in_d: np.ndarray
-    in_h: np.ndarray      # shape (n_shifts,)
-
-    @property
-    def in_g(self) -> np.ndarray:
-        return self.in_a & self.in_b & self.in_c & self.in_d
-
-
-def event_flags(walk: MultiscaleWalk, profile: BarrierProfile, ladder: ScaleLadder,
-                zeta_mags: np.ndarray | None = None,
-                moll_prod_mags: dict[tuple[int, int], np.ndarray] | None = None,
-                a_const: float = 1e3, d_exponent: float = 1e4,
-                max_level: int | None = None) -> EventFlags:
-    """Literal transcription of the four defining inequalities.
-
-    `moll_prod_mags[(ell, si)]` must hold |zeta * mollifier product| on the
-    shift grid for every walk scale index si inside level ell's window.
-    The D flag needs `zeta_mags` and those products; omitting them raises.
-    """
-    scales = walk.config.scales
-    grid = np.asarray(walk.config.grid)
-    n_shifts = len(grid)
-    top = max_level if max_level is not None else ladder.top_index
-    values = walk.values
-    s_real = values.real
-
-    def window_indices(ell: int) -> list[int]:
-        lo, hi = ladder.level(ell - 1), ladder.level(ell)
-        return [i for i, k in enumerate(scales) if lo < k <= hi]
-
-    a_rows, b_rows, c_rows, d_rows = [], [], [], []
-    prev = [np.ones(n_shifts, dtype=bool) for _ in range(4)]
-    for ell in range(0, top + 1):
-        idx = window_indices(ell)
-        a_cur, b_cur, c_cur, d_cur = (p.copy() for p in prev)
-        lo = ladder.level(ell - 1)
-        base_idx = [i for i, k in enumerate(scales) if k <= lo]
-        base = values[base_idx[-1]] if base_idx else np.zeros(n_shifts, dtype=complex)
-        width = ladder.level(ell) - lo
-        for i in idx:
-            k = scales[i]
-            a_cur &= np.abs(values[i] - base) <= a_const * width
-            b_cur &= s_real[i] <= centering(k, profile.n) + upper_barrier(k, profile)
-            c_cur &= s_real[i] > centering(k, profile.n) + lower_barrier(k, profile)
-            if zeta_mags is None or moll_prod_mags is None:
-                raise StructuralError(
-                    f"D flag at level {ell}, scale index {i} needs zeta and "
-                    f"mollifier-product magnitudes"
-                )
-            if (ell, i) not in moll_prod_mags:
-                raise StructuralError(f"missing mollifier product for (ell={ell}, k={k})")
-            c_l = profile.c_ell(ladder, ell)
-            slack = math.exp(-min(d_exponent * (profile.n - lo), 700.0))
-            d_cur &= zeta_mags * np.exp(-s_real[i]) <= \
-                c_l * moll_prod_mags[(ell, i)] + slack
-        a_rows.append(a_cur)
-        b_rows.append(b_cur)
-        c_rows.append(c_cur)
-        d_rows.append(d_cur)
-        prev = [a_cur, b_cur, c_cur, d_cur]
-    thresh = math.exp(profile.y + profile.n) / profile.n ** 0.75
-    in_h = (zeta_mags > thresh) if zeta_mags is not None else np.zeros(n_shifts, dtype=bool)
-    return EventFlags(levels=list(range(0, top + 1)),
-                      in_a=np.array(a_rows), in_b=np.array(b_rows),
-                      in_c=np.array(c_rows), in_d=np.array(d_rows), in_h=in_h)
 
 
 @dataclass

@@ -35,7 +35,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             config = ExperimentConfig.from_json(args.config)
-            config.experiment = args.experiment or config.experiment
+            if config.experiment != args.experiment:
+                raise UsageError(f"config {args.config} is for {config.experiment}, "
+                                 f"not {args.experiment}")
         else:
             config = ExperimentConfig(experiment=args.experiment)
         if args.seed is not None:

@@ -21,9 +21,5 @@ class InsufficientSampleError(ZetalabError):
     """A Monte Carlo estimate has too few effective samples to report."""
 
 
-class StructuralError(ZetalabError):
-    """Required inputs are missing or inconsistent with each other."""
-
-
 class UsageError(ZetalabError):
     """Bad command-line or configuration input."""

@@ -126,15 +126,16 @@ def parallel_chunks(seed: int, total: int, fn) -> list:
 
 # --- the harness -------------------------------------------------------------
 
-# name -> (suite body, wall-time bound in seconds or None)
+# name -> (suite body, wall-time bound in seconds or None, config params it reads)
 REGISTRY: dict[str, tuple] = {}
 
 
-def suite(name: str, time_limit: float | None = None):
-    """Register a suite body `fn(config) -> (metrics, passes, *tables)`; with
+def suite(name: str, time_limit: float | None = None, params: tuple[str, ...] = ()):
+    """Register a suite body `fn(config) -> (metrics, passes, *tables)` that
+    reads the config params named in `params` and no others; with
     `time_limit`, every verdict also requires the body to finish within it."""
     def register(fn):
-        REGISTRY[name] = (fn, time_limit)
+        REGISTRY[name] = (fn, time_limit, frozenset(params))
         return fn
     return register
 
@@ -151,7 +152,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
             raise UsageError(f"{name} must be an integer, got {value!r}")
     if not isinstance(config.params, dict):
         raise UsageError(f"params must be a JSON object, got {config.params!r}")
-    body, time_limit = REGISTRY[config.experiment]
+    body, time_limit, known = REGISTRY[config.experiment]
+    unknown = sorted(set(config.params) - known)
+    if unknown:
+        raise UsageError(f"{config.experiment} reads no param named {', '.join(unknown)}")
     t0 = time.perf_counter()
     metrics, passes, *tables = body(config)
     elapsed = time.perf_counter() - t0
@@ -187,7 +191,7 @@ def param(config: ExperimentConfig, name: str, default, above: float | None = No
 
 # --- individual experiments -------------------------------------------------
 
-@suite("mertens", time_limit=60.0)
+@suite("mertens", time_limit=60.0, params=("limit",))
 def run_mertens(config: ExperimentConfig):
     limit = param(config, "limit", 10 ** 8)
     table = cached_sieve(limit)
@@ -202,7 +206,7 @@ def run_mertens(config: ExperimentConfig):
     return metrics, {"AC1": abs(value - 0.98079) <= 0.01}
 
 
-@suite("mollifier_suite")
+@suite("mollifier_suite", params=("n_configs",))
 def run_mollifier_suite(config: ExperimentConfig):
     limit = max(int(config.sieve_limit), 2 * 10 ** 5)
     table = cached_sieve(limit)
@@ -269,7 +273,7 @@ def run_fourth_moment_suite(config: ExperimentConfig):
     return metrics, passes, ("fourth_moment_identities.csv", "p,alpha,z_norm,residual", rows)
 
 
-@suite("poisson_suite", time_limit=60.0)
+@suite("poisson_suite", time_limit=60.0, params=("n_polys",))
 def run_poisson_suite(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     window = sm.make_window(0.5)
@@ -294,7 +298,7 @@ def run_poisson_suite(config: ExperimentConfig):
     return metrics, {"AC4": worst <= 1e-9}
 
 
-@suite("smoothing_suite")
+@suite("smoothing_suite", params=("n_samples",))
 def run_smoothing_suite(config: ExperimentConfig):
     n_samples = param(config, "n_samples", 20000, above=0)
     limit = max(int(config.sieve_limit), 10 ** 5)
@@ -327,7 +331,7 @@ def run_smoothing_suite(config: ExperimentConfig):
     return metrics, {"AC5": ok}
 
 
-@suite("ballot_sweep", time_limit=300.0)
+@suite("ballot_sweep", time_limit=300.0, params=("n_random_configs", "mc_paths"))
 def run_ballot_sweep(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     n_rand = param(config, "n_random_configs", 20, above=0)
@@ -346,7 +350,7 @@ def run_ballot_sweep(config: ExperimentConfig):
     max_ratio = 0.0
     for k in (25, 100, 400):
         for y in (1.0, 3.0, 6.0):
-            profile = bar.BarrierProfile(y=y, n=2.0 * k + 1.0, c_upper=3.0, c_lower=2.0)
+            profile = bar.BarrierProfile(y=y, n=2.0 * k + 1.0, c_upper=3.0)
 
             def level_fn(j, _profile=profile):
                 return model.centering(j, _profile.n) + bar.upper_barrier(j, _profile)
@@ -369,7 +373,7 @@ def run_ballot_sweep(config: ExperimentConfig):
     return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,mc,bound,ratio", rows)
 
 
-@suite("moments_model", time_limit=600.0)
+@suite("moments_model", time_limit=600.0, params=("j", "k", "n_samples"))
 def run_moments_model(config: ExperimentConfig):
     j, k = param(config, "j", 2.0), param(config, "k", 2.9)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
@@ -397,7 +401,7 @@ def run_moments_model(config: ExperimentConfig):
     return metrics, {"AC7": ok}
 
 
-@suite("berry_esseen")
+@suite("berry_esseen", params=("k", "n_samples"))
 def run_berry_esseen(config: ExperimentConfig):
     k = param(config, "k", 2.9)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
@@ -412,7 +416,7 @@ def run_berry_esseen(config: ExperimentConfig):
     return metrics, {"AC8": comp.sup_distance <= 0.01}
 
 
-@suite("density_check")
+@suite("density_check", params=("r", "delta", "n_samples"))
 def run_density_check(config: ExperimentConfig):
     r = param(config, "r", 2.9)
     delta = param(config, "delta", 4.0, above=0)
@@ -432,7 +436,7 @@ def run_density_check(config: ExperimentConfig):
             ("density_ratios.csv", "v_lo,v_hi,empirical,asymptotic,ratio", table_rows))
 
 
-@suite("moments_zeta", time_limit=600.0)
+@suite("moments_zeta", time_limit=600.0, params=("n_cross", "big_t", "n_samples"))
 def run_moments_zeta(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     first_zero = abs(zt.zeta_critical(14.1347251417))
@@ -459,7 +463,7 @@ def run_moments_zeta(config: ExperimentConfig):
                      and 0.7 <= ratio2 <= 1.4}
 
 
-@suite("tail_surrogate", time_limit=900.0)
+@suite("tail_surrogate", time_limit=900.0, params=("depth", "runs", "slope_runs"))
 def run_tail_surrogate(config: ExperimentConfig):
     depth = param(config, "depth", 14, above=0)
     runs = param(config, "runs", 2000, above=0)
@@ -484,7 +488,7 @@ def run_tail_surrogate(config: ExperimentConfig):
             ("surrogate_tail.csv", "y,log_tail_prob", pts))
 
 
-@suite("tail_zeta")
+@suite("tail_zeta", params=("big_t", "n_taus"))
 def run_tail_zeta(config: ExperimentConfig):
     """Shape-only report: no pass/fail is asserted against the asymptotic
     constant, which lives far beyond reachable heights."""

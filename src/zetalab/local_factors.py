@@ -62,7 +62,7 @@ def b_zero(p, alpha: int):
     return out if out.shape else float(out)
 
 
-def b_series(p: float, alpha: int, z: ShiftVector, terms: int | None = None) -> complex:
+def b_series(p: float, alpha: int, z: ShiftVector) -> complex:
     """B as the ratio of the two defining series, truncated geometrically."""
     if alpha == 0:
         return 1.0 + 0.0j
@@ -82,8 +82,6 @@ def b_series(p: float, alpha: int, z: ShiftVector, terms: int | None = None) -> 
         if j > 3 and bound < 1e-16 * max(abs(den), 1e-30):
             break
         j += 1
-        if terms is not None and j >= terms:
-            break
         if j > 400:
             break
     return complex(num / den)

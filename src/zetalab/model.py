@@ -15,24 +15,17 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import PrimeTable, primes_in_log_range
-from .walk import WalkConfig
 
 EXACT_PRIME_CUTOFF = 10_000   # primes above this are folded into one Gaussian
 SAMPLE_CHUNK = 1 << 14
 PRIME_BLOCK = 256
 
 
-def x_p_values(primes: np.ndarray, theta: np.ndarray, h: float = 0.0) -> np.ndarray:
-    """X_p(h) for matched arrays of primes and angles."""
-    logs = np.log(primes.astype(float))
-    c1 = np.cos(theta - h * logs)
-    c2 = np.cos(2.0 * (theta - h * logs))
+def x_p_values(primes: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """X_p(0) for matched arrays of primes and angles."""
+    c1 = np.cos(theta)
+    c2 = np.cos(2.0 * theta)
     return c1 / np.sqrt(primes.astype(float)) + 0.5 * c2 / primes.astype(float)
-
-
-def sample_x_p(rng: np.random.Generator, p: int, h: float = 0.0) -> float:
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return float(x_p_values(np.array([p]), np.array([theta]), h)[0])
 
 
 def x_p_variance(primes: np.ndarray) -> np.ndarray:
@@ -40,40 +33,12 @@ def x_p_variance(primes: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * pf) + 1.0 / (8.0 * pf * pf)
 
 
-def e_z_xp_quadrature(p: int, z: float, nodes: int = 2048) -> float:
+def e_z_xp_quadrature(p: int, z: float) -> float:
     """E[exp(z X_p)] by periodic trapezoid quadrature over the angle."""
+    nodes = 2048
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     x = x_p_values(np.full(nodes, p), theta)
     return float(np.mean(np.exp(z * x)))
-
-
-@dataclass
-class RandomEulerPath:
-    config: WalkConfig
-    angles: np.ndarray     # one angle per prime in the configured range
-    values: np.ndarray     # real, shape (n_scales, n_shifts)
-
-
-def sample_euler_path(rng: np.random.Generator, table: PrimeTable,
-                      config: WalkConfig, angles: np.ndarray | None = None) -> RandomEulerPath:
-    """Randomized walk values S_k(h) with one shared angle per prime."""
-    edges = (config.k_start,) + config.scales
-    all_primes = primes_in_log_range(table, config.k_start, config.scales[-1])
-    if angles is None:
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=len(all_primes))
-    elif len(angles) != len(all_primes):
-        raise DomainError("angle array does not match the prime range")
-    grid = np.asarray(config.grid, dtype=float)
-    values = np.zeros((len(config.scales), len(grid)))
-    offset = 0
-    for si in range(len(config.scales)):
-        primes = primes_in_log_range(table, edges[si], edges[si + 1])
-        th = angles[offset : offset + len(primes)]
-        offset += len(primes)
-        for g, h in enumerate(grid):
-            values[si, g] = np.sum(x_p_values(primes, th, float(h))) if len(primes) else 0.0
-    np.cumsum(values, axis=0, out=values)
-    return RandomEulerPath(config=config, angles=angles, values=values)
 
 
 @dataclass(frozen=True)
@@ -149,16 +114,16 @@ class LaplaceReport:
 
 
 def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
-                  lam: float, n_samples: int, c_const: float = 4.0,
+                  lam: float, n_samples: int,
                   quad_primes: tuple[int, ...] = ()) -> LaplaceReport:
-    """Monte Carlo E[exp(lam * (S_k - S_j))] against exp((k - j + C) lam^2 / 4)."""
+    """Monte Carlo E[exp(lam * (S_k - S_j))] against exp((k - j + 4) lam^2 / 4)."""
     if abs(lam) > 10:
         raise DomainError("|lam| must be <= 10")
     samples, _ = sample_window_sums(rng, table, j, k, n_samples)
     vals = np.exp(lam * samples)
     est = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(n_samples))
-    bound = math.exp((k - j + c_const) * lam * lam / 4.0)
+    bound = math.exp((k - j + 4.0) * lam * lam / 4.0)
     quad = {}
     for p in quad_primes:
         z = lam
@@ -180,12 +145,11 @@ def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
 
 
 def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
-                          n_samples: int, width: float = 1.0,
-                          n_intervals: int = 1000) -> GaussianComparison:
+                          n_samples: int, width: float = 1.0) -> GaussianComparison:
     """Sup over quantile-anchored intervals of |P(Y in A) - P(N(0, beta) in A)|.
 
     Y is the window sum over (k - width, k]; the interval family has endpoints
-    at the empirical quantiles, and the sup over all intervals with those
+    at 1000 empirical quantiles, and the sup over all intervals with those
     endpoints equals max(D) - min(D) for the signed CDF gaps D.
     """
     if n_samples < 10_000:
@@ -193,7 +157,7 @@ def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
     j = k - width
     samples, _ = sample_window_sums(rng, table, j, k, n_samples)
     beta = float(np.sum(x_p_variance(primes_in_log_range(table, j, k))))
-    qs = np.quantile(samples, np.linspace(0.001, 0.999, n_intervals))
+    qs = np.quantile(samples, np.linspace(0.001, 0.999, 1000))
     emp = np.searchsorted(np.sort(samples), qs, side="right") / n_samples
     gaps = emp - _gauss_cdf(qs, beta)
     return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()),
@@ -209,9 +173,9 @@ class DensityRow:
 
 
 def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: float,
-                  n_samples: int, k_start: float = 0.0) -> list[DensityRow]:
-    """Bin probabilities of S_r against delta^{-1} r^{-1/2} exp(-v^2/r)."""
-    samples, _ = sample_window_sums(rng, table, k_start, r, n_samples)
+                  n_samples: int) -> list[DensityRow]:
+    """Bin probabilities of S_r over (0, r] against delta^{-1} r^{-1/2} exp(-v^2/r)."""
+    samples, _ = sample_window_sums(rng, table, 0.0, r, n_samples)
     vmax = 2.0 * math.sqrt(r)
     vs = np.arange(-math.floor(vmax * delta), math.floor(vmax * delta) + 1) / delta
     sorted_samples = np.sort(samples)
@@ -224,11 +188,6 @@ def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: 
         rows.append(DensityRow(v=float(v), empirical=float(emp), asymptotic=asym,
                                ratio=float(emp / asym)))
     return rows
-
-
-def sample_gaussian_walk(rng: np.random.Generator, n_steps: int) -> np.ndarray:
-    """Increments of the surrogate walk: independent N(0, 1/2), one per scale."""
-    return rng.normal(0.0, math.sqrt(0.5), size=n_steps)
 
 
 # --- hierarchical branching surrogate ---
@@ -286,13 +245,13 @@ def sample_hierarchical_leaves(rng: np.random.Generator, field_: HierarchicalFie
 
 
 def sample_hierarchical_maxima(rng: np.random.Generator, depth: int, b: float,
-                               runs: int, chunk: int = 8) -> np.ndarray:
+                               runs: int) -> np.ndarray:
     """Per-run maxima over leaves, centered by `centering(depth, depth)`."""
     field_ = make_hierarchical(depth, b)
     m_n = centering(depth, depth)
     out = np.empty(runs)
-    for lo in range(0, runs, chunk):
-        hi = min(runs, lo + chunk)
+    for lo in range(0, runs, 8):   # 8 runs of leaves at a time bound the memory
+        hi = min(runs, lo + 8)
         leaves = sample_hierarchical_leaves(rng, field_, hi - lo)
         out[lo:hi] = leaves.max(axis=1) - m_n
     return out

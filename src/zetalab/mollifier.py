@@ -90,24 +90,22 @@ class ApproxReport:
 
 def mollifier_approx_check(table: PrimeTable, k_lo: float, k_hi: float,
                            taus: np.ndarray, omega_cap: float = math.inf,
-                           hyp_const: float = 1e3, window: float | None = None,
-                           eps_factor: float | None = None,
-                           tail_exponent: float = 1e5) -> ApproxReport:
-    """Check exp(-dS) <= (1 + eps) |M(s)| + exp(-tail_exponent * window).
+                           hyp_const: float = 1e3) -> ApproxReport:
+    """Check exp(-dS) <= (1 + e^{-k_lo}) |M(s)| + exp(-1e5 * (k_hi - k_lo)).
 
     The mollifier lives on the scale window (k_lo, k_hi]; with an uncapped
     omega the inequality tightens to the exact identity
     exp(-dS - R) = |M(s)| and the residual is tracked instead.
     """
-    window = window if window is not None else (k_hi - k_lo)
-    eps_factor = eps_factor if eps_factor is not None else math.exp(-k_lo)
+    window = k_hi - k_lo
+    eps_factor = math.exp(-k_lo)
     primes = primes_in_log_range(table, k_lo, k_hi)
     exact = omega_cap >= len(primes)
     lo = float(primes[0]) - 0.5 if len(primes) else 2.0
     hi = float(primes[-1]) if len(primes) else 3.0
     spec = MollifierSpec(prime_lo=lo, prime_hi=hi, omega_cap=omega_cap)
     poly = mollifier_coeffs(table, spec)
-    additive = math.exp(-min(tail_exponent * window, 700.0))
+    additive = math.exp(-min(1e5 * window, 700.0))
     total = excluded = holds = 0
     max_resid = 0.0
     for tau in np.atleast_1d(taus):

@@ -1,15 +1,14 @@
-"""Prime sieving, prime reciprocal sums, and the multiscale time/scale ladder.
+"""Prime sieving and prime reciprocal sums.
 
 Scale conventions used throughout the package: a "scale" k refers to primes p
-with log p <= e^k, i.e. p <= exp(e^k).  The ladder tracks times T_ell and
-their log-log counterparts n_ell = loglog T_ell.
+with log p <= e^k, i.e. p <= exp(e^k).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,67 +122,6 @@ def mertens_sum(table: PrimeTable, a: float, b: float) -> float:
 
 def loglog(x: float) -> float:
     return math.log(math.log(x))
-
-
-@dataclass(frozen=True)
-class LadderParams:
-    """Constants of the scale ladder; defaults match the canonical choice."""
-
-    base_cutoff: float = 1000.0   # n_{-1}
-    exponent: float = 1e6         # multiplies the iterated log in n_ell
-
-
-def _iterated_log(x: float, times: int) -> float:
-    """log applied `times` times; NaN when it leaves the domain."""
-    v = x
-    for _ in range(times):
-        if v <= 0:
-            return math.nan
-        v = math.log(v)
-    return v
-
-
-@dataclass(frozen=True)
-class ScaleLadder:
-    T: float
-    n: float
-    params: LadderParams
-    n_levels: tuple[float, ...] = field(default=())   # n_{-1}, n_0, n_1, ...
-    T_levels: tuple[float, ...] = field(default=())
-
-    def level(self, ell: int) -> float:
-        """n_ell with the convention that ell = -1 is the first entry."""
-        return self.n_levels[ell + 1]
-
-    @property
-    def top_index(self) -> int:
-        """Largest ell with n_ell defined."""
-        return len(self.n_levels) - 2
-
-
-def scale_ladder_from_loglog(n: float, params: LadderParams | None = None) -> ScaleLadder:
-    """Ladder n_{-1}, n_0 = n/2, n_ell = n - exponent*log_ell(n) from n = loglog T;
-    the time itself may overflow floats."""
-    params = params or LadderParams()
-    en = math.exp(n) if n < 700 else math.inf
-    T = math.exp(en) if en < 700 else math.inf
-    levels = [params.base_cutoff, n / 2.0]
-    ell = 1
-    while True:
-        it = _iterated_log(n, ell)
-        if math.isnan(it) or it <= 0:
-            break
-        n_ell = n - params.exponent * it
-        if n_ell <= levels[-1] or n_ell >= n:
-            break
-        levels.append(n_ell)
-        ell += 1
-    T_levels = []
-    for v in levels:
-        ev = math.exp(v) if v < 700 else math.inf
-        T_levels.append(math.exp(ev) if ev < 700 else math.inf)
-    return ScaleLadder(T=float(T), n=n, params=params,
-                       n_levels=tuple(levels), T_levels=tuple(T_levels))
 
 
 @functools.lru_cache(maxsize=1)

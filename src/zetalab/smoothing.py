@@ -25,12 +25,6 @@ NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
 
 
-def phi_three_sinc(x) -> np.ndarray:
-    """sinc^2(x-1) + sinc^2(x) + sinc^2(x+1); transform supported in [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    return np.sinc(x - 1.0) ** 2 + np.sinc(x) ** 2 + np.sinc(x + 1.0) ** 2
-
-
 def _sinc_half_widths(k_factors: int) -> np.ndarray:
     raw = 1.0 / (np.arange(1, k_factors + 1) * np.log(np.arange(3, k_factors + 3)) ** 2)
     return 0.5 * raw / raw.sum()          # sum of widths is exactly 1/2
@@ -178,8 +172,9 @@ class BandlimitedBump:
         """Upper estimate of transform mass beyond +-delta^{2a} (exactly 0)."""
         return self.base.transform_tail_mass() / (math.pi * self.base.l1_norm)
 
-    def l1_transform(self, oversample: int = 12) -> float:
-        """Integral of |ghat| by per-lobe sampling of the window sinc."""
+    def l1_transform(self) -> float:
+        """Integral of |ghat| by 12 midpoint samples per lobe of the window sinc."""
+        oversample = 12
         length = self.indicator_length
         lobe = 1.0 / length
         n_lobes = int(math.ceil(self.spread / lobe))
@@ -195,11 +190,11 @@ class BandlimitedBump:
         return 2.0 * total   # even integrand
 
 
-def make_bump(delta: float, a_param: float, k_factors: int = 50) -> BandlimitedBump:
+def make_bump(delta: float, a_param: float) -> BandlimitedBump:
     if delta < 3 or a_param < 3:
         raise DomainError("need delta >= 3 and a >= 3")
     return BandlimitedBump(delta=float(delta), a_param=float(a_param),
-                           base=make_ingham(k_factors))
+                           base=make_ingham(50))
 
 
 def _osc_cell_integrals(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
@@ -246,15 +241,15 @@ class TruncatedExpansion:
             out = out * x + c
         return out
 
-def make_expansion(bump: BandlimitedBump, order: int,
-                   head_panels: int = 128, gl_nodes: int = 8) -> TruncatedExpansion:
+def make_expansion(bump: BandlimitedBump, order: int) -> TruncatedExpansion:
     """Moment coefficients c_l = (2 pi i)^l / l! * int xi^l ghat(xi) d xi.
 
     The transform integral splits at the third sinc lobe: the head is smooth
-    composite Gauss-Legendre; in the tail the window sinc is decomposed into
-    two exponentials and integrated by Filon quadrature (quadratic slow part
-    per lobe, oscillatory factor in closed form).  Coefficients combine in
-    log scale; overflow raises a capacity error.
+    composite Gauss-Legendre (8 nodes, 64 panels per lobe); in the tail the
+    window sinc is decomposed into two exponentials and integrated by Filon
+    quadrature (quadratic slow part per lobe, oscillatory factor in closed
+    form).  Coefficients combine in log scale; overflow raises a capacity
+    error.
     """
     if order > 60:
         raise CapacityError("orders above 60 overflow double precision")
@@ -263,8 +258,8 @@ def make_expansion(bump: BandlimitedBump, order: int,
     head_lobes = 12
     xi0 = head_lobes / length
     # head: |xi| <= xi0, composite Gauss-Legendre in xi
-    gl_x, gl_w = np.polynomial.legendre.leggauss(gl_nodes)
-    edges = np.linspace(-xi0, xi0, head_panels * head_lobes // 2 + 1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(-xi0, xi0, 128 * head_lobes // 2 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xi_nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
@@ -342,15 +337,15 @@ def _measure_sandwich_constant(values: np.ndarray, decay: float) -> float:
 
 def indicator_sandwich_check(rng: np.random.Generator, bump: BandlimitedBump,
                              expansion: TruncatedExpansion, samples: np.ndarray,
-                             u: float, calibration_points: int = 4001) -> SandwichReport:
+                             u: float) -> SandwichReport:
     """Check 1(Y in [u, u + 1/delta]) <= |D(Y - u)|^2 (1 + C e^{-delta^{a-1}}).
 
-    C is measured on a deterministic grid over the bin, then the inequality is
-    verified on the supplied samples (and for the bump itself in place of
-    |D|^2).  Points outside the bin satisfy the inequality trivially.
+    C is measured on a deterministic 4001-point grid over the bin, then the
+    inequality is verified on the supplied samples (and for the bump itself in
+    place of |D|^2).  Points outside the bin satisfy the inequality trivially.
     """
     decay = math.exp(-bump.delta ** (bump.a_param - 1.0))
-    grid = np.linspace(0.0, 1.0 / bump.delta, calibration_points)
+    grid = np.linspace(0.0, 1.0 / bump.delta, 4001)
     c_bump = _measure_sandwich_constant(bump.value(grid) ** 2, decay)
     c_poly = _measure_sandwich_constant(np.abs(expansion.value(grid)) ** 2, decay)
     x = samples - u
@@ -387,10 +382,10 @@ class ReconstructionWindow:
         return out
 
 
-def make_window(eps: float = 0.5, k_factors: int = 50) -> ReconstructionWindow:
+def make_window(eps: float = 0.5) -> ReconstructionWindow:
     if not 0.0 < eps <= 2.0:
         raise DomainError("eps must lie in (0, 2]")
-    widths = _sinc_half_widths(k_factors) * (eps / 2.0)
+    widths = _sinc_half_widths(50) * (eps / 2.0)
     return ReconstructionWindow(eps=eps, half_widths=widths)
 
 
@@ -409,14 +404,15 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
 
 
 def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float,
-                        eps: float = 0.5, window: ReconstructionWindow | None = None,
-                        vhat_cut: float = 1e-14) -> complex:
-    """Reconstruct D(1/2 + i t + i h0) from the lattice 2 pi Z / ((2+eps) log N).
+                        window: ReconstructionWindow | None = None) -> complex:
+    """Reconstruct D(1/2 + i t + i h0) from the lattice 2 pi Z / ((2+eps) log N),
+    with eps that of the window (`make_window()` when none is given).
 
     Exact for Dirichlet polynomials of length N up to window truncation at
-    |vhat| < vhat_cut; the contract is 1e-9 relative accuracy.
+    |vhat| < 1e-14; the contract is 1e-9 relative accuracy.
     """
-    window = window or make_window(eps)
+    window = window or make_window()
+    eps = window.eps
     n_len = len(coeffs)
     if n_len < 2:
         return complex(coeffs[0]) if n_len else 0.0j
@@ -428,7 +424,7 @@ def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float,
     hs = js * delta
     args = (hs - h0) * log_n / (2.0 * math.pi)
     weights = window.vhat(args)
-    keep = np.abs(weights) >= vhat_cut
+    keep = np.abs(weights) >= 1e-14
     vals = dirichlet_value(np.asarray(coeffs, dtype=complex), t, hs[keep])
     return complex(np.sum(vals * weights[keep]) / (2.0 + eps))
 
@@ -441,18 +437,16 @@ class GridMaxReport:
     tail_fraction: float
 
 
-def discretized_max_bound(coeff_list: list[np.ndarray], t: float,
-                          a_weight: float = 100.0, fine_factor: int = 8,
-                          span: float = 2.0) -> GridMaxReport:
-    """Fine-grid max of sum |D_i|^2 against the weighted lattice sum.
+def discretized_max_bound(coeff_list: list[np.ndarray], t: float) -> GridMaxReport:
+    """Max of sum |D_i|^2 on a fine grid over [-2, 2) against the weighted lattice sum.
 
-    Lattice step is 2 pi / (8 log N); beyond 16 log N lattice points the
-    contribution carries the weight (1 + |j|^A)^{-1}.
+    Lattice step is 2 pi / (8 log N), the fine step an eighth of it; beyond
+    16 log N lattice points the contribution carries the weight (1 + |j|^100)^{-1}.
     """
     n_len = max(len(c) for c in coeff_list)
     log_n = math.log(n_len)
     step = 2.0 * math.pi / (8.0 * log_n)
-    fine = np.arange(-span, span, step / fine_factor)
+    fine = np.arange(-2.0, 2.0, step / 8)
     fine_vals = np.zeros(len(fine))
     for c in coeff_list:
         fine_vals += np.abs(dirichlet_value(np.asarray(c, dtype=complex), t, fine)) ** 2
@@ -465,7 +459,7 @@ def discretized_max_bound(coeff_list: list[np.ndarray], t: float,
         lattice_vals += np.abs(dirichlet_value(np.asarray(c, dtype=complex), t, hs)) ** 2
     main_mask = np.abs(js) <= j_main
     with np.errstate(over="ignore"):
-        tail_weights = 1.0 / (1.0 + np.abs(js[~main_mask], dtype=float) ** a_weight)
+        tail_weights = 1.0 / (1.0 + np.abs(js[~main_mask], dtype=float) ** 100.0)
     main = float(np.sum(lattice_vals[main_mask]))
     tail = float(np.sum(lattice_vals[~main_mask] * tail_weights))
     total = main + tail

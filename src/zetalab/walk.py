@@ -2,49 +2,22 @@
 
 The complex walk at scale k and shift h is
 
-    W_k(h) = sum_{e^{k0} < log p <= e^k} ( p^{-(1/2+i(tau+h))} + p^{-2(1/2+i(tau+h))}/2 ),
+    W_k(h) = sum_{e^{k0} < log p <= e^k} ( p^{-(1/2+i(tau+h))} + p^{-2(1/2+i(tau+h))}/2 ).
 
-whose real part drives all barrier logic.  The two summands are the first two
-terms of -log(1 - p^{-s}); the alpha >= 3 tail is `higher_order_tail`.
+The two summands are the first two terms of -log(1 - p^{-s}); the alpha >= 3
+tail is `higher_order_tail`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .primes import PrimeTable, primes_in_log_range
 
-RENORM_EVERY = 1 << 10   # keeps unit-modulus drift of the rotation below 1e-12
-PRIME_BLOCK = 1 << 16    # fixed reduction blocks make grid sums bit-stable
+PRIME_BLOCK = 1 << 16    # fixed reduction blocks make the sums bit-stable
 TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    k_start: float
-    scales: tuple[float, ...]
-    tau: float
-    grid: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise DomainError("scales must be strictly increasing")
-        if any(abs(h) > 2.0 for h in self.grid):
-            raise DomainError("shifts must lie in [-2, 2]")
-        if len(self.grid) > 1:
-            steps = np.diff(self.grid)
-            if not np.all(steps > 0):
-                raise DomainError("grid must be strictly increasing")
-
-
-@dataclass
-class MultiscaleWalk:
-    config: WalkConfig
-    values: np.ndarray   # complex128, shape (n_scales, n_shifts)
 
 
 def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,50 +53,6 @@ def partial_sum(table: PrimeTable, k_start: float, k: float, tau: float, h: floa
         for i in range(0, len(primes), PRIME_BLOCK)
     ]
     return complex(sum(blocks))
-
-
-def evaluate_on_grid(table: PrimeTable, config: WalkConfig) -> MultiscaleWalk:
-    """All W_k(h) on the shift grid with one rotation multiply per (prime, shift).
-
-    Per prime, p^{-i tau} is formed once; moving along the grid multiplies by
-    p^{-i delta} per step, renormalized every RENORM_EVERY steps.
-    """
-    scales = config.scales
-    grid = np.asarray(config.grid, dtype=float)
-    n_scales, n_shifts = len(scales), len(grid)
-    values = np.zeros((n_scales, n_shifts), dtype=complex)
-    edges = (config.k_start,) + scales
-    uniform = n_shifts > 1 and np.allclose(np.diff(grid), grid[1] - grid[0], rtol=0, atol=1e-15)
-    for si in range(n_scales):
-        primes = primes_in_log_range(table, edges[si], edges[si + 1])
-        if len(primes) == 0:
-            continue
-        for b in range(0, len(primes), PRIME_BLOCK):
-            pb = primes[b : b + PRIME_BLOCK].astype(float)
-            logs = np.log(pb)
-            amp1 = 1.0 / np.sqrt(pb)
-            amp2 = 0.5 / pb
-            cur = unit_phases(pb, config.tau + grid[0])
-            if uniform:
-                rot = np.exp(-1j * (grid[1] - grid[0]) * logs)
-            for g in range(n_shifts):
-                values[si, g] += np.sum(amp1 * cur + amp2 * cur * cur)
-                if g + 1 < n_shifts:
-                    if uniform:
-                        cur = cur * rot
-                        if (g + 1) % RENORM_EVERY == 0:
-                            cur /= np.abs(cur)
-                    else:
-                        cur = unit_phases(pb, config.tau + grid[g + 1])
-    np.cumsum(values, axis=0, out=values)
-    return MultiscaleWalk(config=config, values=values)
-
-
-def increments(walk: MultiscaleWalk) -> np.ndarray:
-    """Y_j(h) over consecutive scales; rows telescope back to the total change."""
-    if walk.values.shape[0] < 2:
-        raise DomainError("need at least two scales to form increments")
-    return np.diff(walk.values, axis=0)
 
 
 def _sum_ld(x: np.ndarray) -> float:

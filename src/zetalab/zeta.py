@@ -33,7 +33,7 @@ def _powers_negs(ns: np.ndarray, s: complex) -> np.ndarray:
     return np.exp(-s.real * logs) * np.exp(-1j * phase)
 
 
-def zeta_euler_maclaurin(s: complex, cutoff: int | None = None, tail_terms: int = 12) -> complex:
+def zeta_euler_maclaurin(s: complex, cutoff: int | None = None) -> complex:
     """Euler-Maclaurin value of zeta(s) for s != 1."""
     s = complex(s)
     if s == 1:
@@ -46,7 +46,7 @@ def zeta_euler_maclaurin(s: complex, cutoff: int | None = None, tail_terms: int 
     total += 0.5 * n_pow
     poch = s                       # rising product s (s+1) ... (s + 2k - 2)
     scale = n_pow / n_cut          # N^{-s - (2k - 1)}
-    for k in range(1, tail_terms + 1):
+    for k in range(1, len(_BERNOULLI) + 1):
         total += _BERNOULLI[k - 1] / math.factorial(2 * k) * poch * scale
         poch *= (s + 2 * k - 1) * (s + 2 * k)
         scale /= n_cut * n_cut
@@ -172,12 +172,6 @@ def zeta_critical(t: float) -> complex:
     return zeta_riemann_siegel(t)
 
 
-def z_function(t: float) -> float:
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real up to rounding."""
-    m, c = _theta_mod_2pi(t)
-    return (np.exp(1j * (m + c)) * zeta_critical(t)).real
-
-
 def relative_gap(a: complex, b: complex) -> float:
     """|a - b| / max(1, |a|, |b|); the guard keeps the gap meaningful at zeros."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
@@ -195,19 +189,6 @@ def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
     return float(grid[i]), float(mags[i])
 
 
-def high_point_threshold(y: float, big_t: float) -> float:
-    n = math.log(math.log(big_t))
-    return math.exp(y + n) / n ** 0.75
-
-
-def high_points(t: float, grid: np.ndarray, y: float, big_t: float) -> np.ndarray:
-    """Grid shifts where |zeta| exceeds e^y e^n / n^{3/4} with n = loglog(big_t)."""
-    grid = np.asarray(grid, dtype=float)
-    thresh = high_point_threshold(y, big_t)
-    mags = np.array([abs(zeta_critical(t + h)) for h in grid])
-    return grid[mags > thresh]
-
-
 @dataclass
 class MomentEstimate:
     power: int
@@ -219,7 +200,7 @@ class MomentEstimate:
 
 
 def moment_estimate(big_t: float, power: int, n_samples: int,
-                    rng: np.random.Generator, bootstrap: int = 400) -> MomentEstimate:
+                    rng: np.random.Generator) -> MomentEstimate:
     """Monte Carlo mean of |zeta(1/2 + i tau)|^power, tau ~ U[T, 2T]."""
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
@@ -230,7 +211,7 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
     mean = float(np.mean(vals))
     if n_samples < 2:
         return MomentEstimate(power, mean, math.nan, math.nan, n_samples, True)
-    idx = rng.integers(0, n_samples, size=(bootstrap, n_samples))
+    idx = rng.integers(0, n_samples, size=(400, n_samples))
     boots = np.mean(vals[idx], axis=1)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return MomentEstimate(power, mean, float(lo), float(hi), n_samples,

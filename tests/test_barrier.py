@@ -3,107 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from zetalab.errors import (DomainError, InsufficientSampleError, StructuralError,
-                            ToleranceError)
+from zetalab.errors import DomainError, InsufficientSampleError, ToleranceError
 from zetalab.barrier import (STEP_VAR, BarrierProfile, _gauss_kernel, _same_convolver,
                              ballot_bound, bridge_survival_dp, bridge_survival_mc,
-                             centering_m, event_flags, lower_barrier, upper_barrier)
+                             upper_barrier)
 from zetalab.model import centering
-from zetalab.primes import LadderParams, scale_ladder_from_loglog
-from zetalab.walk import MultiscaleWalk, WalkConfig
-
-
-def test_centering_alias():
-    assert centering_m(16, 16) == pytest.approx(13.92056, abs=1e-5)
 
 
 def test_barrier_values_default_constants():
     profile = BarrierProfile(y=8.0, n=16.0)
     assert upper_barrier(1, profile) == math.inf            # k < ceil(y/4)
-    assert lower_barrier(1, profile) == -math.inf
-    assert lower_barrier(2, profile) == pytest.approx(8 - 20 * 2)   # L(y/4) = -4y
     assert upper_barrier(10, profile) == pytest.approx(8 + 1000 * math.log(6), abs=1e-9)
     assert upper_barrier(10, profile) == pytest.approx(1799.76, abs=0.02)
-
-
-def test_barrier_gap_independent_of_y():
-    for k in (3, 5, 7):
-        gaps = set()
-        for y in (8.0, 10.0, 12.0):
-            profile = BarrierProfile(y=y, n=16.0)
-            if k >= profile.r:
-                gaps.add(round(upper_barrier(k, profile) - lower_barrier(k, profile), 9))
-        assert len(gaps) == 1
 
 
 def test_barrier_domain():
     profile = BarrierProfile(y=4.0, n=10.0)
     with pytest.raises(DomainError):
         upper_barrier(10.5, profile)
-
-
-def test_c_ell_product():
-    ladder = scale_ladder_from_loglog(16.0, LadderParams(base_cutoff=1.0, exponent=1.0))
-    profile = BarrierProfile(y=4.0, n=16.0)
-    expect = (1 + math.exp(-1.0)) * (1 + math.exp(-8.0))
-    assert profile.c_ell(ladder, 1) == pytest.approx(expect)
-
-
-def _flags_setup(path_values):
-    """Tiny two-level ladder with a synthetic one-shift walk."""
-    ladder = scale_ladder_from_loglog(16.0, LadderParams(base_cutoff=1.0, exponent=1.0))
-    scales = (4.0, 6.0, 9.0, 12.0)     # levels: n0 = 8, n1 = 13.23
-    config = WalkConfig(k_start=1.0, scales=scales, tau=0.0, grid=(0.0,))
-    values = np.array([[v + 0.0j] for v in path_values])
-    walk = MultiscaleWalk(config=config, values=values)
-    profile = BarrierProfile(y=8.0, n=16.0, c_upper=3.0, c_lower=2.0)
-    moll = {(ell, si): np.array([1.0]) for ell in (0, 1) for si in range(len(scales))}
-    return walk, profile, ladder, moll
-
-
-def test_event_flags_zero_path():
-    walk, profile, ladder, moll = _flags_setup([0.0, 0.0, 0.0, 0.0])
-    flags = event_flags(walk, profile, ladder, zeta_mags=np.array([1.0]),
-                        moll_prod_mags=moll, max_level=1)
-    assert flags.in_b.all()            # 0 <= m(k) + U_y(k) everywhere
-    assert flags.in_a.all()
-    assert (flags.in_g == (flags.in_a & flags.in_b & flags.in_c & flags.in_d)).all()
-
-
-def test_event_flags_breach_is_sticky():
-    # breach the upper barrier at the second scale of level 0
-    breach = centering(6.0, 16.0) + upper_barrier(6.0, BarrierProfile(y=8.0, n=16.0, c_upper=3.0, c_lower=2.0)) + 1.0
-    walk, profile, ladder, moll = _flags_setup([0.0, breach, 0.0, 0.0])
-    flags = event_flags(walk, profile, ladder, zeta_mags=np.array([1.0]),
-                        moll_prod_mags=moll, max_level=1)
-    assert not flags.in_b[0, 0]
-    assert not flags.in_b[1, 0]        # nested: stays excluded at deeper levels
-
-
-def test_event_flags_nesting_random(rng):
-    ladder = scale_ladder_from_loglog(16.0, LadderParams(base_cutoff=1.0, exponent=1.0))
-    scales = (4.0, 6.0, 9.0, 12.0)
-    config = WalkConfig(k_start=1.0, scales=scales, tau=0.0, grid=tuple(np.linspace(-1, 1, 8)))
-    profile = BarrierProfile(y=6.0, n=16.0, c_upper=1.0, c_lower=1.0)
-    moll = {(ell, si): np.ones(8) for ell in (0, 1) for si in range(4)}
-    for _ in range(10):
-        values = rng.normal(scale=3.0, size=(4, 8)) + 0j
-        walk = MultiscaleWalk(config=config, values=values)
-        flags = event_flags(walk, profile, ladder, zeta_mags=np.ones(8),
-                            moll_prod_mags=moll, max_level=1)
-        for rows in (flags.in_a, flags.in_b, flags.in_c, flags.in_d):
-            assert np.all(rows[1] <= rows[0])   # monotone in the level
-
-
-def test_event_flags_missing_inputs():
-    walk, profile, ladder, moll = _flags_setup([0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(StructuralError):
-        event_flags(walk, profile, ladder, zeta_mags=None, moll_prod_mags=None,
-                    max_level=1)
-    del moll[(1, 3)]
-    with pytest.raises(StructuralError, match="ell=1"):
-        event_flags(walk, profile, ladder, zeta_mags=np.array([1.0]),
-                    moll_prod_mags=moll, max_level=1)
 
 
 def test_dp_infinite_barrier_unit():
@@ -189,7 +106,7 @@ def test_mc_single_step_bin_probability(rng):
 
 
 def test_ballot_bound_forms():
-    profile = BarrierProfile(y=4.0, n=40.0, c_upper=3.0, c_lower=2.0)
+    profile = BarrierProfile(y=4.0, n=40.0, c_upper=3.0)
     k = 16
     w = centering(k, 40.0) + upper_barrier(k, profile)
     got = ballot_bound(k, 4.0, w, profile)

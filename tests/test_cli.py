@@ -1,15 +1,17 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import zetalab
-from zetalab import parallel
+from zetalab import experiments, parallel
 from zetalab.cli import main
 from zetalab.errors import UsageError
 from zetalab.experiments import (REGISTRY, ExperimentConfig, ResultRecord,
@@ -95,7 +97,7 @@ def test_harness_coerces_numpy_results(monkeypatch, out_dir):
     def body(config):
         return {"x": np.float64(0.25), "n": np.int64(3)}, {"AC0": np.False_}
 
-    monkeypatch.setitem(REGISTRY, "numpy_types", (body, None))
+    monkeypatch.setitem(REGISTRY, "numpy_types", (body, None, frozenset()))
     record = run(ExperimentConfig(experiment="numpy_types", out_dir=out_dir))
     assert not record.all_passed
     with open(os.path.join(out_dir, "numpy_types_record.json")) as fh:
@@ -109,7 +111,8 @@ def test_harness_coerces_numpy_results(monkeypatch, out_dir):
 
 
 def test_time_limit_fails_every_verdict(monkeypatch, out_dir):
-    monkeypatch.setitem(REGISTRY, "slow", (lambda config: ({}, {"A": True, "B": True}), 0.0))
+    monkeypatch.setitem(REGISTRY, "slow",
+                        (lambda config: ({}, {"A": True, "B": True}), 0.0, frozenset()))
     record = run(ExperimentConfig(experiment="slow", out_dir=out_dir))
     assert record.passes == {"A": False, "B": False}
 
@@ -168,6 +171,8 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "poisson_suite", "params": {"n_polys": 0}}', []),
     ('{"experiment": "mollifier_suite", "params": {"n_configs": 0}}', []),
     ('{"experiment": "ballot_sweep", "params": {"n_random_configs": 0}}', []),
+    # a param the suite does not read (poisson_suite reads n_polys)
+    ('{"experiment": "poisson_suite", "params": {"n_poly": 0}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -188,6 +193,31 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not out_dir.exists()
+
+
+def test_cli_config_for_another_suite_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"experiment": "poisson_suite"}')
+    out_dir = tmp_path / "out"
+    assert main(["fourth_moment_suite", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "poisson_suite" in err
+    assert not out_dir.exists()
+
+
+def test_declared_params_are_the_names_each_body_reads():
+    # `run` rejects every param a suite does not declare, so the declaration
+    # must list exactly the names its body passes to `param`
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    declared = 0
+    for fn in tree.body:
+        for deco in getattr(fn, "decorator_list", ()):
+            if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "suite":
+                read = {call.args[1].value for call in ast.walk(fn) if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "param"}
+                assert REGISTRY[deco.args[0].value][2] == read, deco.args[0].value
+                declared += 1
+    assert declared == len(REGISTRY)
 
 
 def test_cli_flag_overrides(tmp_path, capsys):

@@ -7,12 +7,11 @@ from zetalab.errors import CapacityError, DomainError
 from zetalab.experiments import chunk_streams, parallel_chunks
 from zetalab.model import (branching_pattern, centering, density_check,
                            e_z_xp_quadrature, increment_gaussianity, laplace_check,
-                           make_hierarchical, sample_euler_path, sample_gaussian_walk,
-                           sample_hierarchical_leaves, sample_hierarchical_maxima,
-                           draw_window_sums, sample_window_sums, sample_x_p, tail_slope,
+                           make_hierarchical, sample_hierarchical_leaves,
+                           draw_window_sums, sample_window_sums, tail_slope,
                            window_split, x_p_values, x_p_variance)
 from zetalab.primes import primes_in_log_range
-from zetalab.walk import WalkConfig, partial_sum
+from zetalab.walk import partial_sum
 
 
 def test_x_p_deterministic_angle():
@@ -32,10 +31,6 @@ def test_x_p_mean_and_variance(rng):
     assert abs(np.var(vals) - var) < 3 * math.sqrt(m4 / 1e6)
 
 
-def test_sample_x_p_scalar(rng):
-    assert isinstance(sample_x_p(rng, 7), float)
-
-
 def test_quadrature_expansion():
     p, z = 10007, 0.1
     resid = abs(e_z_xp_quadrature(p, z) - (1 + z * z / (4 * p)))
@@ -43,33 +38,12 @@ def test_quadrature_expansion():
 
 
 def test_euler_path_zero_angles_match_walk(table_small):
-    config = WalkConfig(k_start=0.0, scales=(0.8, 1.5), tau=0.0, grid=(0.0, 0.3))
-    path = sample_euler_path(np.random.default_rng(0), table_small, config,
-                             angles=np.zeros(10 ** 6)[: len(
-                                 table_small.slice_leq(math.exp(1.0), math.exp(math.exp(1.5))))])
-    # with all angles zero the model reproduces the deterministic walk at tau=0
-    for si, k in enumerate(config.scales):
-        for g, h in enumerate(config.grid):
-            det = partial_sum(table_small, 0.0, k, 0.0, h).real
-            assert path.values[si, g] == pytest.approx(det, abs=1e-12)
-
-
-def test_euler_path_empty_range(table_small, rng):
-    config = WalkConfig(k_start=1.0, scales=(1.0 + 1e-9,), tau=0.0, grid=(0.0,))
-    path = sample_euler_path(rng, table_small, config)
-    assert path.values[0, 0] == 0.0
-
-
-def test_euler_path_decorrelation(table_small):
-    config = WalkConfig(k_start=0.0, scales=(2.0,), tau=0.0, grid=(0.0, 1.5))
-    rng = np.random.default_rng(5)
-    near, far = [], []
-    for _ in range(400):
-        path = sample_euler_path(rng, table_small, config)
-        near.append(path.values[0, 0])
-        far.append(path.values[0, 1])
-    corr = np.corrcoef(near, far)[0, 1]
-    assert abs(corr) < 0.5      # widely separated shifts decorrelate
+    # with all angles zero the model reproduces the deterministic walk at tau = h = 0
+    for k in (0.8, 1.5):
+        primes = primes_in_log_range(table_small, 0.0, k)
+        model_sum = float(np.sum(x_p_values(primes, np.zeros(len(primes)))))
+        assert model_sum == pytest.approx(partial_sum(table_small, 0.0, k, 0.0, 0.0).real,
+                                          abs=1e-12)
 
 
 def test_window_sums_split_consistency(table_medium):
@@ -229,9 +203,3 @@ def test_centering_values():
 def test_tail_slope_requires_points(rng):
     with pytest.raises(DomainError):
         tail_slope(np.array([0.0, 0.1]), np.array([1.0, 2.0, 3.0]))
-
-
-def test_gaussian_walk(rng):
-    increments = sample_gaussian_walk(rng, 2000)
-    assert increments.shape == (2000,)
-    assert abs(np.var(increments) - 0.5) < 0.1

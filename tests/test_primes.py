@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from zetalab.errors import CapacityError, DomainError
-from zetalab.primes import (LadderParams, cached_sieve, loglog, mertens_sum,
-                            primes_in_log_range, scale_ladder_from_loglog, sieve_primes)
+from zetalab.primes import cached_sieve, loglog, mertens_sum, primes_in_log_range, sieve_primes
 
 
 def brute_primes(limit):
@@ -97,29 +96,6 @@ def test_mertens_guards(table_small):
         mertens_sum(table_small, 10, 10 ** 9)
     with pytest.raises(DomainError):
         mertens_sum(table_small, 500, 100)
-
-
-def test_scale_ladder_basic():
-    ladder = scale_ladder_from_loglog(16.0, LadderParams(base_cutoff=1.0, exponent=1.0))
-    assert ladder.level(0) == pytest.approx(8.0)
-    assert ladder.level(1) == pytest.approx(16 - math.log(16), abs=1e-4)
-    assert ladder.level(1) == pytest.approx(13.2274, abs=1e-3)
-    levels = ladder.n_levels
-    assert all(b > a for a, b in zip(levels, levels[1:]))
-
-
-def test_scale_ladder_t_levels_consistent():
-    ladder = scale_ladder_from_loglog(loglog(1e7), LadderParams(base_cutoff=0.5, exponent=1.0))
-    assert ladder.n == pytest.approx(2.7800, abs=1e-3)
-    for n_ell, t_ell in zip(ladder.n_levels, ladder.T_levels):
-        if math.isfinite(t_ell):
-            assert t_ell == pytest.approx(math.exp(math.exp(n_ell)), rel=1e-9)
-
-
-def test_scale_ladder_default_constants_stop_early():
-    ladder = scale_ladder_from_loglog(loglog(1e8), LadderParams())
-    # with the huge default exponent no level beyond n_0 fits below n
-    assert ladder.top_index == 0
 
 
 def test_cached_sieve_memo():

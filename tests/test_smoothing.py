@@ -9,8 +9,7 @@ from zetalab import parallel, smoothing
 from zetalab.errors import CapacityError, DomainError
 from zetalab.smoothing import (dirichlet_value, discretized_max_bound,
                                indicator_sandwich_check, make_bump, make_expansion,
-                               make_ingham, make_window, phi_three_sinc,
-                               poisson_reconstruct)
+                               make_ingham, make_window, poisson_reconstruct)
 
 DECAY_CONSTANT = 1.0   # calibrated from the direct-evaluation sweep below
 
@@ -69,15 +68,6 @@ def ingham():
 @pytest.fixture(scope="module")
 def bump3(ingham):
     return make_bump(3.0, 3.0)
-
-
-def test_phi_display():
-    xs = np.array([0.0, 1.0, -1.0, 0.5])
-    vals = phi_three_sinc(xs)
-    def one(t):
-        return (np.sinc(t - 1) ** 2 + np.sinc(t) ** 2 + np.sinc(t + 1) ** 2)
-    assert np.allclose(vals, [one(t) for t in xs])
-    assert np.all(phi_three_sinc(np.linspace(-1, 1, 101)) > 0.8)
 
 
 def test_ingham_positivity_and_value(ingham):

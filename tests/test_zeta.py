@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from zetalab.errors import CapacityError, DomainError
-from zetalab.zeta import (high_point_threshold, high_points, max_on_grid, moment_estimate,
-                          relative_gap, z_function, zeta_critical, zeta_euler_maclaurin,
-                          zeta_riemann_siegel)
+from zetalab.zeta import (max_on_grid, moment_estimate, relative_gap, zeta_critical,
+                          zeta_euler_maclaurin, zeta_riemann_siegel)
 
 FIRST_ZERO = 14.134725141734695
 
@@ -55,12 +54,6 @@ def test_rs_hard_points():
         assert gap <= 1e-6
 
 
-def test_z_function_is_real_scale():
-    # |Z(t)| must equal |zeta(1/2+it)|
-    for t in (61.8, 250.3, 1077.2):
-        assert abs(abs(z_function(t)) - abs(zeta_critical(t))) < 1e-9
-
-
 def test_max_on_grid_basics():
     h, m = max_on_grid(100.0, np.array([0.25]))
     assert h == 0.25 and m == abs(zeta_critical(100.25))
@@ -82,26 +75,6 @@ def test_max_refinement_monotone(rng):
     _, m_coarse = max_on_grid(t, coarse)
     _, m_fine = max_on_grid(t, np.concatenate([coarse, fine]))
     assert m_fine >= m_coarse
-
-
-def test_high_point_threshold_value():
-    # n = 3, y = 1 gives e^4 / 3^(3/4)
-    big_t = math.exp(math.exp(3.0))
-    assert high_point_threshold(1.0, big_t) == pytest.approx(23.9517, abs=1e-3)
-
-
-def test_high_points_infinite_y(table_small):
-    grid = np.linspace(-1, 1, 5)
-    assert len(high_points(500.0, grid, 50.0, 1e7)) == 0
-
-
-def test_high_points_match_max(rng):
-    big_t = 1e7
-    t = float(rng.uniform(big_t, 2 * big_t))
-    grid = np.linspace(-1, 1, 31)
-    pts = high_points(t, grid, 0.0, big_t)
-    _, m = max_on_grid(t, grid)
-    assert (len(pts) > 0) == (m > high_point_threshold(0.0, big_t))
 
 
 def test_moment_estimate_degenerate(rng):
