@@ -176,16 +176,17 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 def param(config: ExperimentConfig, name: str, default, above: float | None = None):
     """`config.params[name]` (or `default`) cast to the type of `default`;
-    a value that does not cast, or is not greater than `above`, is a usage
-    error (CLI exit 2).  Counts pass `above=0`: a zero count runs nothing."""
+    a value that does not cast, or is not finite and greater than `above`, is
+    a usage error (CLI exit 2).  Counts pass `above=0`: a zero count runs
+    nothing."""
     value = config.params.get(name, default)
     try:
         value = type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"param {name!r} must be {type(default).__name__}, "
                          f"got {value!r}") from exc
-    if above is not None and not value > above:
-        raise UsageError(f"param {name!r} must be above {above}, got {value!r}")
+    if above is not None and not above < value < math.inf:   # NaN fails this too
+        raise UsageError(f"param {name!r} must be finite and above {above}, got {value!r}")
     return value
 
 
@@ -438,6 +439,7 @@ def run_density_check(config: ExperimentConfig):
 
 @suite("moments_zeta", time_limit=600.0, params=("n_cross", "big_t", "n_samples"))
 def run_moments_zeta(config: ExperimentConfig):
+    big_t = param(config, "big_t", 1e7, above=1.0)
     rng = seed_stream(config.seed, 0)
     first_zero = abs(zt.zeta_critical(14.1347251417))
     n_cross = param(config, "n_cross", 200, above=0)
@@ -445,7 +447,6 @@ def run_moments_zeta(config: ExperimentConfig):
     worst_gap = max(zt.relative_gap(zt.zeta_riemann_siegel(float(t)),
                                     zt.zeta_euler_maclaurin(0.5 + 1j * float(t)))
                     for t in ts)
-    big_t = param(config, "big_t", 1e7)
     est2 = zt.moment_estimate(big_t, 2, param(config, "n_samples", 2000, above=0),
                               seed_stream(config.seed, 1))
     ratio2 = est2.mean / math.log(big_t)
@@ -492,7 +493,7 @@ def run_tail_surrogate(config: ExperimentConfig):
 def run_tail_zeta(config: ExperimentConfig):
     """Shape-only report: no pass/fail is asserted against the asymptotic
     constant, which lives far beyond reachable heights."""
-    big_t = param(config, "big_t", 1e7)
+    big_t = param(config, "big_t", 1e7, above=1.0)
     n_taus = param(config, "n_taus", 60, above=0)
     n = loglog(big_t)
     step = 2.0 * math.pi / (8.0 * math.log(big_t))

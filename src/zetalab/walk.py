@@ -11,6 +11,7 @@ tail is `higher_order_tail`.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -20,16 +21,50 @@ PRIME_BLOCK = 1 << 16    # fixed reduction blocks make the sums bit-stable
 TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
 
 
-def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log n, t log n mod 2 pi), both from one extended-precision log of n.
+def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
+    """t log n mod 2 pi from extended-precision logs: the package's one
+    reduction of `t log n`.  Taking the log in extended precision keeps phases
+    of products coherent: t*log(m) and sum_p t*log(p) agree to ~1e-12 rad even
+    at t ~ 1e6, which the multiplicative identities rely on."""
+    return np.mod(np.longdouble(t) * logs, TWO_PI_LD).astype(float)
 
-    This is the package's one reduction of `t log n`.  Taking the log in
-    extended precision keeps phases of products coherent: t*log(m) and
-    sum_p t*log(p) agree to ~1e-12 rad even at t ~ 1e6, which the
-    multiplicative identities rely on.
-    """
+
+def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log n, t log n mod 2 pi), both from one extended-precision log of n."""
     logs = np.log(np.asarray(n).astype(np.longdouble))
-    return logs.astype(float), np.mod(np.longdouble(t) * logs, TWO_PI_LD).astype(float)
+    return logs.astype(float), _reduce(logs, t)
+
+
+# (extended-precision log n, its float64 cast) for n = 1..len, read-only
+_log_table = (np.empty(0, dtype=np.longdouble), np.empty(0))
+_log_table_lock = threading.Lock()
+
+
+def _logs_upto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log table, first grown by doubling when it is shorter than n.  The
+    grower builds both arrays before publishing them in one assignment, so a
+    reader never sees a half-built table, and growth holds the lock, so two
+    growers never replace a longer table with a shorter one."""
+    global _log_table
+    table = _log_table
+    if len(table[0]) < n:
+        with _log_table_lock:
+            table = _log_table
+            if len(table[0]) < n:
+                size = max(n, 2 * len(table[0]), 1024)
+                logs = np.log(np.arange(1, size + 1).astype(np.longdouble))
+                table = (logs, logs.astype(float))
+                for a in table:
+                    a.flags.writeable = False
+                _log_table = table
+    return table
+
+
+def log_phase_upto(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """`log_phase(arange(1, n + 1), t)` with the logs read from the table,
+    which holds the same values bit for bit."""
+    logs, logs_f = _logs_upto(n)
+    return logs_f[:n], _reduce(logs[:n], t)
 
 
 def unit_phases(values: np.ndarray, scale: float) -> np.ndarray:

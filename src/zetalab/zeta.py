@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CapacityError
-from .walk import TWO_PI_LD, log_phase
+from .walk import TWO_PI_LD, log_phase_upto
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,9 +27,9 @@ _BERNOULLI = [
 ]
 
 
-def _powers_negs(ns: np.ndarray, s: complex) -> np.ndarray:
-    """n^{-s}, with log n and the phase t*log(n) from one `log_phase`."""
-    logs, phase = log_phase(ns, s.imag)
+def _powers_negs(n: int, s: complex) -> np.ndarray:
+    """k^{-s} for k = 1..n, with log k and the phase t*log(k) from the log table."""
+    logs, phase = log_phase_upto(n, s.imag)
     return np.exp(-s.real * logs) * np.exp(-1j * phase)
 
 
@@ -39,9 +39,9 @@ def zeta_euler_maclaurin(s: complex, cutoff: int | None = None) -> complex:
     if s == 1:
         raise DomainError("pole at s = 1")
     n_cut = cutoff or max(32, int(0.5 * abs(s.imag)) + 16)
-    ns = np.arange(1, n_cut, dtype=np.int64)
-    total = complex(np.sum(_powers_negs(ns, s)))
-    n_pow = complex(_powers_negs(np.array([n_cut]), s)[0])
+    powers = _powers_negs(n_cut, s)
+    total = complex(np.sum(powers[:-1]))
+    n_pow = complex(powers[-1])
     total += n_pow * n_cut / (s - 1.0)
     total += 0.5 * n_pow
     poch = s                       # rising product s (s+1) ... (s + 2k - 2)
@@ -67,28 +67,47 @@ def _rs_f(z: np.ndarray) -> np.ndarray:
     return num / (2.0 * np.cos(math.pi * z))
 
 
-def _rs_f_derivatives(p: float, m_max: int, radius: float = 2.0, nodes: int = 512) -> np.ndarray:
-    """F^(m)(p) for m = 0..m_max by a Cauchy contour with half-step angle offset.
-
-    The offset keeps nodes away from the real axis where cos(pi z) vanishes.
-    """
-    k = np.arange(nodes)
-    angles = TWO_PI * (k + 0.5) / nodes
-    vals = _rs_f(p + radius * np.exp(1j * angles))
-    coeffs = np.fft.fft(vals)
-    m = np.arange(m_max + 1)
-    twiddle = np.exp(-1j * math.pi * m / nodes)     # from the half-step offset
-    fact = np.array([math.factorial(int(v)) for v in m], dtype=float)
-    return coeffs[: m_max + 1] * twiddle * fact / (nodes * radius ** m)
+# Cauchy contour for F^(m): radius * e^{i theta} at half-step angles, which
+# keep the nodes away from the real axis where cos(pi z) vanishes
+_RS_RADIUS, _RS_NODES = 2.0, 512
+_RS_CIRCLE = _RS_RADIUS * np.exp(1j * (TWO_PI * (np.arange(_RS_NODES) + 0.5) / _RS_NODES))
+_RS_SCALE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-_D_TABLE_CACHE: dict[int, list[list[float]]] = {}
+def _rs_scales(m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(twiddle of the half-step offset, m!, nodes * radius^m) for m = 0..m_max."""
+    if m_max not in _RS_SCALE_CACHE:
+        m = np.arange(m_max + 1)
+        _RS_SCALE_CACHE[m_max] = (np.exp(-1j * math.pi * m / _RS_NODES),
+                                  np.array([math.factorial(int(v)) for v in m], dtype=float),
+                                  _RS_NODES * _RS_RADIUS ** m)
+    return _RS_SCALE_CACHE[m_max]
+
+
+def _rs_f_derivatives(p: float, m_max: int) -> np.ndarray:
+    """F^(m)(p) for m = 0..m_max by the Cauchy contour around p."""
+    coeffs = np.fft.fft(_rs_f(p + _RS_CIRCLE))
+    twiddle, fact, den = _rs_scales(m_max)
+    return coeffs[: m_max + 1] * twiddle * fact / den
+
+
+_RS_TERMS_CACHE: dict[int, list[list[tuple[float, int, complex]]]] = {}
+
+
+def _rs_terms(levels: int) -> list[list[tuple[float, int, complex]]]:
+    """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
+    correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l), cached by depth."""
+    if levels not in _RS_TERMS_CACHE:
+        d = _rs_d_table(levels)
+        _RS_TERMS_CACHE[levels] = [
+            [(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
+             for ell in range(3 * n // 2 + 1)]
+            for n in range(levels)]
+    return _RS_TERMS_CACHE[levels]
 
 
 def _rs_d_table(levels: int) -> list[list[float]]:
-    """Coefficients d[n][k] of the expansion at sigma = 1/2, cached by depth."""
-    if levels in _D_TABLE_CACHE:
-        return _D_TABLE_CACHE[levels]
+    """Coefficients d[n][k] of the expansion at sigma = 1/2."""
     d: list[list[float]] = [[1.0]]
     for n in range(1, levels):
         width = 3 * n // 2 + 1
@@ -107,7 +126,6 @@ def _rs_d_table(levels: int) -> list[list[float]]:
                         / math.factorial(k - r) * row[r]
                 row[k] = acc
         d.append(row)
-    _D_TABLE_CACHE[levels] = d
     return d
 
 
@@ -138,20 +156,19 @@ def zeta_riemann_siegel(t: float) -> complex:
         raise DomainError(f"t={t} too small for the main sum")
     p = 1.0 - 2.0 * (a - n_main)
     levels = _rs_depth(a)
-    d = _rs_d_table(levels)
     fp = _rs_f_derivatives(p, 3 * (levels - 1))
     rssum = 0.0 + 0.0j
     a_pow = 1.0
-    for n in range(levels):
+    for terms in _rs_terms(levels):
         acc = 0.0 + 0.0j
-        for ell in range(3 * n // 2 + 1):
-            acc += d[n][ell] * fp[3 * n - 2 * ell] / (math.pi ** (2 * n - ell) * (2j) ** ell)
+        for coef, m, den in terms:
+            acc += coef * fp[m] / den
         rssum += acc * a_pow
         a_pow /= a
     arg_main, arg_corr = _theta_mod_2pi(t)
     u = np.exp(-1j * arg_main)
     s3 = ((-1) ** (n_main - 1)) * u / math.sqrt(a)
-    s1 = complex(np.sum(_powers_negs(np.arange(1, n_main + 1), 0.5 + 1j * t)))
+    s1 = complex(np.sum(_powers_negs(n_main, 0.5 + 1j * t)))
     r_val = s1 + s3 * rssum
     chi = u * u * np.exp(-2j * arg_corr)
     return complex(r_val + chi * np.conj(r_val))
@@ -163,7 +180,7 @@ MAX_T = 1e12
 
 def zeta_critical(t: float) -> complex:
     """zeta(1/2 + i t): Euler-Maclaurin below t=50, Riemann-Siegel above."""
-    if t <= 0:
+    if not t > 0:   # NaN fails this too
         raise DomainError(f"need t > 0, got {t}")
     if t > MAX_T:
         raise CapacityError(f"t={t} beyond supported range {MAX_T}")
@@ -182,8 +199,8 @@ def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty grid")
-    if np.any(np.abs(grid) > 2.0):
-        raise DomainError("shifts must lie in [-2, 2]")
+    if not np.all(np.abs(grid) <= 2.0):   # NaN fails this too
+        raise DomainError("shifts must be finite and lie in [-2, 2]")
     mags = np.array([abs(zeta_critical(t + h)) for h in grid])
     i = int(np.argmax(mags))
     return float(grid[i]), float(mags[i])

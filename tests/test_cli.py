@@ -173,6 +173,13 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "ballot_sweep", "params": {"n_random_configs": 0}}', []),
     # a param the suite does not read (poisson_suite reads n_polys)
     ('{"experiment": "poisson_suite", "params": {"n_poly": 0}}', []),
+    # heights that are not finite numbers above 1
+    ('{"experiment": "tail_zeta", "params": {"big_t": "nan"}}', []),
+    ('{"experiment": "tail_zeta", "params": {"big_t": 0}}', []),
+    ('{"experiment": "tail_zeta", "params": {"big_t": -5}}', []),
+    ('{"experiment": "tail_zeta", "params": {"big_t": "inf"}}', []),
+    ('{"experiment": "moments_zeta", "params": {"big_t": "nan"}}', []),
+    ('{"experiment": "moments_zeta", "params": {"big_t": "inf"}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"

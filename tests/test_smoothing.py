@@ -124,6 +124,13 @@ def test_golden_bits():
     assert make_ingham(50).transform_tail_mass().hex() == "0x1.31e599550c0c0p-51"
     coefficients = make_expansion(make_bump(5.0, 3.0), 40).coefficients
     assert [(c.real.hex(), c.imag.hex()) for c in coefficients] == EXPANSION_D5_HEX
+    values = dirichlet_value((1.0 + 0.5j) / np.arange(1, 301), 1e6 + 0.25,
+                             np.array([-0.75, 0.0, 0.5]))
+    assert [(v.real.hex(), v.imag.hex()) for v in values] == [
+        ("0x1.46f0d1a5bc020p-1", "0x1.7be3cd6fef44ep-1"),
+        ("0x1.98e04b1e61d9dp-1", "0x1.c819002fcf58cp-1"),
+        ("0x1.ca9a0f7564bb2p-1", "0x1.f238ff8b1b584p-1"),
+    ]
 
 
 def test_ingham_normalization(ingham):

@@ -1,13 +1,40 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import zetalab
+from zetalab import parallel, walk
 from zetalab.errors import CapacityError, DomainError
 from zetalab.zeta import (max_on_grid, moment_estimate, relative_gap, zeta_critical,
                           zeta_euler_maclaurin, zeta_riemann_siegel)
 
 FIRST_ZERO = 14.134725141734695
+
+# float.hex of (re, im), pinned so that any change to the evaluators'
+# arithmetic shows; the heights span both ends of the Riemann-Siegel range
+RS_HEX = {
+    60.5: ("0x1.b18014ea3cc2ep-2", "-0x1.2592eeb55eab0p-4"),
+    1e4 + 0.25: ("0x1.6794bbb38e5c4p-2", "-0x1.7bc5162829a68p-2"),
+    1.5e7: ("0x1.84edd4f548b9ap+0", "-0x1.155b7965a3df8p-4"),
+    1.5e8: ("-0x1.ee26697055604p-1", "0x1.3f969b4461770p-1"),
+    9.9e11: ("0x1.baec1ea4a723dp-2", "-0x1.2a99418e2b010p-4"),
+}
+EM_HEX = {
+    0.5 + 37.5j: ("-0x1.28757c953aeb0p-5", "-0x1.50586942858d4p-3"),
+    0.5 - 37.5j: ("-0x1.28757c953af50p-5", "0x1.50586942858c4p-3"),
+    2.0: ("0x1.a51a6625307d4p+0", "0x0.0p+0"),
+}
+
+
+def _hex(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
 
 
 def test_euler_maclaurin_known_values():
@@ -27,9 +54,58 @@ def test_conjugation_symmetry():
     assert v == pytest.approx(np.conj(w), abs=1e-12)
 
 
+def test_golden_bits():
+    assert {t: _hex(zeta_riemann_siegel(t)) for t in RS_HEX} == RS_HEX
+    assert {s: _hex(zeta_euler_maclaurin(s)) for s in EM_HEX} == EM_HEX
+    step = 2.0 * math.pi / (8.0 * math.log(1e8))      # tail_zeta's grid at big_t = 1e8
+    h, m = max_on_grid(1.5e8, np.arange(-1.0, 1.0 + step / 2, step))
+    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef960160bp+3")
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_log_table_growth_order_keeps_bits(descending):
+    # a fresh interpreter grows the log table from empty: ascending heights
+    # double it step by step, descending ones build it whole at the first call
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    heights = sorted(RS_HEX, reverse=descending)
+    code = ("import json, sys; from zetalab.zeta import zeta_riemann_siegel as rs; "
+            "print(json.dumps([[(z := rs(t)).real.hex(), z.imag.hex()] "
+            "for t in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(heights)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert [tuple(v) for v in json.loads(out.stdout)] == [RS_HEX[t] for t in heights]
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_log_table_shared_by_threads(monkeypatch, workers):
+    # pool items race to grow an emptied table, half upward and half downward,
+    # with frequent thread switches
+    heights = sorted(RS_HEX) + [1e3 + 0.5, 2e5 + 0.75]
+    items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
+
+    def values(ts):
+        return [_hex(zeta_critical(t)) for t in ts] + [_hex(zeta_euler_maclaurin(0.5 + 1j * t))
+                                                      for t in ts if t < 1e4]
+
+    serial = [values(ts) for ts in items]
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(parallel, "_pool", pool)
+        monkeypatch.setattr(walk, "_log_table", (np.empty(0, np.longdouble), np.empty(0)))
+        sys.setswitchinterval(1e-6)
+        try:
+            assert parallel.map_blocks(values, items) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def test_domain_guards():
     with pytest.raises(DomainError):
         zeta_critical(0.0)
+    with pytest.raises(DomainError):
+        zeta_critical(math.nan)
     with pytest.raises(DomainError):
         zeta_critical(-3.0)
     with pytest.raises(CapacityError):
@@ -47,6 +123,19 @@ def test_rs_vs_em_agreement(rng):
     assert worst <= 1e-6
 
 
+# (band, README's bound on the Riemann-Siegel vs Euler-Maclaurin gap there,
+# the height where a dense grid found the band's worst gap)
+RS_EM_BANDS = ((50.0, 60.0, 1e-7, 50.1), (60.0, 1e3, 5e-14, 157.06), (1e3, 1e4, 1e-13, 9608.0))
+
+
+@pytest.mark.parametrize("lo, hi, bound, worst_t", RS_EM_BANDS)
+def test_rs_vs_em_band_bounds(rng, lo, hi, bound, worst_t):
+    ts = np.append(rng.uniform(lo, hi, size=150), worst_t)
+    worst = max(relative_gap(zeta_riemann_siegel(float(t)),
+                             zeta_euler_maclaurin(0.5 + 1j * float(t))) for t in ts)
+    assert worst <= bound
+
+
 def test_rs_hard_points():
     # method-switch boundary and near-integer sqrt(t/2pi)
     for t in (50.0, 50.5, 2 * math.pi * 4 * 4 + 1e-9, 2 * math.pi * 25 - 1e-9, 9999.5):
@@ -61,6 +150,8 @@ def test_max_on_grid_basics():
         max_on_grid(100.0, np.array([]))
     with pytest.raises(DomainError):
         max_on_grid(100.0, np.array([2.5]))
+    with pytest.raises(DomainError):
+        max_on_grid(1e5, np.array([math.nan]))
 
 
 def test_max_on_grid_zero_ordinate():
