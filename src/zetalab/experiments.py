@@ -176,15 +176,19 @@ def run(config: ExperimentConfig) -> ResultRecord:
 
 def param(config: ExperimentConfig, name: str, default, above: float | None = None):
     """`config.params[name]` (or `default`) cast to the type of `default`;
-    a value that does not cast, or is not finite and greater than `above`, is
-    a usage error (CLI exit 2).  Counts pass `above=0`: a zero count runs
-    nothing."""
-    value = config.params.get(name, default)
+    a bool, a value that does not cast or would be truncated to an int, or
+    one that is not finite and greater than `above`, is a usage error (CLI
+    exit 2).  Counts pass `above=0`: a zero count runs nothing."""
+    raw = config.params.get(name, default)
     try:
-        value = type(default)(value)
+        # bools and fractional floats would cast silently: true -> 1, 2.7 -> 2
+        if isinstance(raw, bool) or (isinstance(default, int) and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise ValueError
+        value = type(default)(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"param {name!r} must be {type(default).__name__}, "
-                         f"got {value!r}") from exc
+                         f"got {raw!r}") from exc
     if above is not None and not above < value < math.inf:   # NaN fails this too
         raise UsageError(f"param {name!r} must be finite and above {above}, got {value!r}")
     return value
@@ -361,7 +365,7 @@ def run_ballot_sweep(config: ExperimentConfig):
             bound = bar.ballot_bound(k, y, w, profile)
             ratio = dp.joint / bound
             max_ratio = max(max_ratio, ratio)
-            rows.append((k, y, w, dp.joint, math.nan, bound, ratio))
+            rows.append((k, y, w, dp.joint, bound, ratio))
     metrics = {
         "mc_dp_worst_sigma": worst_sigma,
         "constant_barrier_dp": dp_const.conditional,
@@ -371,7 +375,7 @@ def run_ballot_sweep(config: ExperimentConfig):
     passes = {"AC6": worst_sigma <= 3.0
               and abs(dp_const.conditional - continuum) <= 0.02
               and max_ratio <= 50.0}
-    return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,mc,bound,ratio", rows)
+    return metrics, passes, ("ballot_sweep.csv", "k,y,w,dp,bound,ratio", rows)
 
 
 @suite("moments_model", time_limit=600.0, params=("j", "k", "n_samples"))

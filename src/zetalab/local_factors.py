@@ -40,26 +40,19 @@ class ShiftVector:
 ZERO_SHIFT = ShiftVector(0, 0, 0, 0)
 
 
-def sigma_zw(p, alpha: int, z: complex, w: complex):
+def sigma_zw(p: float, alpha: int, z: complex, w: complex) -> complex:
     """sum over a + b = alpha of p^{-a z - b w}."""
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape, dtype=complex)
-    for a in range(alpha + 1):
-        out += np.exp(-(a * z + (alpha - a) * w) * np.log(p))
-    return out if out.shape else complex(out)
+    lp = np.log(p)
+    return complex(sum(np.exp(-(a * z + (alpha - a) * w) * lp) for a in range(alpha + 1)))
 
 
-def b_zero(p, alpha: int):
+def b_zero(p: float, alpha: int) -> float:
     """B at the zero shift: (1 - p^-2)^-1 (1 + a - 2a/p + (a-1)/p^2)."""
-    p = np.asarray(p, dtype=float)
     if alpha == 0:
-        out = np.ones(p.shape)
-    else:
-        out = (1.0 + alpha - 2.0 * alpha / p + (alpha - 1.0) / (p * p)) \
-            / (1.0 - 1.0 / (p * p))
-    return out if out.shape else float(out)
+        return 1.0
+    return (1.0 + alpha - 2.0 * alpha / p + (alpha - 1.0) / (p * p)) / (1.0 - 1.0 / (p * p))
 
 
 def b_series(p: float, alpha: int, z: ShiftVector) -> complex:
@@ -87,10 +80,9 @@ def b_series(p: float, alpha: int, z: ShiftVector) -> complex:
     return complex(num / den)
 
 
-def _b_closed_regular(p, alpha: int, z: ShiftVector):
+def _b_closed_regular(p: float, alpha: int, z: ShiftVector):
     # alpha couples to the (z1, z2) pair, matching the defining series
-    p_arr = np.asarray(p, dtype=float)
-    lp = np.log(p_arr)
+    lp = np.log(p)
 
     def pw(e: complex):
         return np.exp(-e * lp)
@@ -98,31 +90,30 @@ def _b_closed_regular(p, alpha: int, z: ShiftVector):
     b0 = pw(z.z1 * (alpha + 1)) - pw(z.z2 * (alpha + 1))
     b1 = (pw(z.z3) + pw(z.z4)) * pw(z.z1 + z.z2) * (pw(z.z1 * alpha) - pw(z.z2 * alpha))
     b2 = pw(z.total) * (pw(z.z2 + z.z1 * alpha) - pw(z.z1 + z.z2 * alpha))
-    den = (pw(z.z1) - pw(z.z2)) * (1.0 - pw(z.total) / p_arr ** 2)
-    return (b0 - b1 / p_arr + b2 / p_arr ** 2) / den
+    p2 = p * p
+    den = (pw(z.z1) - pw(z.z2)) * (1.0 - pw(z.total) / p2)
+    return (b0 - b1 / p + b2 / p2) / den
 
 
-def b_closed(p, alpha: int, z: ShiftVector):
+def b_closed(p: float, alpha: int, z: ShiftVector) -> complex:
     """Closed rational-exponential form of B; z1 = z2 goes through a limit.
 
     The removable singularity at z1 = z2 is evaluated by a 4-point Richardson
     extrapolation in the difference variable (declared tolerance 1e-9).
     """
     if alpha == 0:
-        return np.ones(np.asarray(p, dtype=float).shape) + 0j if np.asarray(p).shape else 1.0 + 0.0j
+        return 1.0 + 0.0j
     if abs(z.z1 - z.z2) >= 1e-12:
-        out = _b_closed_regular(p, alpha, z)
-        return out if np.asarray(out).shape else complex(out)
-    delta = 3e-3 / (alpha * math.log(np.max(np.asarray(p, dtype=float))))
+        return complex(_b_closed_regular(p, alpha, z))
+    delta = 3e-3 / (alpha * math.log(p))
     vals = []
     for d in (delta, -delta, 2 * delta, -2 * delta):
         vals.append(_b_closed_regular(p, alpha,
                                       ShiftVector(z.z1 + d, z.z2, z.z3, z.z4)))
-    out = (4.0 * (vals[0] + vals[1]) - (vals[2] + vals[3])) / 6.0
-    return out if np.asarray(out).shape else complex(out)
+    return complex((4.0 * (vals[0] + vals[1]) - (vals[2] + vals[3])) / 6.0)
 
 
-def local_factor(p, v1: int, v2: int, z: ShiftVector):
+def local_factor(p: float, v1: int, v2: int, z: ShiftVector) -> complex:
     """The 3x3 twisted-moment factor at a prime with coefficient valuations.
 
     sum over k1, k2 in {0,1,2} of f(p^k1) f(p^k2) p^{-max(k1+v1, k2+v2)}
@@ -130,25 +121,24 @@ def local_factor(p, v1: int, v2: int, z: ShiftVector):
     """
     if v1 < 0 or v2 < 0:
         raise DomainError("valuations must be >= 0")
-    p_arr = np.asarray(p, dtype=float)
     zero = z.norm() == 0.0
-    cache: dict[tuple[str, int], np.ndarray] = {}
+    cache: dict[tuple[str, int], complex] = {}
 
     def b_val(which: str, alpha: int):
         if (which, alpha) not in cache:
             if zero:
-                cache[(which, alpha)] = np.asarray(b_zero(p_arr, alpha), dtype=complex)
+                cache[(which, alpha)] = complex(b_zero(p, alpha))
             else:
                 zz = z if which == "z" else z.swapped
-                cache[(which, alpha)] = np.asarray(b_closed(p_arr, alpha, zz), dtype=complex)
+                cache[(which, alpha)] = b_closed(p, alpha, zz)
         return cache[(which, alpha)]
 
-    out = np.zeros(p_arr.shape, dtype=complex)
+    out = 0j
     for k1 in range(3):
         for k2 in range(3):
             e1, e2 = k1 + v1, k2 + v2
             m = min(e1, e2)
-            weight = F_WEIGHTS[k1] * F_WEIGHTS[k2] * p_arr ** float(-max(e1, e2))
+            # the ufunc, not `**` on a scalar (C pow), keeps the bits
+            weight = F_WEIGHTS[k1] * F_WEIGHTS[k2] * np.power(p, float(-max(e1, e2)))
             out = out + weight * b_val("z", e1 - m) * b_val("w", e2 - m)
-    return out if out.shape else complex(out)
-
+    return complex(out)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import PrimeTable
-from .walk import higher_order_tail, partial_sum, primes_in_log_range, unit_phases
+from .walk import higher_order_tail, partial_sum, powers, primes_in_log_range
 
 TERM_BUDGET = 10_000_000
 
@@ -70,9 +70,9 @@ def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> SparsePoly:
 
 
 def evaluate_poly(poly: SparsePoly, s: complex) -> complex:
-    ms = np.array(sorted(poly.terms), dtype=float)
-    coeffs = np.array([poly.terms[m] for m in sorted(poly.terms)], dtype=complex)
-    return complex(np.sum(coeffs * np.exp(-s.real * np.log(ms)) * unit_phases(ms, s.imag)))
+    ms = sorted(poly.terms)
+    coeffs = np.array([poly.terms[m] for m in ms], dtype=complex)
+    return complex(np.sum(coeffs * powers(np.array(ms, dtype=float), s)))
 
 
 @dataclass

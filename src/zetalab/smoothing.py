@@ -19,7 +19,7 @@ from scipy.special import sici
 
 from .errors import CapacityError, DomainError
 from .parallel import map_blocks
-from .walk import log_phase_upto
+from .walk import log_phase
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
@@ -397,7 +397,7 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     ns = np.arange(1, len(coeffs) + 1, dtype=float)
-    logs, base = log_phase_upto(len(coeffs), t)
+    logs, base = log_phase(len(coeffs), t)
     amp = (coeffs / np.sqrt(ns)) * np.exp(-1j * base)
     phases = np.exp(-1j * np.outer(h, logs))
     return phases @ amp

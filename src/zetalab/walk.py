@@ -6,6 +6,10 @@ The complex walk at scale k and shift h is
 
 The two summands are the first two terms of -log(1 - p^{-s}); the alpha >= 3
 tail is `higher_order_tail`.
+
+This module is the only one that knows how phases are held: `log_phase`
+reduces `t log n` mod 2 pi, `powers` builds every n^{-s} of the package on it,
+and `theta_mod_2pi` reduces the Riemann-Siegel theta.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 
 from .primes import PrimeTable, primes_in_log_range
 
-PRIME_BLOCK = 1 << 16    # fixed reduction blocks make the sums bit-stable
-TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
+_TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
 
 
 def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
@@ -26,13 +29,7 @@ def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
     reduction of `t log n`.  Taking the log in extended precision keeps phases
     of products coherent: t*log(m) and sum_p t*log(p) agree to ~1e-12 rad even
     at t ~ 1e6, which the multiplicative identities rely on."""
-    return np.mod(np.longdouble(t) * logs, TWO_PI_LD).astype(float)
-
-
-def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log n, t log n mod 2 pi), both from one extended-precision log of n."""
-    logs = np.log(np.asarray(n).astype(np.longdouble))
-    return logs.astype(float), _reduce(logs, t)
+    return np.mod(np.longdouble(t) * logs, _TWO_PI_LD).astype(float)
 
 
 # (extended-precision log n, its float64 cast) for n = 1..len, read-only
@@ -60,34 +57,40 @@ def _logs_upto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def log_phase_upto(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """`log_phase(arange(1, n + 1), t)` with the logs read from the table,
-    which holds the same values bit for bit."""
-    logs, logs_f = _logs_upto(n)
-    return logs_f[:n], _reduce(logs[:n], t)
+def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log n, t log n mod 2 pi), both from one extended-precision log of n.
+
+    An int n stands for 1..n and reads the log table; an array of integers is
+    logged directly.  Both paths give the same values bit for bit."""
+    if isinstance(n, (int, np.integer)):
+        logs, logs_f = _logs_upto(n)
+        return logs_f[:n], _reduce(logs[:n], t)
+    logs = np.log(np.asarray(n).astype(np.longdouble))
+    return logs.astype(float), _reduce(logs, t)
 
 
-def unit_phases(values: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-i scale * log(values)) with the phase from `log_phase`."""
-    return np.exp(-1j * log_phase(values, scale)[1])
+def powers(n, s: complex) -> np.ndarray:
+    """n^{-s} for `log_phase`'s n: the package's one n^{-s} kernel."""
+    logs, phase = log_phase(n, s.imag)
+    return np.exp(-s.real * logs) * np.exp(-1j * phase)
 
 
-def _pair_terms(primes: np.ndarray, scale: float) -> np.ndarray:
-    """p^{-1/2} e^{-i scale log p} + p^{-1} e^{-2 i scale log p} / 2 per prime."""
-    u = unit_phases(primes, scale)
-    return u / np.sqrt(primes) + 0.5 * u * u / primes
+def theta_mod_2pi(t: float) -> tuple[float, float]:
+    """(main argument of the Riemann-Siegel theta mod 2pi in extended
+    precision, Stirling correction)."""
+    tl = np.longdouble(t)
+    main = 0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - np.longdouble(math.pi) / 8
+    main = float(np.mod(main, _TWO_PI_LD))
+    corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
+    return main, corr
 
 
 def partial_sum(table: PrimeTable, k_start: float, k: float, tau: float, h: float) -> complex:
-    """W over the scale window (k_start, k] at shift h."""
+    """W over the scale window (k_start, k] at shift h: per prime,
+    p^{-1/2} e^{-i (tau+h) log p} + p^{-1} e^{-2 i (tau+h) log p} / 2."""
     primes = primes_in_log_range(table, k_start, k)
-    if len(primes) == 0:
-        return 0.0 + 0.0j
-    blocks = [
-        complex(np.sum(_pair_terms(primes[i : i + PRIME_BLOCK], tau + h)))
-        for i in range(0, len(primes), PRIME_BLOCK)
-    ]
-    return complex(sum(blocks))
+    u = powers(primes, 1j * (tau + h))
+    return complex(np.sum(u / np.sqrt(primes) + 0.5 * u * u / primes))
 
 
 def _sum_ld(x: np.ndarray) -> float:
@@ -109,17 +112,12 @@ def _alpha_tail(primes: np.ndarray, w: np.ndarray, threshold: float = 1e-18) -> 
     return total
 
 
-def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
-    logs = np.log(primes.astype(float))
-    return np.exp(-s.real * logs) * unit_phases(primes, s.imag)
-
-
 def higher_order_tail(table: PrimeTable, j: float, k: float, s: complex) -> float:
     """R = sum over the window, alpha >= 3, of Re(p^{-alpha s}) / alpha."""
     primes = primes_in_log_range(table, j, k)
     if len(primes) == 0:
         return 0.0
-    return _alpha_tail(primes, _prime_powers(primes, s))
+    return _alpha_tail(primes, powers(primes, s))
 
 
 def euler_product_check(table: PrimeTable, j: float, k: float, s: complex) -> float:
@@ -131,7 +129,7 @@ def euler_product_check(table: PrimeTable, j: float, k: float, s: complex) -> fl
     primes = primes_in_log_range(table, j, k)
     if len(primes) == 0:
         return 0.0
-    w = _prime_powers(primes, s)
+    w = powers(primes, s)
     d_s = _sum_ld((w + 0.5 * w * w).real)
     r = _alpha_tail(primes, w)
     log_prod = _sum_ld(np.log(np.abs(1.0 - w)))

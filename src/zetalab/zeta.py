@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CapacityError
-from .walk import TWO_PI_LD, log_phase_upto
+from .walk import powers, theta_mod_2pi
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,21 +27,15 @@ _BERNOULLI = [
 ]
 
 
-def _powers_negs(n: int, s: complex) -> np.ndarray:
-    """k^{-s} for k = 1..n, with log k and the phase t*log(k) from the log table."""
-    logs, phase = log_phase_upto(n, s.imag)
-    return np.exp(-s.real * logs) * np.exp(-1j * phase)
-
-
 def zeta_euler_maclaurin(s: complex, cutoff: int | None = None) -> complex:
     """Euler-Maclaurin value of zeta(s) for s != 1."""
     s = complex(s)
     if s == 1:
         raise DomainError("pole at s = 1")
     n_cut = cutoff or max(32, int(0.5 * abs(s.imag)) + 16)
-    powers = _powers_negs(n_cut, s)
-    total = complex(np.sum(powers[:-1]))
-    n_pow = complex(powers[-1])
+    terms = powers(n_cut, s)
+    total = complex(np.sum(terms[:-1]))
+    n_pow = complex(terms[-1])
     total += n_pow * n_cut / (s - 1.0)
     total += 0.5 * n_pow
     poch = s                       # rising product s (s+1) ... (s + 2k - 2)
@@ -51,15 +45,6 @@ def zeta_euler_maclaurin(s: complex, cutoff: int | None = None) -> complex:
         poch *= (s + 2 * k - 1) * (s + 2 * k)
         scale /= n_cut * n_cut
     return total
-
-
-def _theta_mod_2pi(t: float) -> tuple[float, float]:
-    """(main argument mod 2pi in extended precision, Stirling correction)."""
-    tl = np.longdouble(t)
-    main = 0.5 * tl * np.log(tl / TWO_PI_LD) - 0.5 * tl - np.longdouble(math.pi) / 8
-    main = float(np.mod(main, TWO_PI_LD))
-    corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
-    return main, corr
 
 
 def _rs_f(z: np.ndarray) -> np.ndarray:
@@ -165,10 +150,10 @@ def zeta_riemann_siegel(t: float) -> complex:
             acc += coef * fp[m] / den
         rssum += acc * a_pow
         a_pow /= a
-    arg_main, arg_corr = _theta_mod_2pi(t)
+    arg_main, arg_corr = theta_mod_2pi(t)
     u = np.exp(-1j * arg_main)
     s3 = ((-1) ** (n_main - 1)) * u / math.sqrt(a)
-    s1 = complex(np.sum(_powers_negs(n_main, 0.5 + 1j * t)))
+    s1 = complex(np.sum(powers(n_main, 0.5 + 1j * t)))
     r_val = s1 + s3 * rssum
     chi = u * u * np.exp(-2j * arg_corr)
     return complex(r_val + chi * np.conj(r_val))

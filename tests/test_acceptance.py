@@ -77,7 +77,7 @@ def test_ac5_smoothing_suite(cfg_factory):
     assert rec.passes["AC5"]
 
 
-def test_ac6_ballot_engine(cfg_factory):
+def test_ac6_ballot_engine(cfg_factory, tmp_path):
     rec = run(cfg_factory("ballot_sweep", n_random_configs=20, mc_paths=60_000))
     report("AC6", rec.passes["AC6"],
            f"DP-vs-MC worst {rec.metrics['mc_dp_worst_sigma']:.2f} sigma <= 3, "
@@ -85,6 +85,9 @@ def test_ac6_ballot_engine(cfg_factory):
            f"(+-0.02), sweep ratio <= {rec.metrics['sweep_max_ratio']:.3f}, "
            f"{rec.metrics['elapsed_s']:.0f}s < 300s")
     assert rec.passes["AC6"]
+    header, *rows = (tmp_path / "ballot_sweep.csv").read_text().splitlines()
+    assert header == "k,y,w,dp,bound,ratio"
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_ac7_gaussian_moments(cfg_factory):

@@ -180,6 +180,9 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "tail_zeta", "params": {"big_t": "inf"}}', []),
     ('{"experiment": "moments_zeta", "params": {"big_t": "nan"}}', []),
     ('{"experiment": "moments_zeta", "params": {"big_t": "inf"}}', []),
+    # an int param that would be truncated, and a bool
+    ('{"experiment": "mollifier_suite", "params": {"n_configs": 2.7}}', []),
+    ('{"experiment": "mollifier_suite", "params": {"n_configs": true}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
@@ -77,14 +76,6 @@ def test_closed_limit_route():
     z = ShiftVector(0.4e-3, 0.4e-3, 1e-3, -0.7e-3)   # z1 == z2
     for p, alpha in ((11, 1), (11, 3), (101, 2)):
         assert abs(b_series(p, alpha, z) - complex(b_closed(p, alpha, z))) <= 1e-9
-
-
-def test_b_closed_vectorized():
-    z = ShiftVector(1e-3, -0.7e-3, 0.4e-3, -1.3e-3)
-    ps = np.array([11.0, 101.0, 1009.0])
-    vec = b_closed(ps, 2, z)
-    for i, p in enumerate(ps):
-        assert vec[i] == pytest.approx(complex(b_closed(float(p), 2, z)))
 
 
 def test_perturbation_scaling():

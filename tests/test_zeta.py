@@ -101,6 +101,17 @@ def test_log_table_shared_by_threads(monkeypatch, workers):
             sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("n", [1, 1024, 4886, 396_942])   # RS's N at 1.5e8 and 9.9e11
+def test_log_table_matches_direct_logs(n):
+    # an int n reads the shared table, an array takes its logs directly
+    ns = np.arange(1, n + 1)
+    for t in (0.0, 37.5, 1.5e8, 9.9e11):
+        for table_path, direct in zip(walk.log_phase(n, t), walk.log_phase(ns, t)):
+            assert np.array_equal(table_path, direct)
+        s = 0.5 + 1j * t
+        assert np.array_equal(walk.powers(n, s), walk.powers(ns, s))
+
+
 def test_domain_guards():
     with pytest.raises(DomainError):
         zeta_critical(0.0)
@@ -141,6 +152,37 @@ def test_rs_hard_points():
     for t in (50.0, 50.5, 2 * math.pi * 4 * 4 + 1e-9, 2 * math.pi * 25 - 1e-9, 9999.5):
         gap = relative_gap(zeta_riemann_siegel(t), zeta_euler_maclaurin(0.5 + 1j * t))
         assert gap <= 1e-6
+
+
+# zeta_critical against mpmath (30 digits), per decade of t: fixed heights and
+# the bound on their relative gap, 5x the worst gap seen over 362
+# log-uniform heights in the decade (164 in the last), rounded up.  The
+# first decade's worst is t = 50.1 (see test_rs_vs_em_band_bounds); above
+# it the gap grows with t because phases are reduced modulo the float64
+# value of 2 pi (ROADMAP item 1).  The bounds may be tightened, never loosened.
+MPMATH_DECADES = (
+    ((25.25, 50.1, 80.75), 2e-7),
+    ((250.25, 800.75), 2e-12),
+    ((2500.25, 8000.75), 2e-11),
+    ((25000.25, 80000.75), 3e-10),
+    ((2.5e5 + 0.25, 8e5 + 0.75), 7e-9),
+    ((2.5e6 + 0.25, 8e6 + 0.75), 5e-8),
+    ((2.5e7 + 0.25, 8e7 + 0.75), 8e-7),
+    ((2.5e8 + 0.25, 8e8 + 0.75), 9e-6),
+    ((2.5e9 + 0.25, 8e9 + 0.75), 8e-5),
+    ((2.5e10 + 0.25, 8e10 + 0.75), 2e-3),
+    ((9.9e11, 1e12), 8e-3),   # 1e12 is MAX_T
+)
+
+
+@pytest.mark.parametrize("heights, bound", MPMATH_DECADES,
+                         ids=[f"1e{d}" for d in range(1, 12)])
+def test_zeta_critical_vs_mpmath(heights, bound):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        gaps = [relative_gap(zeta_critical(t), complex(mpmath.zeta(mpmath.mpc(0.5, t))))
+                for t in heights]
+    assert max(gaps) <= bound
 
 
 def test_max_on_grid_basics():
