@@ -47,8 +47,7 @@ def upper_barrier(k: float, profile: BarrierProfile) -> float:
 @dataclass
 class BridgeSurvival:
     joint: float          # P(stay below barrier and end in [w, w+1])
-    endpoint_mass: float  # P(end in [w, w+1]) without the barrier
-    conditional: float    # joint / endpoint_mass
+    conditional: float    # joint / P(end in [w, w+1])
 
 
 def _gauss_kernel(mesh_step: float, half_width: float = 8.0) -> np.ndarray:
@@ -142,8 +141,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
     z0 = w / (sigma_total * math.sqrt(2.0))
     z1 = (w + 1.0) / (sigma_total * math.sqrt(2.0))
     endpoint = 0.5 * (erf(z1) - erf(z0))
-    return BridgeSurvival(joint=joint, endpoint_mass=endpoint,
-                          conditional=joint / endpoint if endpoint > 0 else 0.0)
+    return BridgeSurvival(joint=joint, conditional=joint / endpoint if endpoint > 0 else 0.0)
 
 
 def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,

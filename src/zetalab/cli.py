@@ -18,7 +18,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--sieve-limit", type=int, default=None)
     parser.add_argument("--list", action="store_true", help="list experiment suites")
     return parser
 
@@ -44,8 +43,6 @@ def main(argv: list[str] | None = None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.out_dir = args.out
-        if args.sieve_limit is not None:
-            config.sieve_limit = args.sieve_limit
         record = run(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ def seed_stream(seed: int, index: int) -> np.random.Generator:
 class ExperimentConfig:
     experiment: str
     seed: int = 7
-    sieve_limit: int = 10 ** 6
     out_dir: str = "lab_out"
     params: dict = field(default_factory=dict)
 
@@ -146,10 +145,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
             f"unknown experiment '{config.experiment}'; available: "
             + ", ".join(sorted(REGISTRY))
         )
-    for name in ("seed", "sieve_limit"):
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+    seed = config.seed
+    # seed_stream keys on 64 bits: a seed outside them would alias another
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not isinstance(config.params, dict):
         raise UsageError(f"params must be a JSON object, got {config.params!r}")
     body, time_limit, known = REGISTRY[config.experiment]
@@ -194,7 +193,24 @@ def param(config: ExperimentConfig, name: str, default, above: float | None = No
     return value
 
 
+def _check_heights(big_t: float, top: float) -> None:
+    """Usage error when a suite at height `big_t` would evaluate zeta up to
+    `top` beyond `MAX_T`, before any of it is computed."""
+    if top > zt.MAX_T:
+        raise UsageError(f"param 'big_t' = {big_t!r} reaches heights up to {top:.6g}, "
+                         f"beyond {zt.MAX_T:g}")
+
+
 # --- individual experiments -------------------------------------------------
+
+SHARED_SIEVE_LIMIT = 10 ** 6   # mollifier_suite and smoothing_suite share this table
+LAPLACE_K = 2.0                # moments_model's Laplace check runs over (1, LAPLACE_K]
+
+
+def _window_sieve(k: float):
+    """The sieve that covers every prime of the scale windows up to k."""
+    return cached_sieve(int(math.exp(math.exp(k))) + 10)
+
 
 @suite("mertens", time_limit=60.0, params=("limit",))
 def run_mertens(config: ExperimentConfig):
@@ -213,10 +229,9 @@ def run_mertens(config: ExperimentConfig):
 
 @suite("mollifier_suite", params=("n_configs",))
 def run_mollifier_suite(config: ExperimentConfig):
-    limit = max(int(config.sieve_limit), 2 * 10 ** 5)
-    table = cached_sieve(limit)
+    table = cached_sieve(SHARED_SIEVE_LIMIT)
     rng = seed_stream(config.seed, 0)
-    k_max = math.log(math.log(limit)) - 0.02
+    k_max = math.log(math.log(SHARED_SIEVE_LIMIT)) - 0.02
     n_cfg = param(config, "n_configs", 100, above=0)
     worst = 0.0
     for _ in range(n_cfg):
@@ -281,7 +296,6 @@ def run_fourth_moment_suite(config: ExperimentConfig):
 @suite("poisson_suite", time_limit=60.0, params=("n_polys",))
 def run_poisson_suite(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
-    window = sm.make_window(0.5)
     n_polys = param(config, "n_polys", 100, above=0)
     worst = 0.0
     for _ in range(n_polys):
@@ -290,7 +304,7 @@ def run_poisson_suite(config: ExperimentConfig):
         t = float(rng.uniform(1e5, 2e5))
         h0 = float(rng.uniform(-1.0, 1.0))
         direct = sm.dirichlet_value(coeffs, t, h0)[0]
-        rec = sm.poisson_reconstruct(coeffs, t, h0, window=window)
+        rec = sm.poisson_reconstruct(coeffs, t, h0)
         worst = max(worst, abs(rec - direct) / abs(direct))
     # grid-max comparison report
     coeffs = rng.normal(size=1024) + 1j * rng.normal(size=1024)
@@ -306,8 +320,7 @@ def run_poisson_suite(config: ExperimentConfig):
 @suite("smoothing_suite", params=("n_samples",))
 def run_smoothing_suite(config: ExperimentConfig):
     n_samples = param(config, "n_samples", 20000, above=0)
-    limit = max(int(config.sieve_limit), 10 ** 5)
-    table = cached_sieve(limit)
+    table = cached_sieve(SHARED_SIEVE_LIMIT)
     rng = seed_stream(config.seed, 0)
     metrics: dict[str, float] = {}
     ok = True
@@ -382,8 +395,7 @@ def run_ballot_sweep(config: ExperimentConfig):
 def run_moments_model(config: ExperimentConfig):
     j, k = param(config, "j", 2.0), param(config, "k", 2.9)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
-    limit = int(math.exp(math.exp(k))) + 10
-    table = cached_sieve(max(limit, config.sieve_limit))
+    table = _window_sieve(max(k, LAPLACE_K))
     split = model.window_split(table, j, k)
     chunks = parallel_chunks(config.seed, n_samples,
                              lambda rng, n: model.draw_window_sums(rng, split, n))
@@ -398,11 +410,11 @@ def run_moments_model(config: ExperimentConfig):
         ratio = emp / gauss
         metrics[f"moment_ratio_q{q}"] = ratio
         ok = ok and 0.8 <= ratio <= 1.25
-    lap = model.laplace_check(seed_stream(config.seed, 101), table, 1.0, 2.0, 1.0,
-                              200_000, quad_primes=(10007,))
+    lap = model.laplace_check(seed_stream(config.seed, 101), table, 1.0, LAPLACE_K, 1.0,
+                              200_000)
     metrics["laplace_estimate"] = lap.estimate
     metrics["laplace_bound"] = lap.bound
-    metrics["laplace_quadrature_residual"] = lap.quadrature_residuals[10007]
+    metrics["laplace_quadrature_residual"] = lap.quadrature_residual
     return metrics, {"AC7": ok}
 
 
@@ -410,8 +422,7 @@ def run_moments_model(config: ExperimentConfig):
 def run_berry_esseen(config: ExperimentConfig):
     k = param(config, "k", 2.9)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
-    limit = int(math.exp(math.exp(k))) + 10
-    table = cached_sieve(max(limit, config.sieve_limit))
+    table = _window_sieve(k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
     metrics = {
         "sup_distance": comp.sup_distance,
@@ -426,8 +437,7 @@ def run_density_check(config: ExperimentConfig):
     r = param(config, "r", 2.9)
     delta = param(config, "delta", 4.0, above=0)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
-    limit = int(math.exp(math.exp(r))) + 10
-    table = cached_sieve(max(limit, config.sieve_limit))
+    table = _window_sieve(r)
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
     metrics = {
@@ -444,6 +454,7 @@ def run_density_check(config: ExperimentConfig):
 @suite("moments_zeta", time_limit=600.0, params=("n_cross", "big_t", "n_samples"))
 def run_moments_zeta(config: ExperimentConfig):
     big_t = param(config, "big_t", 1e7, above=1.0)
+    _check_heights(big_t, 2.0 * big_t)   # moment_estimate draws tau in [T, 2T]
     rng = seed_stream(config.seed, 0)
     first_zero = abs(zt.zeta_critical(14.1347251417))
     n_cross = param(config, "n_cross", 200, above=0)
@@ -497,7 +508,8 @@ def run_tail_surrogate(config: ExperimentConfig):
 def run_tail_zeta(config: ExperimentConfig):
     """Shape-only report: no pass/fail is asserted against the asymptotic
     constant, which lives far beyond reachable heights."""
-    big_t = param(config, "big_t", 1e7, above=1.0)
+    big_t = param(config, "big_t", 1e7, above=math.e)   # log log T > 0
+    _check_heights(big_t, 2.0 * big_t + 1.0)   # tau in [T, 2T], shifts in [-1, 1]
     n_taus = param(config, "n_taus", 60, above=0)
     n = loglog(big_t)
     step = 2.0 * math.pi / (8.0 * math.log(big_t))

@@ -9,7 +9,7 @@ walk with p^{-i tau} replaced by Z_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .errors import CapacityError, DomainError
 from .primes import PrimeTable, primes_in_log_range
 
 EXACT_PRIME_CUTOFF = 10_000   # primes above this are folded into one Gaussian
+QUADRATURE_PRIME = 10_007     # the prime of laplace_check's quadrature residual
+MAX_LEAVES = 10 ** 7          # leaves of one hierarchical surrogate run
 SAMPLE_CHUNK = 1 << 14
 PRIME_BLOCK = 256
 
@@ -105,17 +107,15 @@ def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k:
 
 @dataclass
 class LaplaceReport:
-    lam: float
     estimate: float
     std_error: float
     bound: float
     passed: bool
-    quadrature_residuals: dict[int, float] = field(default_factory=dict)
+    quadrature_residual: float   # |E exp(lam X_p) - (1 + lam^2 / 4p)| at QUADRATURE_PRIME
 
 
 def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
-                  lam: float, n_samples: int,
-                  quad_primes: tuple[int, ...] = ()) -> LaplaceReport:
+                  lam: float, n_samples: int) -> LaplaceReport:
     """Monte Carlo E[exp(lam * (S_k - S_j))] against exp((k - j + 4) lam^2 / 4)."""
     if abs(lam) > 10:
         raise DomainError("|lam| must be <= 10")
@@ -124,12 +124,10 @@ def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: floa
     est = float(np.mean(vals))
     se = float(np.std(vals) / math.sqrt(n_samples))
     bound = math.exp((k - j + 4.0) * lam * lam / 4.0)
-    quad = {}
-    for p in quad_primes:
-        z = lam
-        quad[p] = abs(e_z_xp_quadrature(p, z) - (1.0 + z * z / (4.0 * p)))
-    return LaplaceReport(lam=lam, estimate=est, std_error=se, bound=bound,
-                         passed=est <= bound + 3 * se, quadrature_residuals=quad)
+    p = QUADRATURE_PRIME
+    quad = abs(e_z_xp_quadrature(p, lam) - (1.0 + lam * lam / (4.0 * p)))
+    return LaplaceReport(estimate=est, std_error=se, bound=bound,
+                         passed=est <= bound + 3 * se, quadrature_residual=quad)
 
 
 @dataclass
@@ -145,16 +143,16 @@ def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
 
 
 def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
-                          n_samples: int, width: float = 1.0) -> GaussianComparison:
+                          n_samples: int) -> GaussianComparison:
     """Sup over quantile-anchored intervals of |P(Y in A) - P(N(0, beta) in A)|.
 
-    Y is the window sum over (k - width, k]; the interval family has endpoints
-    at 1000 empirical quantiles, and the sup over all intervals with those
-    endpoints equals max(D) - min(D) for the signed CDF gaps D.
+    Y is the window sum over the unit window (k - 1, k]; the interval family
+    has endpoints at 1000 empirical quantiles, and the sup over all intervals
+    with those endpoints equals max(D) - min(D) for the signed CDF gaps D.
     """
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples")
-    j = k - width
+    j = k - 1.0
     samples, _ = sample_window_sums(rng, table, j, k, n_samples)
     beta = float(np.sum(x_p_variance(primes_in_log_range(table, j, k))))
     qs = np.quantile(samples, np.linspace(0.001, 0.999, 1000))
@@ -192,7 +190,7 @@ def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: 
 
 # --- hierarchical branching surrogate ---
 
-def branching_pattern(depth: int, b: float = math.e) -> list[int]:
+def branching_pattern(depth: int, b: float) -> list[int]:
     """Integer child counts tracking cumulative log-branching i * log(b)."""
     lo, hi = int(math.floor(b)), int(math.ceil(b))
     pattern, cum = [], 0.0
@@ -205,28 +203,6 @@ def branching_pattern(depth: int, b: float = math.e) -> list[int]:
     return pattern
 
 
-@dataclass(frozen=True)
-class HierarchicalField:
-    depth: int
-    branching: float
-    pattern: tuple[int, ...]
-
-    @property
-    def n_leaves(self) -> int:
-        out = 1
-        for c in self.pattern:
-            out *= c
-        return out
-
-
-def make_hierarchical(depth: int, b: float = math.e) -> HierarchicalField:
-    field_ = HierarchicalField(depth=depth, branching=b,
-                               pattern=tuple(branching_pattern(depth, b)))
-    if field_.n_leaves > 10 ** 7:
-        raise CapacityError(f"{field_.n_leaves} leaves exceed the 1e7 budget")
-    return field_
-
-
 def centering(k: float, n: float) -> float:
     """Deterministic centering k (1 - 0.75 log(n)/n) of the running maximum."""
     if n <= 1:
@@ -234,11 +210,12 @@ def centering(k: float, n: float) -> float:
     return k * (1.0 - 0.75 * math.log(n) / n)
 
 
-def sample_hierarchical_leaves(rng: np.random.Generator, field_: HierarchicalField,
+def sample_hierarchical_leaves(rng: np.random.Generator, pattern: list[int],
                                runs: int) -> np.ndarray:
-    """Leaf values of the branching walk, shape (runs, n_leaves)."""
+    """Leaf values of the branching walk with child counts `pattern` per
+    level, shape (runs, prod(pattern))."""
     values = np.zeros((runs, 1))
-    for c in field_.pattern:
+    for c in pattern:
         values = np.repeat(values, c, axis=1)
         values = values + rng.normal(0.0, math.sqrt(0.5), size=values.shape)
     return values
@@ -247,12 +224,15 @@ def sample_hierarchical_leaves(rng: np.random.Generator, field_: HierarchicalFie
 def sample_hierarchical_maxima(rng: np.random.Generator, depth: int, b: float,
                                runs: int) -> np.ndarray:
     """Per-run maxima over leaves, centered by `centering(depth, depth)`."""
-    field_ = make_hierarchical(depth, b)
+    pattern = branching_pattern(depth, b)
+    n_leaves = math.prod(pattern)
+    if n_leaves > MAX_LEAVES:
+        raise CapacityError(f"{n_leaves} leaves exceed the budget of {MAX_LEAVES}")
     m_n = centering(depth, depth)
     out = np.empty(runs)
     for lo in range(0, runs, 8):   # 8 runs of leaves at a time bound the memory
         hi = min(runs, lo + 8)
-        leaves = sample_hierarchical_leaves(rng, field_, hi - lo)
+        leaves = sample_hierarchical_leaves(rng, pattern, hi - lo)
         out[lo:hi] = leaves.max(axis=1) - m_n
     return out
 

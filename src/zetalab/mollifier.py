@@ -4,7 +4,7 @@ on the number of prime factors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .primes import PrimeTable
 from .walk import higher_order_tail, partial_sum, powers, primes_in_log_range
 
 TERM_BUDGET = 10_000_000
+HYPOTHESIS_CONSTANT = 1e3   # points with |dS| above this times the window are excluded
 
 
 @dataclass(frozen=True)
@@ -20,34 +21,23 @@ class MollifierSpec:
     prime_lo: float               # open lower bound
     prime_hi: float               # inclusive upper bound
     omega_cap: float = math.inf   # max number of prime factors per retained term
-    length_cap: float = math.inf  # largest retained m
-    term_budget: int = TERM_BUDGET
 
     def __post_init__(self):
         if self.prime_lo >= self.prime_hi:
             raise DomainError("empty prime range")
-        if self.omega_cap < 0 or self.length_cap < 1:
-            raise DomainError("omega_cap must be >= 0 and length_cap >= 1")
+        if self.omega_cap < 0:
+            raise DomainError("omega_cap must be >= 0")
 
     def primes(self, table: PrimeTable) -> np.ndarray:
         return table.slice_leq(self.prime_lo, self.prime_hi)
 
 
-@dataclass
-class SparsePoly:
-    """Dirichlet polynomial sum a(m) m^{-s} stored as {m: coefficient}."""
-
-    terms: dict[int, complex] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> SparsePoly:
-    """Moebius coefficients on squarefree m with all factors in the range.
+def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> dict[int, complex]:
+    """Moebius coefficients {m: a(m)} of the Dirichlet polynomial
+    sum a(m) m^{-s}, on squarefree m with all factors in the range.
 
     Depth-first product over the range primes; raises when the retained term
-    count would exceed the budget.
+    count would exceed `TERM_BUDGET`.
     """
     primes = [int(p) for p in spec.primes(table)]
     terms: dict[int, complex] = {1: 1.0 + 0.0j}
@@ -58,20 +48,18 @@ def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> SparsePoly:
             continue
         for idx in range(i, len(primes)):
             nxt = m * primes[idx]
-            if nxt > spec.length_cap:
-                break
-            if len(terms) >= spec.term_budget:
+            if len(terms) >= TERM_BUDGET:
                 raise CapacityError(
                     f"mollifier hit the term budget at {len(terms)} terms"
                 )
             terms[nxt] = -terms[m]
             stack.append((nxt, idx + 1, omega + 1))
-    return SparsePoly(terms=terms)
+    return terms
 
 
-def evaluate_poly(poly: SparsePoly, s: complex) -> complex:
-    ms = sorted(poly.terms)
-    coeffs = np.array([poly.terms[m] for m in ms], dtype=complex)
+def evaluate_poly(poly: dict[int, complex], s: complex) -> complex:
+    ms = sorted(poly)
+    coeffs = np.array([poly[m] for m in ms], dtype=complex)
     return complex(np.sum(coeffs * powers(np.array(ms, dtype=float), s)))
 
 
@@ -89,8 +77,7 @@ class ApproxReport:
 
 
 def mollifier_approx_check(table: PrimeTable, k_lo: float, k_hi: float,
-                           taus: np.ndarray, omega_cap: float = math.inf,
-                           hyp_const: float = 1e3) -> ApproxReport:
+                           taus: np.ndarray, omega_cap: float = math.inf) -> ApproxReport:
     """Check exp(-dS) <= (1 + e^{-k_lo}) |M(s)| + exp(-1e5 * (k_hi - k_lo)).
 
     The mollifier lives on the scale window (k_lo, k_hi]; with an uncapped
@@ -112,7 +99,7 @@ def mollifier_approx_check(table: PrimeTable, k_lo: float, k_hi: float,
         total += 1
         s = 0.5 + 1j * float(tau)
         d_s = partial_sum(table, k_lo, k_hi, float(tau), 0.0)
-        if abs(d_s) > hyp_const * window:
+        if abs(d_s) > HYPOTHESIS_CONSTANT * window:
             excluded += 1
             continue
         m_val = abs(evaluate_poly(poly, s))

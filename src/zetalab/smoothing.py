@@ -23,6 +23,8 @@ from .walk import log_phase
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
+SINC_FACTORS = 50     # sinc factors of the base object and of the Poisson window
+WINDOW_EPS = 0.5      # the Poisson window's overhang beyond its plateau [-1, 0]
 
 
 def _sinc_half_widths(k_factors: int) -> np.ndarray:
@@ -34,12 +36,10 @@ def _sinc_half_widths(k_factors: int) -> np.ndarray:
 class SmoothingFunction:
     """F0 = (prod_j sinc(2 a_j x))^2 with sum a_j = 1/2, plus lattice caches."""
 
-    k_factors: int
     half_widths: np.ndarray
     nodes: np.ndarray          # lattice points
     node_values: np.ndarray    # F0 at the lattice
     l1_norm: float             # exact integral of F0
-    fhat_spline: object = None # cubic spline of the normalized transform
 
     def value(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -69,7 +69,13 @@ class SmoothingFunction:
 
     def fhat_normalized_fast(self, xi) -> np.ndarray:
         """Spline shortcut for bulk evaluation (abs error ~ 1e-11)."""
-        return self.fhat_spline(np.atleast_1d(np.asarray(xi, dtype=float)))
+        return self._fhat_spline(np.atleast_1d(np.asarray(xi, dtype=float)))
+
+    @cached_property
+    def _fhat_spline(self):
+        from scipy.interpolate import CubicSpline
+        grid = np.linspace(-1.02, 1.02, 20_401)
+        return CubicSpline(grid, self.fhat_normalized(grid))
 
     def cdf(self, x) -> np.ndarray:
         """Integral of F0/|F0|_1 up to x, via the sine-integral expansion."""
@@ -106,30 +112,22 @@ class SmoothingFunction:
         return float(np.sum(np.abs(spectrum[outside])) * dxi)
 
 
-@lru_cache(maxsize=4)
-def make_ingham(k_factors: int = 50) -> SmoothingFunction:
+@lru_cache(maxsize=1)
+def make_ingham() -> SmoothingFunction:
     """Nonnegative band-limited F0 with subexponential decay.
 
-    F0 = b^2 for b a product of sinc factors with half-widths summing to 1/2,
-    so both F0 >= 0 and its transform (a box-convolution autocorrelation,
-    supported on [-1, 1]) are nonnegative.
+    F0 = b^2 for b a product of `SINC_FACTORS` sinc factors with half-widths
+    summing to 1/2, so both F0 >= 0 and its transform (a box-convolution
+    autocorrelation, supported on [-1, 1]) are nonnegative.
     """
-    if k_factors < 10:
-        raise DomainError("need at least 10 sinc factors")
-    widths = _sinc_half_widths(k_factors)
+    widths = _sinc_half_widths(SINC_FACTORS)
     nodes = np.arange(-NODE_EXTENT, NODE_EXTENT + NODE_SPACING / 2, NODE_SPACING)
     tmp = np.ones_like(nodes)
     for a in widths:
         tmp *= np.sinc(2.0 * a * nodes)
     vals = tmp * tmp
     l1 = float(NODE_SPACING * np.sum(vals, dtype=np.longdouble))
-    sf = SmoothingFunction(k_factors=k_factors, half_widths=widths,
-                           nodes=nodes, node_values=vals, l1_norm=l1)
-    from scipy.interpolate import CubicSpline
-    grid = np.linspace(-1.02, 1.02, 20_401)
-    spline = CubicSpline(grid, sf.fhat_normalized(grid))
-    object.__setattr__(sf, "fhat_spline", spline)
-    return sf
+    return SmoothingFunction(half_widths=widths, nodes=nodes, node_values=vals, l1_norm=l1)
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def make_bump(delta: float, a_param: float) -> BandlimitedBump:
     if delta < 3 or a_param < 3:
         raise DomainError("need delta >= 3 and a >= 3")
     return BandlimitedBump(delta=float(delta), a_param=float(a_param),
-                           base=make_ingham(50))
+                           base=make_ingham())
 
 
 def _osc_cell_integrals(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
@@ -366,27 +364,18 @@ def indicator_sandwich_check(rng: np.random.Generator, bump: BandlimitedBump,
 
 # --- Poisson-summation reconstruction of band-limited Dirichlet samples ---
 
-@dataclass(frozen=True)
-class ReconstructionWindow:
-    """Smooth window: plateau 1 on [-1, 0], support inside [-1-eps, eps]."""
-
-    eps: float
-    half_widths: np.ndarray    # of the mollifying box cascade, scaled
-
-    def vhat(self, xi) -> np.ndarray:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        width = 1.0 + self.eps
-        out = width * np.sinc(width * xi) * np.exp(1j * math.pi * xi)
-        for a in self.half_widths:
-            out = out * np.sinc(2.0 * a * xi)
-        return out
+# half-widths of the box cascade that mollifies the Poisson window
+_WINDOW_HALF_WIDTHS = _sinc_half_widths(SINC_FACTORS) * (WINDOW_EPS / 2.0)
 
 
-def make_window(eps: float = 0.5) -> ReconstructionWindow:
-    if not 0.0 < eps <= 2.0:
-        raise DomainError("eps must lie in (0, 2]")
-    widths = _sinc_half_widths(50) * (eps / 2.0)
-    return ReconstructionWindow(eps=eps, half_widths=widths)
+def _window_vhat(xi: np.ndarray) -> np.ndarray:
+    """Transform of the smooth window with plateau 1 on [-1, 0] and support
+    inside [-1 - WINDOW_EPS, WINDOW_EPS]."""
+    width = 1.0 + WINDOW_EPS
+    out = width * np.sinc(width * xi) * np.exp(1j * math.pi * xi)
+    for a in _WINDOW_HALF_WIDTHS:
+        out = out * np.sinc(2.0 * a * xi)
+    return out
 
 
 def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
@@ -403,16 +392,14 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
     return phases @ amp
 
 
-def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float,
-                        window: ReconstructionWindow | None = None) -> complex:
+def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float) -> complex:
     """Reconstruct D(1/2 + i t + i h0) from the lattice 2 pi Z / ((2+eps) log N),
-    with eps that of the window (`make_window()` when none is given).
+    with eps = WINDOW_EPS.
 
     Exact for Dirichlet polynomials of length N up to window truncation at
     |vhat| < 1e-14; the contract is 1e-9 relative accuracy.
     """
-    window = window or make_window()
-    eps = window.eps
+    eps = WINDOW_EPS
     n_len = len(coeffs)
     if n_len < 2:
         return complex(coeffs[0]) if n_len else 0.0j
@@ -423,7 +410,7 @@ def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float,
     js = np.arange(math.floor(j_center) - j_reach, math.ceil(j_center) + j_reach + 1)
     hs = js * delta
     args = (hs - h0) * log_n / (2.0 * math.pi)
-    weights = window.vhat(args)
+    weights = _window_vhat(args)
     keep = np.abs(weights) >= 1e-14
     vals = dirichlet_value(np.asarray(coeffs, dtype=complex), t, hs[keep])
     return complex(np.sum(vals * weights[keep]) / (2.0 + eps))

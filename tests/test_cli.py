@@ -118,8 +118,7 @@ def test_time_limit_fails_every_verdict(monkeypatch, out_dir):
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = ExperimentConfig(experiment="mertens", seed=11, sieve_limit=12345,
-                           out_dir="x", params={"limit": 10})
+    cfg = ExperimentConfig(experiment="mertens", seed=11, out_dir="x", params={"limit": 10})
     path = str(tmp_path / "cfg.json")
     with open(path, "w") as fh:
         json.dump(cfg.__dict__, fh)
@@ -183,6 +182,17 @@ def test_cli_runs_suite(capsys, out_dir):
     # an int param that would be truncated, and a bool
     ('{"experiment": "mollifier_suite", "params": {"n_configs": 2.7}}', []),
     ('{"experiment": "mollifier_suite", "params": {"n_configs": true}}', []),
+    # the removed sieve limit: an unknown key, and a flag argparse rejects
+    ('{"experiment": "mertens", "sieve_limit": 1000000}', []),
+    ('{"experiment": "mertens"}', ["--sieve-limit", "1000000"]),
+    # log log T <= 0, and draws beyond MAX_T = 1e12 (2T, and 2T + 1 for the grid)
+    ('{"experiment": "tail_zeta", "params": {"big_t": 2.0}}', []),
+    ('{"experiment": "tail_zeta", "params": {"big_t": 2.718281828459045}}', []),
+    ('{"experiment": "tail_zeta", "params": {"big_t": 5e11}}', []),
+    ('{"experiment": "moments_zeta", "params": {"big_t": 6e11}}', []),
+    # seeds beyond the 64 bits that seed_stream keys on
+    ('{"experiment": "poisson_suite", "seed": -1}', []),
+    ('{"experiment": "poisson_suite", "seed": 18446744073709551616}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -194,11 +204,11 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
         name = "mertens"
     out_dir = tmp_path / "out"
     argv = [name, "--config", str(cfg_path), "--out", str(out_dir)] + flags
-    if "--workers" in flags:   # argparse rejects an unknown flag itself
+    if flags:   # removed flags: argparse rejects an unknown flag itself
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     else:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

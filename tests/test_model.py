@@ -7,7 +7,7 @@ from zetalab.errors import CapacityError, DomainError
 from zetalab.experiments import chunk_streams, parallel_chunks
 from zetalab.model import (branching_pattern, centering, density_check,
                            e_z_xp_quadrature, increment_gaussianity, laplace_check,
-                           make_hierarchical, sample_hierarchical_leaves,
+                           sample_hierarchical_leaves, sample_hierarchical_maxima,
                            draw_window_sums, sample_window_sums, tail_slope,
                            window_split, x_p_values, x_p_variance)
 from zetalab.primes import primes_in_log_range
@@ -106,27 +106,30 @@ def test_window_sum_variance_matches(table_medium, rng):
 def test_laplace_trivial_and_bound(table_small, rng):
     rep = laplace_check(rng, table_small, 1.0, 2.0, 0.0, 10_000)
     assert rep.estimate == 1.0
-    rep2 = laplace_check(rng, table_small, 1.0, 2.0, 1.0, 200_000, quad_primes=(10007,))
+    rep2 = laplace_check(rng, table_small, 1.0, 2.0, 1.0, 200_000)
     assert rep2.estimate == pytest.approx(math.exp(0.25), abs=0.05)
     assert rep2.passed
     # at z = 1 the residual is z^2/(16 p^2) + O(z^3 p^-3/2); the tighter 1e-9
     # figure at z = 0.1 is covered by test_quadrature_expansion
-    assert rep2.quadrature_residuals[10007] <= 1e-8
+    assert rep2.quadrature_residual <= 1e-8
     with pytest.raises(DomainError):
         laplace_check(rng, table_small, 1.0, 2.0, 11.0, 10_000)
 
 
 def test_increment_gaussianity_small_range_is_far(table_small):
-    # a window holding a single prime is visibly non-Gaussian
+    # the unit window (-1, 0] holds the single prime 2: visibly non-Gaussian
+    # (distance 0.36-0.37 at seeds 3-5)
     rng = np.random.default_rng(3)
-    comp = increment_gaussianity(rng, table_small, 0.12, 20_000, width=0.07)
+    comp = increment_gaussianity(rng, table_small, 0.0, 20_000)
     assert comp.sup_distance > 0.05
 
 
 def test_increment_gaussianity_improves_with_width(table_medium):
+    # the unit window (k - 1, k] spans e^k (1 - 1/e) in log p, so it widens
+    # and holds more primes as k grows (distances ~0.08, 0.01, 0.007)
     rng = np.random.default_rng(4)
-    dists = [increment_gaussianity(rng, table_medium, k, 40_000, width=k).sup_distance
-             for k in (0.9, 1.6, 2.3)]
+    dists = [increment_gaussianity(rng, table_medium, k, 40_000).sup_distance
+             for k in (0.5, 1.5, 2.5)]
     assert dists[2] < dists[0]
 
 
@@ -163,19 +166,19 @@ def test_branching_pattern_log_average():
 
 
 def test_hierarchical_capacity():
+    # the 1e7-leaf budget is checked before any leaf is drawn
     with pytest.raises(CapacityError):
-        make_hierarchical(18, math.e)
+        sample_hierarchical_maxima(np.random.default_rng(0), 18, math.e, 1)
 
 
 def test_hierarchical_covariance(rng):
-    field = make_hierarchical(6, math.e)
-    leaves = sample_hierarchical_leaves(rng, field, 4000)
+    pattern = branching_pattern(6, math.e)
+    leaves = sample_hierarchical_leaves(rng, pattern, 4000)
     # first two leaves share all but the last few levels
-    pattern = field.pattern
     # leaves 0 and 1 split at the deepest level where the path last branches
     cov = np.cov(leaves[:, 0], leaves[:, 1])[0, 1]
     shared = 0
-    idx0, idx1, width = 0, 1, field.n_leaves
+    idx0, idx1, width = 0, 1, math.prod(pattern)
     for c in pattern:
         width //= c
         if idx0 // width == idx1 // width:
@@ -186,9 +189,9 @@ def test_hierarchical_covariance(rng):
 
 
 def test_hierarchical_depth_one(rng):
-    field = make_hierarchical(1, math.e)
-    leaves = sample_hierarchical_leaves(rng, field, 2000)
-    assert leaves.shape[1] == field.pattern[0]
+    pattern = branching_pattern(1, math.e)
+    leaves = sample_hierarchical_leaves(rng, pattern, 2000)
+    assert leaves.shape[1] == pattern[0]
     assert abs(np.var(leaves.ravel()) - 0.5) < 0.05
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zetalab import mollifier
 from zetalab.errors import CapacityError
 from zetalab.mollifier import (MollifierSpec, evaluate_poly, mollifier_approx_check,
                                mollifier_coeffs)
@@ -8,20 +9,20 @@ from zetalab.mollifier import (MollifierSpec, evaluate_poly, mollifier_approx_ch
 
 def test_coeffs_hand_cases(table_small):
     spec = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=1)
-    assert mollifier_coeffs(table_small, spec).terms == {1: 1, 2: -1, 3: -1}
+    assert mollifier_coeffs(table_small, spec) == {1: 1, 2: -1, 3: -1}
     spec2 = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=2)
-    assert mollifier_coeffs(table_small, spec2).terms == {1: 1, 2: -1, 3: -1, 6: 1}
+    assert mollifier_coeffs(table_small, spec2) == {1: 1, 2: -1, 3: -1, 6: 1}
     spec0 = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=0)
-    assert mollifier_coeffs(table_small, spec0).terms == {1: 1}
+    assert mollifier_coeffs(table_small, spec0) == {1: 1}
 
 
 def test_coeff_signs_and_support(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=30.0, omega_cap=3, length_cap=5000)
+    spec = MollifierSpec(prime_lo=2.5, prime_hi=30.0, omega_cap=3)
     poly = mollifier_coeffs(table_small, spec)
     primes = {3, 5, 7, 11, 13, 17, 19, 23, 29}
-    for m, coeff in poly.terms.items():
+    assert len(poly) == 1 + 9 + 36 + 84   # every m with at most 3 of the 9 primes
+    for m, coeff in poly.items():
         factors = [p for p in primes if m % p == 0]
-        assert m <= 5000
         rebuilt = 1
         for p in factors:
             rebuilt *= p
@@ -30,22 +31,16 @@ def test_coeff_signs_and_support(table_small):
         assert coeff == (-1) ** len(factors)
 
 
-def test_length_cap(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=14.0, length_cap=20)
-    poly = mollifier_coeffs(table_small, spec)
-    assert set(poly.terms) == {1, 3, 5, 7, 11, 13, 15}
-
-
-def test_term_budget(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=200.0, term_budget=50)
+def test_term_budget(table_small, monkeypatch):
+    monkeypatch.setattr(mollifier, "TERM_BUDGET", 50)
+    spec = MollifierSpec(prime_lo=2.5, prime_hi=200.0)
     with pytest.raises(CapacityError):
         mollifier_coeffs(table_small, spec)
 
 
 def test_evaluate_poly_trivial():
-    from zetalab.mollifier import SparsePoly
-    assert evaluate_poly(SparsePoly({1: 1.0}), 3.7 + 2j) == 1.0
-    assert evaluate_poly(SparsePoly({1: 1.0, 2: -1.0}), 1.0 + 0j) == pytest.approx(0.5)
+    assert evaluate_poly({1: 1.0}, 3.7 + 2j) == 1.0
+    assert evaluate_poly({1: 1.0, 2: -1.0}, 1.0 + 0j) == pytest.approx(0.5)
 
 
 def test_uncapped_poly_is_euler_product(table_small, rng):
@@ -86,9 +81,9 @@ def test_approx_check_capped_matches_uncapped_when_cap_is_big(table_small, rng):
     assert capped.holds == uncapped.holds
 
 
-def test_approx_check_hypothesis_exclusion(table_small):
+def test_approx_check_hypothesis_exclusion(table_small, monkeypatch):
     # an absurdly small hypothesis constant excludes every sample
-    report = mollifier_approx_check(table_small, 0.0, 1.0, np.array([12.0]),
-                                    hyp_const=1e-9)
+    monkeypatch.setattr(mollifier, "HYPOTHESIS_CONSTANT", 1e-9)
+    report = mollifier_approx_check(table_small, 0.0, 1.0, np.array([12.0]))
     assert report.excluded == 1
 

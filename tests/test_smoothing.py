@@ -9,7 +9,7 @@ from zetalab import parallel, smoothing
 from zetalab.errors import CapacityError, DomainError
 from zetalab.smoothing import (dirichlet_value, discretized_max_bound,
                                indicator_sandwich_check, make_bump, make_expansion,
-                               make_ingham, make_window, poisson_reconstruct)
+                               make_ingham, poisson_reconstruct)
 
 DECAY_CONSTANT = 1.0   # calibrated from the direct-evaluation sweep below
 
@@ -62,7 +62,7 @@ EXPANSION_D5_HEX = [
 
 @pytest.fixture(scope="module")
 def ingham():
-    return make_ingham(50)
+    return make_ingham()
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_threaded_blocks_bit_identical(ingham, monkeypatch):
 
 
 def test_golden_bits():
-    assert make_ingham(50).transform_tail_mass().hex() == "0x1.31e599550c0c0p-51"
+    assert make_ingham().transform_tail_mass().hex() == "0x1.31e599550c0c0p-51"
     coefficients = make_expansion(make_bump(5.0, 3.0), 40).coefficients
     assert [(c.real.hex(), c.imag.hex()) for c in coefficients] == EXPANSION_D5_HEX
     values = dirichlet_value((1.0 + 0.5j) / np.arange(1, 301), 1e6 + 0.25,
@@ -143,11 +143,6 @@ def test_ingham_decay_envelope(ingham):
     vals = ingham.value(xs)
     envelope = DECAY_CONSTANT * np.exp(-xs / np.log(xs + 10) ** 2)
     assert np.all(vals <= envelope)
-
-
-def test_ingham_guard():
-    with pytest.raises(DomainError):
-        make_ingham(5)
 
 
 def test_bump_range_and_window(bump3):
@@ -261,7 +256,6 @@ def test_poly_value_at_bin_center(bump3):
 
 
 def test_poisson_monomials(rng):
-    window = make_window(0.5)
     for _ in range(5):
         n = int(rng.integers(2, 4097))
         coeffs = np.zeros(n)
@@ -269,7 +263,7 @@ def test_poisson_monomials(rng):
         t = float(rng.uniform(1e4, 2e5))
         h0 = float(rng.uniform(-1, 1))
         direct = dirichlet_value(coeffs.astype(complex), t, h0)[0]
-        rec = poisson_reconstruct(coeffs, t, h0, window=window)
+        rec = poisson_reconstruct(coeffs, t, h0)
         assert abs(rec - direct) / abs(direct) <= 1e-10
 
 
@@ -278,7 +272,6 @@ def test_poisson_constant():
 
 
 def test_poisson_random_polys(rng):
-    window = make_window(0.5)
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(16, 4097))
@@ -286,14 +279,9 @@ def test_poisson_random_polys(rng):
         t = float(rng.uniform(1e5, 2e5))
         h0 = float(rng.uniform(-1, 1))
         direct = dirichlet_value(coeffs, t, h0)[0]
-        rec = poisson_reconstruct(coeffs, t, h0, window=window)
+        rec = poisson_reconstruct(coeffs, t, h0)
         worst = max(worst, abs(rec - direct) / abs(direct))
     assert worst <= 1e-9
-
-
-def test_window_guard():
-    with pytest.raises(DomainError):
-        make_window(0.0)
 
 
 def test_discretized_max_report(rng):
