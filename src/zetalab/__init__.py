@@ -2,7 +2,7 @@
 
 from .primes import PrimeTable, cached_sieve, loglog, mertens_sum, primes_in_log_range, sieve_primes
 from .walk import euler_product_check, higher_order_tail, partial_sum
-from .mollifier import MollifierSpec, evaluate_poly, mollifier_approx_check, mollifier_coeffs
+from .mollifier import evaluate_poly, mollifier_approx_check, mollifier_coeffs
 from .zeta import (max_on_grid, moment_estimate, relative_gap, zeta_critical,
                    zeta_euler_maclaurin, zeta_riemann_siegel)
 from .model import (centering, density_check, increment_gaussianity, laplace_check,

@@ -19,13 +19,13 @@ from .errors import DomainError, InsufficientSampleError, ToleranceError
 from .model import centering
 
 STEP_VAR = 0.5
+C_UPPER = 3.0   # the barrier's log-slope, at desk scale
 
 
 @dataclass(frozen=True)
 class BarrierProfile:
     y: float
     n: float
-    c_upper: float = 1e3
 
     @property
     def r(self) -> int:
@@ -33,14 +33,14 @@ class BarrierProfile:
 
 
 def upper_barrier(k: float, profile: BarrierProfile) -> float:
-    """U_y(k): +inf below r, then y + c_upper * log(min(k, n-k))."""
+    """U_y(k): +inf below r, then y + C_UPPER * log(min(k, n-k))."""
     y, n = profile.y, profile.n
     if k < profile.r:
         return math.inf
     if k <= n / 2.0:
-        return y + profile.c_upper * math.log(k)
+        return y + C_UPPER * math.log(k)
     if k < n:
-        return y + profile.c_upper * math.log(n - k)
+        return y + C_UPPER * math.log(n - k)
     raise DomainError(f"barrier defined for k < n, got k={k}, n={n}")
 
 
@@ -145,8 +145,8 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
 
 
 def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
-                       n_paths: int) -> tuple[float, float, int]:
-    """(estimate, binomial std error, endpoint hits) for the same event as the DP."""
+                       n_paths: int) -> tuple[float, float]:
+    """(estimate, binomial std error) for the same event as the DP."""
     if n_paths < 10_000:
         raise DomainError("need at least 1e4 paths")
     levels = np.array([float(barrier(j)) for j in range(1, k + 1)])
@@ -177,12 +177,12 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
     if hits < 100:
         raise InsufficientSampleError(f"only {hits} endpoint hits in [{w}, {w + 1})")
     p = survive / hits
-    return p, math.sqrt(max(p * (1 - p), 1e-12) / hits), hits
+    return p, math.sqrt(max(p * (1 - p), 1e-12) / hits)
 
 
-def ballot_bound(k: float, y: float, w: float, profile: BarrierProfile) -> float:
+def ballot_bound(k: float, w: float, profile: BarrierProfile) -> float:
     """(y+1) (U_y(k) + m(k) - w + 1) k^{-3/2} exp(-w^2/k), constant omitted."""
     u = upper_barrier(k, profile)
     gap = u + centering(k, profile.n) - w + 1.0
-    return (y + 1.0) * gap * k ** -1.5 * math.exp(-w * w / k)
+    return (profile.y + 1.0) * gap * k ** -1.5 * math.exp(-w * w / k)
 

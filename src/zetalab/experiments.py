@@ -29,7 +29,7 @@ from . import walk as wk
 from . import zeta as zt
 from .errors import UsageError
 from .parallel import map_blocks
-from .primes import cached_sieve, mertens_sum, loglog
+from .primes import MAX_SIEVE_LIMIT, cached_sieve, mertens_sum, loglog
 
 CHUNKS = 32   # fixed chunk count keeps statistics thread-count independent
 
@@ -205,11 +205,20 @@ def _check_heights(big_t: float, top: float) -> None:
 
 SHARED_SIEVE_LIMIT = 10 ** 6   # mollifier_suite and smoothing_suite share this table
 LAPLACE_K = 2.0                # moments_model's Laplace check runs over (1, LAPLACE_K]
+MAX_SCALE = loglog(MAX_SIEVE_LIMIT - 10)   # ~3.1598: top scale whose `_window_sieve` fits
 
 
 def _window_sieve(k: float):
     """The sieve that covers every prime of the scale windows up to k."""
     return cached_sieve(int(math.exp(math.exp(k))) + 10)
+
+
+def _check_scale(name: str, k: float) -> None:
+    """Usage error when the top scale `k` of a suite's windows lies above
+    `MAX_SCALE`, before its window sieve is built."""
+    if k > MAX_SCALE:
+        raise UsageError(f"param {name!r} must be at most {MAX_SCALE:.6g} "
+                         f"(primes up to {MAX_SIEVE_LIMIT}), got {k!r}")
 
 
 @suite("mertens", time_limit=60.0, params=("limit",))
@@ -334,7 +343,7 @@ def run_smoothing_suite(config: ExperimentConfig):
         l1 = bump.l1_transform()
         expansion = sm.make_expansion(bump, 40)
         u = float(np.quantile(samples, 0.5))
-        rep = sm.indicator_sandwich_check(rng, bump, expansion, samples, u)
+        rep = sm.indicator_sandwich_check(bump, expansion, samples, u)
         tag = f"d{int(delta)}"
         metrics[f"{tag}_range_violation"] = range_violation
         metrics[f"{tag}_support_mass"] = support_mass
@@ -360,7 +369,7 @@ def run_ballot_sweep(config: ExperimentConfig):
         level = float(rng.uniform(1.5, 4.0))
         w = float(rng.choice([-0.5, 0.0, 0.5]))
         dp = bar.bridge_survival_dp(k, w, lambda j: level)
-        est, se, _ = bar.bridge_survival_mc(rng, k, w, lambda j: level, mc_paths)
+        est, se = bar.bridge_survival_mc(rng, k, w, lambda j: level, mc_paths)
         worst_sigma = max(worst_sigma, abs(est - dp.conditional) / se)
     dp_const = bar.bridge_survival_dp(100, -0.5, lambda j: 3.0)
     continuum = 1.0 - math.exp(-4.0 * 3.0 * 3.0 / 100.0)
@@ -368,14 +377,14 @@ def run_ballot_sweep(config: ExperimentConfig):
     max_ratio = 0.0
     for k in (25, 100, 400):
         for y in (1.0, 3.0, 6.0):
-            profile = bar.BarrierProfile(y=y, n=2.0 * k + 1.0, c_upper=3.0)
+            profile = bar.BarrierProfile(y=y, n=2.0 * k + 1.0)
 
             def level_fn(j, _profile=profile):
                 return model.centering(j, _profile.n) + bar.upper_barrier(j, _profile)
 
             w = float(math.floor(math.sqrt(k)))
             dp = bar.bridge_survival_dp(k, w, level_fn)
-            bound = bar.ballot_bound(k, y, w, profile)
+            bound = bar.ballot_bound(k, w, profile)
             ratio = dp.joint / bound
             max_ratio = max(max_ratio, ratio)
             rows.append((k, y, w, dp.joint, bound, ratio))
@@ -393,7 +402,9 @@ def run_ballot_sweep(config: ExperimentConfig):
 
 @suite("moments_model", time_limit=600.0, params=("j", "k", "n_samples"))
 def run_moments_model(config: ExperimentConfig):
-    j, k = param(config, "j", 2.0), param(config, "k", 2.9)
+    j = param(config, "j", 2.0, above=-math.inf)
+    k = param(config, "k", 2.9, above=j)
+    _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(max(k, LAPLACE_K))
     split = model.window_split(table, j, k)
@@ -420,21 +431,23 @@ def run_moments_model(config: ExperimentConfig):
 
 @suite("berry_esseen", params=("k", "n_samples"))
 def run_berry_esseen(config: ExperimentConfig):
-    k = param(config, "k", 2.9)
+    k = param(config, "k", 2.9, above=-math.inf)
+    _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
     metrics = {
         "sup_distance": comp.sup_distance,
         "window_variance": comp.variance,
-        "n_samples": comp.n_samples,
+        "n_samples": n_samples,
     }
     return metrics, {"AC8": comp.sup_distance <= 0.01}
 
 
 @suite("density_check", params=("r", "delta", "n_samples"))
 def run_density_check(config: ExperimentConfig):
-    r = param(config, "r", 2.9)
+    r = param(config, "r", 2.9, above=0)
+    _check_scale("r", r)
     delta = param(config, "delta", 4.0, above=0)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(r)

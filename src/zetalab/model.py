@@ -47,7 +47,6 @@ def e_z_xp_quadrature(p: int, z: float) -> float:
 class WindowSplit:
     head: np.ndarray          # primes <= the cutoff, simulated exactly
     tail_variance: float
-    total_variance: float
     tail_bias_bound: float    # Edgeworth skew bound for the Gaussianized block
 
     @property
@@ -71,8 +70,7 @@ def window_split(table: PrimeTable, j: float, k: float,
     total_var = tail_var + (float(np.sum(x_p_variance(head))) if len(head) else 0.0)
     skew = float(np.sum(0.375 / (tail_f * tail_f))) if len(tail) else 0.0
     bias = skew / max(total_var, 1e-30) ** 1.5
-    return WindowSplit(head=head, tail_variance=tail_var, total_variance=total_var,
-                       tail_bias_bound=bias)
+    return WindowSplit(head=head, tail_variance=tail_var, tail_bias_bound=bias)
 
 
 def draw_window_sums(rng: np.random.Generator, split: WindowSplit,
@@ -108,9 +106,7 @@ def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k:
 @dataclass
 class LaplaceReport:
     estimate: float
-    std_error: float
     bound: float
-    passed: bool
     quadrature_residual: float   # |E exp(lam X_p) - (1 + lam^2 / 4p)| at QUADRATURE_PRIME
 
 
@@ -122,19 +118,16 @@ def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: floa
     samples, _ = sample_window_sums(rng, table, j, k, n_samples)
     vals = np.exp(lam * samples)
     est = float(np.mean(vals))
-    se = float(np.std(vals) / math.sqrt(n_samples))
     bound = math.exp((k - j + 4.0) * lam * lam / 4.0)
     p = QUADRATURE_PRIME
     quad = abs(e_z_xp_quadrature(p, lam) - (1.0 + lam * lam / (4.0 * p)))
-    return LaplaceReport(estimate=est, std_error=se, bound=bound,
-                         passed=est <= bound + 3 * se, quadrature_residual=quad)
+    return LaplaceReport(estimate=est, bound=bound, quadrature_residual=quad)
 
 
 @dataclass
 class GaussianComparison:
     sup_distance: float
     variance: float      # beta over the window, from exact prime sums
-    n_samples: int
 
 
 def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
@@ -158,8 +151,7 @@ def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
     qs = np.quantile(samples, np.linspace(0.001, 0.999, 1000))
     emp = np.searchsorted(np.sort(samples), qs, side="right") / n_samples
     gaps = emp - _gauss_cdf(qs, beta)
-    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()),
-                              variance=beta, n_samples=n_samples)
+    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()), variance=beta)
 
 
 @dataclass

@@ -16,35 +16,22 @@ TERM_BUDGET = 10_000_000
 HYPOTHESIS_CONSTANT = 1e3   # points with |dS| above this times the window are excluded
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    prime_lo: float               # open lower bound
-    prime_hi: float               # inclusive upper bound
-    omega_cap: float = math.inf   # max number of prime factors per retained term
-
-    def __post_init__(self):
-        if self.prime_lo >= self.prime_hi:
-            raise DomainError("empty prime range")
-        if self.omega_cap < 0:
-            raise DomainError("omega_cap must be >= 0")
-
-    def primes(self, table: PrimeTable) -> np.ndarray:
-        return table.slice_leq(self.prime_lo, self.prime_hi)
-
-
-def mollifier_coeffs(table: PrimeTable, spec: MollifierSpec) -> dict[int, complex]:
+def mollifier_coeffs(primes: np.ndarray, omega_cap: float) -> dict[int, complex]:
     """Moebius coefficients {m: a(m)} of the Dirichlet polynomial
-    sum a(m) m^{-s}, on squarefree m with all factors in the range.
+    sum a(m) m^{-s}, on squarefree m with all factors among `primes` and at
+    most `omega_cap` of them.
 
-    Depth-first product over the range primes; raises when the retained term
-    count would exceed `TERM_BUDGET`.
+    Depth-first product over the primes; raises when the retained term count
+    would exceed `TERM_BUDGET`.
     """
-    primes = [int(p) for p in spec.primes(table)]
+    if omega_cap < 0:
+        raise DomainError("omega_cap must be >= 0")
+    primes = [int(p) for p in primes]
     terms: dict[int, complex] = {1: 1.0 + 0.0j}
     stack = [(1, 0, 0)]   # (m, next prime index, factor count)
     while stack:
         m, i, omega = stack.pop()
-        if omega >= spec.omega_cap:
+        if omega >= omega_cap:
             continue
         for idx in range(i, len(primes)):
             nxt = m * primes[idx]
@@ -88,17 +75,14 @@ def mollifier_approx_check(table: PrimeTable, k_lo: float, k_hi: float,
     eps_factor = math.exp(-k_lo)
     primes = primes_in_log_range(table, k_lo, k_hi)
     exact = omega_cap >= len(primes)
-    lo = float(primes[0]) - 0.5 if len(primes) else 2.0
-    hi = float(primes[-1]) if len(primes) else 3.0
-    spec = MollifierSpec(prime_lo=lo, prime_hi=hi, omega_cap=omega_cap)
-    poly = mollifier_coeffs(table, spec)
+    poly = mollifier_coeffs(primes, omega_cap)
     additive = math.exp(-min(1e5 * window, 700.0))
     total = excluded = holds = 0
     max_resid = 0.0
     for tau in np.atleast_1d(taus):
         total += 1
         s = 0.5 + 1j * float(tau)
-        d_s = partial_sum(table, k_lo, k_hi, float(tau), 0.0)
+        d_s = partial_sum(table, k_lo, k_hi, float(tau))
         if abs(d_s) > HYPOTHESIS_CONSTANT * window:
             excluded += 1
             continue

@@ -319,12 +319,10 @@ def _exp_or_raise(log_value: float) -> float:
 
 @dataclass
 class SandwichReport:
-    n_samples: int
     n_in_bin: int
     fraction_hold_bump: float
     fraction_hold_poly: float
     measured_c_bump: float
-    measured_c_poly: float
 
 
 def _measure_sandwich_constant(values: np.ndarray, decay: float) -> float:
@@ -333,9 +331,8 @@ def _measure_sandwich_constant(values: np.ndarray, decay: float) -> float:
     return float(max(np.max(needed), 0.0))
 
 
-def indicator_sandwich_check(rng: np.random.Generator, bump: BandlimitedBump,
-                             expansion: TruncatedExpansion, samples: np.ndarray,
-                             u: float) -> SandwichReport:
+def indicator_sandwich_check(bump: BandlimitedBump, expansion: TruncatedExpansion,
+                             samples: np.ndarray, u: float) -> SandwichReport:
     """Check 1(Y in [u, u + 1/delta]) <= |D(Y - u)|^2 (1 + C e^{-delta^{a-1}}).
 
     C is measured on a deterministic 4001-point grid over the bin, then the
@@ -350,15 +347,15 @@ def indicator_sandwich_check(rng: np.random.Generator, bump: BandlimitedBump,
     in_bin = (x >= 0.0) & (x <= 1.0 / bump.delta)
     n_in = int(np.sum(in_bin))
     if n_in == 0:
-        return SandwichReport(len(samples), 0, 1.0, 1.0, c_bump, c_poly)
+        return SandwichReport(0, 1.0, 1.0, c_bump)
     xb = x[in_bin]
     hold_bump = bump.value(xb) ** 2 * (1.0 + c_bump * decay) >= 1.0 - 1e-12
     hold_poly = np.abs(expansion.value(xb)) ** 2 * (1.0 + c_poly * decay) >= 1.0 - 1e-12
     return SandwichReport(
-        n_samples=len(samples), n_in_bin=n_in,
+        n_in_bin=n_in,
         fraction_hold_bump=float(np.mean(hold_bump)),
         fraction_hold_poly=float(np.mean(hold_poly)),
-        measured_c_bump=c_bump, measured_c_poly=c_poly,
+        measured_c_bump=c_bump,
     )
 
 
@@ -418,9 +415,7 @@ def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float) -> complex:
 
 @dataclass
 class GridMaxReport:
-    fine_max: float
-    grid_sum: float
-    ratio: float
+    ratio: float          # fine-grid max over the weighted lattice sum
     tail_fraction: float
 
 
@@ -450,6 +445,5 @@ def discretized_max_bound(coeff_list: list[np.ndarray], t: float) -> GridMaxRepo
     main = float(np.sum(lattice_vals[main_mask]))
     tail = float(np.sum(lattice_vals[~main_mask] * tail_weights))
     total = main + tail
-    return GridMaxReport(fine_max=float(fine_vals.max()), grid_sum=total,
-                         ratio=float(fine_vals.max() / total),
+    return GridMaxReport(ratio=float(fine_vals.max() / total),
                          tail_fraction=tail / total if total else 0.0)

@@ -85,11 +85,11 @@ def theta_mod_2pi(t: float) -> tuple[float, float]:
     return main, corr
 
 
-def partial_sum(table: PrimeTable, k_start: float, k: float, tau: float, h: float) -> complex:
-    """W over the scale window (k_start, k] at shift h: per prime,
-    p^{-1/2} e^{-i (tau+h) log p} + p^{-1} e^{-2 i (tau+h) log p} / 2."""
+def partial_sum(table: PrimeTable, k_start: float, k: float, tau: float) -> complex:
+    """W over the scale window (k_start, k] at height tau (shift h: pass
+    tau + h): per prime, p^{-1/2} e^{-i tau log p} + p^{-1} e^{-2 i tau log p} / 2."""
     primes = primes_in_log_range(table, k_start, k)
-    u = powers(primes, 1j * (tau + h))
+    u = powers(primes, 1j * tau)
     return complex(np.sum(u / np.sqrt(primes) + 0.5 * u * u / primes))
 
 

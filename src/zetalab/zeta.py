@@ -9,6 +9,7 @@ via contour derivatives, so the order adapts to the target accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,39 +57,24 @@ def _rs_f(z: np.ndarray) -> np.ndarray:
 # keep the nodes away from the real axis where cos(pi z) vanishes
 _RS_RADIUS, _RS_NODES = 2.0, 512
 _RS_CIRCLE = _RS_RADIUS * np.exp(1j * (TWO_PI * (np.arange(_RS_NODES) + 0.5) / _RS_NODES))
-_RS_SCALE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _rs_scales(m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(twiddle of the half-step offset, m!, nodes * radius^m) for m = 0..m_max."""
-    if m_max not in _RS_SCALE_CACHE:
-        m = np.arange(m_max + 1)
-        _RS_SCALE_CACHE[m_max] = (np.exp(-1j * math.pi * m / _RS_NODES),
-                                  np.array([math.factorial(int(v)) for v in m], dtype=float),
-                                  _RS_NODES * _RS_RADIUS ** m)
-    return _RS_SCALE_CACHE[m_max]
+@functools.cache
+def _rs_tables(levels: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Everything of a correction depth that does not depend on t:
 
-
-def _rs_f_derivatives(p: float, m_max: int) -> np.ndarray:
-    """F^(m)(p) for m = 0..m_max by the Cauchy contour around p."""
-    coeffs = np.fft.fft(_rs_f(p + _RS_CIRCLE))
-    twiddle, fact, den = _rs_scales(m_max)
-    return coeffs[: m_max + 1] * twiddle * fact / den
-
-
-_RS_TERMS_CACHE: dict[int, list[list[tuple[float, int, complex]]]] = {}
-
-
-def _rs_terms(levels: int) -> list[list[tuple[float, int, complex]]]:
-    """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
-    correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l), cached by depth."""
-    if levels not in _RS_TERMS_CACHE:
-        d = _rs_d_table(levels)
-        _RS_TERMS_CACHE[levels] = [
-            [(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
-             for ell in range(3 * n // 2 + 1)]
-            for n in range(levels)]
-    return _RS_TERMS_CACHE[levels]
+    - per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
+      correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l);
+    - for m = 0..3 (levels - 1), the twiddle of the contour's half-step
+      offset, m! and nodes * radius^m, which turn its FFT into F^(m)."""
+    d = _rs_d_table(levels)
+    terms = [[(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
+              for ell in range(3 * n // 2 + 1)]
+             for n in range(levels)]
+    m = np.arange(3 * (levels - 1) + 1)
+    return (terms, np.exp(-1j * math.pi * m / _RS_NODES),
+            np.array([math.factorial(int(v)) for v in m], dtype=float),
+            _RS_NODES * _RS_RADIUS ** m)
 
 
 def _rs_d_table(levels: int) -> list[list[float]]:
@@ -140,11 +126,13 @@ def zeta_riemann_siegel(t: float) -> complex:
     if n_main < 1:
         raise DomainError(f"t={t} too small for the main sum")
     p = 1.0 - 2.0 * (a - n_main)
-    levels = _rs_depth(a)
-    fp = _rs_f_derivatives(p, 3 * (levels - 1))
+    all_terms, twiddle, fact, norm = _rs_tables(_rs_depth(a))
+    # F^(m)(p) for m = 0..3 (levels - 1) by the Cauchy contour around p
+    coeffs = np.fft.fft(_rs_f(p + _RS_CIRCLE))
+    fp = coeffs[: len(norm)] * twiddle * fact / norm
     rssum = 0.0 + 0.0j
     a_pow = 1.0
-    for terms in _rs_terms(levels):
+    for terms in all_terms:
         acc = 0.0 + 0.0j
         for coef, m, den in terms:
             acc += coef * fp[m] / den
@@ -193,12 +181,9 @@ def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class MomentEstimate:
-    power: int
     mean: float
-    ci_lo: float
+    ci_lo: float      # bootstrap 95% interval; NaN from a single sample
     ci_hi: float
-    n_samples: int
-    degenerate: bool
 
 
 def moment_estimate(big_t: float, power: int, n_samples: int,
@@ -212,10 +197,9 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
     vals = np.array([abs(zeta_critical(tau)) ** power for tau in taus])
     mean = float(np.mean(vals))
     if n_samples < 2:
-        return MomentEstimate(power, mean, math.nan, math.nan, n_samples, True)
+        return MomentEstimate(mean, math.nan, math.nan)
     idx = rng.integers(0, n_samples, size=(400, n_samples))
     boots = np.mean(vals[idx], axis=1)
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return MomentEstimate(power, mean, float(lo), float(hi), n_samples,
-                          n_samples < 100)
+    return MomentEstimate(mean, float(lo), float(hi))
 

@@ -193,6 +193,14 @@ def test_cli_runs_suite(capsys, out_dir):
     # seeds beyond the 64 bits that seed_stream keys on
     ('{"experiment": "poisson_suite", "seed": -1}', []),
     ('{"experiment": "poisson_suite", "seed": 18446744073709551616}', []),
+    # scales whose window cannot be sieved (above log log (2^34 - 10) ~ 3.1598),
+    # or is empty, or is not a number
+    ('{"experiment": "berry_esseen", "params": {"k": 7.0}}', []),
+    ('{"experiment": "berry_esseen", "params": {"k": 3.16}}', []),
+    ('{"experiment": "density_check", "params": {"r": 0.0}}', []),
+    ('{"experiment": "density_check", "params": {"r": "nan"}}', []),
+    ('{"experiment": "moments_model", "params": {"k": -1.0}}', []),
+    ('{"experiment": "moments_model", "params": {"j": "-inf"}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"

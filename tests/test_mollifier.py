@@ -1,24 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from zetalab import mollifier
-from zetalab.errors import CapacityError
-from zetalab.mollifier import (MollifierSpec, evaluate_poly, mollifier_approx_check,
-                               mollifier_coeffs)
+from zetalab.errors import CapacityError, DomainError
+from zetalab.mollifier import evaluate_poly, mollifier_approx_check, mollifier_coeffs
 
 
 def test_coeffs_hand_cases(table_small):
-    spec = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=1)
-    assert mollifier_coeffs(table_small, spec) == {1: 1, 2: -1, 3: -1}
-    spec2 = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=2)
-    assert mollifier_coeffs(table_small, spec2) == {1: 1, 2: -1, 3: -1, 6: 1}
-    spec0 = MollifierSpec(prime_lo=1.5, prime_hi=3.5, omega_cap=0)
-    assert mollifier_coeffs(table_small, spec0) == {1: 1}
+    primes = table_small.slice_leq(1.5, 3.5)
+    assert mollifier_coeffs(primes, 1) == {1: 1, 2: -1, 3: -1}
+    assert mollifier_coeffs(primes, 2) == {1: 1, 2: -1, 3: -1, 6: 1}
+    assert mollifier_coeffs(primes, 0) == {1: 1}
+    assert mollifier_coeffs(primes[:0], math.inf) == {1: 1}   # the empty product
+    with pytest.raises(DomainError):
+        mollifier_coeffs(primes, -1)
 
 
 def test_coeff_signs_and_support(table_small):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=30.0, omega_cap=3)
-    poly = mollifier_coeffs(table_small, spec)
+    poly = mollifier_coeffs(table_small.slice_leq(2.5, 30.0), 3)
     primes = {3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert len(poly) == 1 + 9 + 36 + 84   # every m with at most 3 of the 9 primes
     for m, coeff in poly.items():
@@ -33,9 +34,8 @@ def test_coeff_signs_and_support(table_small):
 
 def test_term_budget(table_small, monkeypatch):
     monkeypatch.setattr(mollifier, "TERM_BUDGET", 50)
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=200.0)
     with pytest.raises(CapacityError):
-        mollifier_coeffs(table_small, spec)
+        mollifier_coeffs(table_small.slice_leq(2.5, 200.0), math.inf)
 
 
 def test_evaluate_poly_trivial():
@@ -44,8 +44,7 @@ def test_evaluate_poly_trivial():
 
 
 def test_uncapped_poly_is_euler_product(table_small, rng):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=14.0)
-    poly = mollifier_coeffs(table_small, spec)
+    poly = mollifier_coeffs(table_small.slice_leq(2.5, 14.0), math.inf)
     primes = [3, 5, 7, 11, 13]
     for _ in range(20):
         s = complex(rng.uniform(0.4, 2.0), rng.uniform(-50, 50))
@@ -54,9 +53,8 @@ def test_uncapped_poly_is_euler_product(table_small, rng):
 
 
 def test_uncapped_poly_on_critical_line(table_small, rng):
-    spec = MollifierSpec(prime_lo=2.5, prime_hi=38.0)
-    poly = mollifier_coeffs(table_small, spec)
     primes = table_small.slice_leq(2.5, 38.0)
+    poly = mollifier_coeffs(primes, math.inf)
     worst = 0.0
     for _ in range(100):
         s = complex(0.5, rng.uniform(0, 1e4))
@@ -72,6 +70,15 @@ def test_approx_check_exact_mode(table_small, rng):
     assert report.excluded == 0
     assert report.fraction == 1.0
     assert report.max_equality_residual < 1e-10
+
+
+def test_approx_check_window_without_primes(table_small):
+    # (0, 0.01] asks for 1 < log p <= e^0.01, which no prime meets: the
+    # mollifier is the empty product 1 and the identity holds exactly
+    report = mollifier_approx_check(table_small, 0.0, 0.01, np.array([1e6, 1.5e6]))
+    assert report.total == 2 and report.excluded == 0
+    assert report.max_equality_residual == 0.0
+    assert report.fraction == 1.0
 
 
 def test_approx_check_capped_matches_uncapped_when_cap_is_big(table_small, rng):

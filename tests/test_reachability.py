@@ -1,8 +1,10 @@
 """Every top-level public function and class of the package has a use inside
-the package, and every option of a public function or method and every
+the package, every option of a public function or method and every
 defaulted field of a public dataclass is set by some statement of the
-package, so neither code that only its own tests reach nor knobs that only a
-test turns grow back."""
+package to more than one value, and every field of a public dataclass is
+read by some statement of the package, so neither code that only its own
+tests reach, nor knobs that only a test turns or that take a single value,
+nor results that nothing reads grow back."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,8 @@ UNSET_OPTIONS_ALLOWED = {
     "cli.main.argv":
         "the console script calls main() with no arguments, so argparse reads sys.argv",
 }
+# dataclasses the package writes out whole with `asdict`, not field by field
+WRITTEN_WHOLE = ("experiments.ExperimentConfig", "experiments.ResultRecord")
 
 
 def _is_suite_body(node) -> bool:
@@ -88,7 +92,7 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 def _dataclass_fields(package: Path):
     """(`module.Class.field`, class name, field name, position in the
-    constructor) for each defaulted field of a public dataclass."""
+    constructor, default or None) for each field of a public dataclass."""
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if not (isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt)) \
@@ -96,22 +100,17 @@ def _dataclass_fields(package: Path):
                 continue
             fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
             for position, f in enumerate(fields):
-                if f.value is not None:
-                    yield f"{path.stem}.{stmt.name}.{f.target.id}", stmt.name, f.target.id, position
+                yield (f"{path.stem}.{stmt.name}.{f.target.id}", stmt.name, f.target.id,
+                       position, f.value)
 
 
-def _calls(paths) -> dict[str, list[tuple[float, set[str]]]]:
-    """Called name -> (positional arguments, keyword names) per call; a `*args`
-    counts as every position and a `**kwargs` as every keyword.  A call of the
-    first parameter of a classmethod (`cls(...)`) counts as a call of its class."""
+def _calls(paths) -> dict[str, list[ast.Call]]:
+    """Called name -> its calls.  A call of the first parameter of a
+    classmethod (`cls(...)`) counts as a call of its class."""
     out: dict[str, list] = {}
 
     def record(name, node):
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        keywords = {kw.arg for kw in node.keywords}
-        out.setdefault(name, []).append(
-            (float("inf") if starred else len(node.args),
-             {"**"} if None in keywords else keywords))
+        out.setdefault(name, []).append(node)
 
     for path in paths:
         tree = ast.parse(path.read_text())
@@ -145,33 +144,77 @@ def _assigned_attributes(paths) -> set[str]:
     return out
 
 
+def _argument(call: ast.Call, name: str, position: int | None):
+    """What `call` passes for a parameter: its expression, `...` when a
+    `*args` or `**kwargs` may hold it, or None when the call passes nothing."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords):
+        return ...
+    if position is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                return ...
+            if i == position:
+                return arg
+    return None
+
+
+def _literal(node) -> str | None:
+    """repr of the value of a literal expression, or None for anything else."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):   # a name, a call, or `...`
+        return None
+
+
 def unset_options(package: Path) -> list[str]:
     """`module.function.parameter` of each defaulted parameter of a public
-    function or method that no call in the package passes, and
-    `module.Class.field` of each defaulted field of a public dataclass that no
-    call in the package passes and no statement of the package assigns.
-    Calls from tests do not count: an option only a test sets is a knob."""
+    function or method, and `module.Class.field` of each defaulted field of a
+    public dataclass that no statement of the package assigns, when no call
+    in the package passes it, or when every call gives it one and the same
+    literal (a call that passes nothing counts with the default).  Calls from
+    tests do not count: an option only a test sets is a knob, and one that
+    the package sets to a single value is a constant."""
     paths = sorted(package.glob("*.py"))
     calls = _calls(paths)
 
-    def passed(callee, name, position):
-        return any(name in keywords or "**" in keywords
-                   or (position is not None and n_args > position)
-                   for n_args, keywords in calls.get(callee, []))
+    def unset(callee, name, position, default):
+        args = [_argument(call, name, position) for call in calls.get(callee, [])]
+        if all(arg is None for arg in args):
+            return True
+        values = {_literal(default if arg is None else arg) for arg in args}
+        return len(values) == 1 and None not in values
 
-    unset = []
+    out = []
     for qualname, fn, skipped in _public_functions(package):
         positional = fn.args.posonlyargs + fn.args.args
         first_default = len(positional) - len(fn.args.defaults)
-        options = [(arg.arg, i - skipped) for i, arg in enumerate(positional) if i >= first_default]
-        options += [(arg.arg, None) for arg, default
+        options = [(arg.arg, i - skipped, fn.args.defaults[i - first_default])
+                   for i, arg in enumerate(positional) if i >= first_default]
+        options += [(arg.arg, None, default) for arg, default
                     in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
-        unset += [f"{qualname}.{name}" for name, position in options
-                  if not passed(fn.name, name, position)]
+        out += [f"{qualname}.{name}" for name, position, default in options
+                if unset(fn.name, name, position, default)]
     assigned = _assigned_attributes(paths)
-    unset += [qualname for qualname, cls, name, position in _dataclass_fields(package)
-              if name not in assigned and not passed(cls, name, position)]
-    return sorted(set(unset))
+    out += [qualname for qualname, cls, name, position, default in _dataclass_fields(package)
+            if default is not None and name not in assigned
+            and unset(cls, name, position, default)]
+    return sorted(set(out))
+
+
+def unread_fields(package: Path) -> list[str]:
+    """`module.Class.field` of each field of a public dataclass whose name no
+    statement of the package loads as an attribute (`x.field`), outside the
+    classes the package writes out whole."""
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(qualname for qualname, _, name, _, _ in _dataclass_fields(package)
+                  if name not in read and qualname.rsplit(".", 1)[0] not in WRITTEN_WHOLE)
 
 
 def test_every_option_is_set_by_some_call():
@@ -181,3 +224,7 @@ def test_every_option_is_set_by_some_call():
 def test_every_allowance_names_an_unset_option():
     # an entry whose option is gone or now set would let a knob back in unseen
     assert sorted(set(UNSET_OPTIONS_ALLOWED) - set(unset_options(PACKAGE))) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(PACKAGE) == []

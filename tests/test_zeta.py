@@ -212,7 +212,7 @@ def test_max_refinement_monotone(rng):
 
 def test_moment_estimate_degenerate(rng):
     est = moment_estimate(1e5, 2, 1, rng)
-    assert est.degenerate and math.isnan(est.ci_lo)
+    assert math.isnan(est.ci_lo) and math.isnan(est.ci_hi)
 
 
 def test_moment_estimate_second(rng):
