@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from .errors import DomainError, InsufficientSampleError, ToleranceError
 from .model import centering
@@ -142,6 +142,36 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
     z1 = (w + 1.0) / (sigma_total * math.sqrt(2.0))
     endpoint = 0.5 * (erf(z1) - erf(z0))
     return BridgeSurvival(joint=joint, conditional=joint / endpoint if endpoint > 0 else 0.0)
+
+
+def _normal_mass(a: float, b: float, sd: float) -> float:
+    """Mass of N(0, sd^2) on [a, b), with no cancellation in either tail."""
+    if b <= 0.0:
+        a, b = -b, -a
+    scale = sd * math.sqrt(2.0)
+    if a >= 0.0:
+        return 0.5 * (erfc(a / scale) - erfc(b / scale))
+    return 0.5 * (erf(b / scale) - erf(a / scale))
+
+
+def bridge_survival_exact(k: int, w: float, level: float) -> float:
+    """Brownian P(stay below `level` | end in [w, w+1)) after k steps from 0.
+
+    By reflection, the surviving endpoint density below the level is that of
+    N(0, k/2) less that of N(2 level, k/2): the constant-barrier law that the
+    DP discretizes.
+    """
+    if k < 1 or not level > 0.0:
+        raise DomainError(f"need k >= 1 and a level above the start, got k={k}, level={level}")
+    sd = math.sqrt(k * STEP_VAR)
+    endpoint = _normal_mass(w, w + 1.0, sd)
+    if endpoint == 0.0:
+        raise DomainError(f"the bin [{w}, {w + 1}) has no mass in double precision")
+    hi = min(w + 1.0, level)   # no path ends above the level
+    if hi <= w:
+        return 0.0
+    joint = _normal_mass(w, hi, sd) - _normal_mass(w - 2.0 * level, hi - 2.0 * level, sd)
+    return joint / endpoint
 
 
 def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,

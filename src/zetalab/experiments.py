@@ -29,7 +29,7 @@ from . import walk as wk
 from . import zeta as zt
 from .errors import UsageError
 from .parallel import map_blocks
-from .primes import MAX_SIEVE_LIMIT, cached_sieve, mertens_sum, loglog
+from .primes import MAX_SIEVE_LIMIT, cached_sieve, mertens_sum, loglog, primes_in_log_range
 
 CHUNKS = 32   # fixed chunk count keeps statistics thread-count independent
 
@@ -221,6 +221,13 @@ def _check_scale(name: str, k: float) -> None:
                          f"(primes up to {MAX_SIEVE_LIMIT}), got {k!r}")
 
 
+def _check_window(table, j: float, k: float) -> None:
+    """Usage error when the scale window (j, k] holds no prime, before any
+    draw: a suite over it would sample only zeros and report on nothing."""
+    if len(primes_in_log_range(table, j, k)) == 0:
+        raise UsageError(f"the scale window ({j!r}, {k!r}] holds no prime")
+
+
 @suite("mertens", time_limit=60.0, params=("limit",))
 def run_mertens(config: ExperimentConfig):
     limit = param(config, "limit", 10 ** 8)
@@ -363,18 +370,21 @@ def run_ballot_sweep(config: ExperimentConfig):
     rng = seed_stream(config.seed, 0)
     n_rand = param(config, "n_random_configs", 20, above=0)
     mc_paths = param(config, "mc_paths", 60_000, above=0)
-    worst_sigma = 0.0
+    # the DPs read no rng: the configs and MC estimates are drawn here in
+    # order, and every DP then runs as a fixed item on the shared pool
+    jobs, estimates = [], []   # jobs: (k, w, barrier) per DP
     for _ in range(n_rand):
         k = int(rng.integers(20, 120))
         level = float(rng.uniform(1.5, 4.0))
         w = float(rng.choice([-0.5, 0.0, 0.5]))
-        dp = bar.bridge_survival_dp(k, w, lambda j: level)
-        est, se = bar.bridge_survival_mc(rng, k, w, lambda j: level, mc_paths)
-        worst_sigma = max(worst_sigma, abs(est - dp.conditional) / se)
-    dp_const = bar.bridge_survival_dp(100, -0.5, lambda j: 3.0)
-    continuum = 1.0 - math.exp(-4.0 * 3.0 * 3.0 / 100.0)
-    rows = []
-    max_ratio = 0.0
+
+        def constant(j, _level=level):
+            return _level
+
+        jobs.append((k, w, constant))
+        estimates.append(bar.bridge_survival_mc(rng, k, w, constant, mc_paths))
+    jobs.append((100, -0.5, lambda j: 3.0))
+    sweep = []   # (k, y, w, profile) per row of the table
     for k in (25, 100, 400):
         for y in (1.0, 3.0, 6.0):
             profile = bar.BarrierProfile(y=y, n=2.0 * k + 1.0)
@@ -383,15 +393,33 @@ def run_ballot_sweep(config: ExperimentConfig):
                 return model.centering(j, _profile.n) + bar.upper_barrier(j, _profile)
 
             w = float(math.floor(math.sqrt(k)))
-            dp = bar.bridge_survival_dp(k, w, level_fn)
-            bound = bar.ballot_bound(k, w, profile)
-            ratio = dp.joint / bound
-            max_ratio = max(max_ratio, ratio)
-            rows.append((k, y, w, dp.joint, bound, ratio))
+            sweep.append((k, y, w, profile))
+            jobs.append((k, w, level_fn))
+    # the longest solves (largest k) go first, so no worker is left alone
+    # with a k = 400 solve at the end; three explicit arguments, not `*job`:
+    # no call passes the DP's `mesh`
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+    solved = dict(zip(order, map_blocks(
+        lambda i: bar.bridge_survival_dp(jobs[i][0], jobs[i][1], jobs[i][2]), order)))
+    dps = [solved[i] for i in range(len(jobs))]
+    worst_sigma = max(abs(est - dp.conditional) / se
+                      for (est, se), dp in zip(estimates, dps))
+    dp_const = dps[n_rand]
+    continuum = 1.0 - math.exp(-4.0 * 3.0 * 3.0 / 100.0)
+    exact = bar.bridge_survival_exact(100, -0.5, 3.0)
+    rows = []
+    max_ratio = 0.0
+    for (k, y, w, profile), dp in zip(sweep, dps[n_rand + 1:]):
+        bound = bar.ballot_bound(k, w, profile)
+        ratio = dp.joint / bound
+        max_ratio = max(max_ratio, ratio)
+        rows.append((k, y, w, dp.joint, bound, ratio))
     metrics = {
         "mc_dp_worst_sigma": worst_sigma,
         "constant_barrier_dp": dp_const.conditional,
         "constant_barrier_continuum": continuum,
+        "constant_barrier_exact": exact,
+        "constant_barrier_dp_gap": abs(dp_const.conditional - exact),
         "sweep_max_ratio": max_ratio,
     }
     passes = {"AC6": worst_sigma <= 3.0
@@ -407,6 +435,7 @@ def run_moments_model(config: ExperimentConfig):
     _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(max(k, LAPLACE_K))
+    _check_window(table, j, k)
     split = model.window_split(table, j, k)
     chunks = parallel_chunks(config.seed, n_samples,
                              lambda rng, n: model.draw_window_sums(rng, split, n))
@@ -435,6 +464,7 @@ def run_berry_esseen(config: ExperimentConfig):
     _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(k)
+    _check_window(table, k - 1.0, k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
     metrics = {
         "sup_distance": comp.sup_distance,
@@ -451,6 +481,7 @@ def run_density_check(config: ExperimentConfig):
     delta = param(config, "delta", 4.0, above=0)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     table = _window_sieve(r)
+    _check_window(table, 0.0, r)
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
     metrics = {

@@ -64,8 +64,35 @@ class SmoothingFunction:
         map_blocks(block, range(0, len(xi), 512))   # fixed blocks: same bits on any pool
         return out
 
-    def fhat_normalized(self, xi) -> np.ndarray:
-        return self.fhat(xi) / self.l1_norm
+    def fhat_grid(self, start: float, step: float, count: int) -> np.ndarray:
+        """`fhat` at `start + j step` for j < count, by one chirp-z transform.
+
+        With c = pi h step, the phase 2 pi (start + j step) k h of the lattice
+        series is 2 pi start k h + c (j^2 + k^2 - (j - k)^2), so the sum over
+        the nodes is a convolution with the chirp e^{-i c n^2}: three FFTs
+        (Bluestein, 1970).  c n^2 reaches ~3e5 rad, so c is split into a head
+        whose product with every n^2 is exact and a small tail.
+        """
+        pos = self.nodes > 0
+        vals = self.node_values[pos]                  # at k h for k = 1..n_nodes
+        v0 = self.node_values[np.argmin(np.abs(self.nodes))]
+        n_nodes = len(vals)
+        size = 1 << (count + n_nodes - 1).bit_length()   # >= count + n_nodes: no wrap
+        n = np.arange(max(count, n_nodes + 1))
+        n_sq = (n * n).astype(float)
+        c = math.pi * NODE_SPACING * step
+        frac, exponent = math.frexp(c)
+        head_bits = 52 - int(n_sq[-1]).bit_length()   # head bits + bits of n^2 <= 52
+        c_hi = math.ldexp(math.floor(math.ldexp(frac, head_bits)), exponent - head_bits)
+        chirp = np.exp(1j * (c_hi * n_sq)) * np.exp(1j * ((c - c_hi) * n_sq))   # e^{i c n^2}
+        k = n[1:n_nodes + 1]
+        x = np.zeros(size, dtype=complex)
+        x[k] = vals * np.exp(2j * math.pi * start * NODE_SPACING * k) * chirp[k]
+        b = np.zeros(size, dtype=complex)
+        b[:count] = np.conj(chirp[:count])
+        b[size - n_nodes:] = np.conj(chirp[n_nodes:0:-1])   # e^{-i c n^2} at n = -n_nodes..-1
+        sums = chirp[:count] * np.fft.ifft(np.fft.fft(x) * np.fft.fft(b))[:count]
+        return NODE_SPACING * (v0 + 2.0 * sums.real)
 
     def fhat_normalized_fast(self, xi) -> np.ndarray:
         """Spline shortcut for bulk evaluation (abs error ~ 1e-11)."""
@@ -75,7 +102,7 @@ class SmoothingFunction:
     def _fhat_spline(self):
         from scipy.interpolate import CubicSpline
         grid = np.linspace(-1.02, 1.02, 20_401)
-        return CubicSpline(grid, self.fhat_normalized(grid))
+        return CubicSpline(grid, self.fhat(grid) / self.l1_norm)
 
     def cdf(self, x) -> np.ndarray:
         """Integral of F0/|F0|_1 up to x, via the sine-integral expansion."""
@@ -161,31 +188,38 @@ class BandlimitedBump:
     def ghat(self, xi) -> np.ndarray:
         """Transform: F-hat scaled, times the window's sinc and center phase."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        return self._ghat(xi, self.base.fhat(xi / self.spread))
+
+    def _ghat(self, xi: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+        """`ghat` at xi, given the base's `fhat` at xi / spread."""
         length = self.indicator_length
         phase = np.exp(-1j * math.pi * xi / self.delta)
-        return self.base.fhat_normalized(xi / self.spread) * length \
-            * np.sinc(length * xi) * phase
+        return fhat / self.base.l1_norm * length * np.sinc(length * xi) * phase
 
     def support_violation_mass(self) -> float:
         """Upper estimate of transform mass beyond +-delta^{2a} (exactly 0)."""
         return self.base.transform_tail_mass() / (math.pi * self.base.l1_norm)
 
     def l1_transform(self) -> float:
-        """Integral of |ghat| by 12 midpoint samples per lobe of the window sinc."""
+        """Integral of |ghat| by 12 midpoint samples per lobe of the window sinc.
+
+        The samples, clipped at `spread`, form one uniform grid in xi, so the
+        base's `fhat` at all unclipped ones is one `fhat_grid` transform.
+        """
         oversample = 12
         length = self.indicator_length
         lobe = 1.0 / length
         n_lobes = int(math.ceil(self.spread / lobe))
-        total = 0.0
-        for block in range(0, n_lobes, 4096):
-            hi_block = min(n_lobes, block + 4096)
-            m = np.arange(block, hi_block)
-            offsets = (np.arange(oversample) + 0.5) / oversample
-            xi = (m[:, None] + offsets[None, :]) * lobe
-            xi = np.minimum(xi, self.spread)
-            vals = np.abs(self.ghat(xi.ravel())).reshape(xi.shape)
-            total += float(np.sum(vals)) * lobe / oversample
-        return 2.0 * total   # even integrand
+        offsets = (np.arange(oversample) + 0.5) / oversample
+        xi = np.minimum((np.arange(n_lobes)[:, None] + offsets[None, :]).ravel() * lobe,
+                        self.spread)
+        n_free = int(np.searchsorted(xi, self.spread))   # the first clipped sample
+        step = lobe / oversample / self.spread
+        fhat = np.empty_like(xi)
+        fhat[:n_free] = self.base.fhat_grid(0.5 * step, step, n_free)
+        fhat[n_free:] = self.base.fhat(1.0)   # xi / spread of a clipped sample
+        vals = np.abs(self._ghat(xi, fhat))
+        return 2.0 * float(np.sum(vals)) * lobe / oversample   # even integrand
 
 
 def make_bump(delta: float, a_param: float) -> BandlimitedBump:

@@ -1,12 +1,15 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from zetalab import parallel
 from zetalab.errors import DomainError, InsufficientSampleError, ToleranceError
 from zetalab.barrier import (STEP_VAR, BarrierProfile, _gauss_kernel, _same_convolver,
-                             ballot_bound, bridge_survival_dp, bridge_survival_mc,
-                             upper_barrier)
+                             ballot_bound, bridge_survival_dp, bridge_survival_exact,
+                             bridge_survival_mc, upper_barrier)
+from zetalab.experiments import ExperimentConfig, run
 from zetalab.model import centering
 
 
@@ -79,6 +82,49 @@ def test_dp_single_step_closed_form():
     num = quad(lambda b: math.exp(-b * b) * (1 - math.exp(-4 * 1.0 * (1.0 - b))), -0.5, 0.5)[0]
     den = quad(lambda b: math.exp(-b * b), -0.5, 0.5)[0]
     assert out.conditional == pytest.approx(num / den, abs=5e-4)
+    assert bridge_survival_exact(1, -0.5, 1.0) == pytest.approx(num / den, rel=1e-12)
+
+
+def test_dp_matches_exact_constant_barrier_law(rng):
+    # configs drawn from ballot_sweep's ranges; the bound was set before any run
+    for _ in range(12):
+        k = int(rng.integers(20, 120))
+        level = float(rng.uniform(1.5, 4.0))
+        w = float(rng.choice([-0.5, 0.0, 0.5]))
+        dp = bridge_survival_dp(k, w, lambda j: level)
+        assert abs(dp.conditional - bridge_survival_exact(k, w, level)) <= 2e-6
+
+
+def test_exact_law_edges():
+    assert bridge_survival_exact(30, -0.5, 50.0) == pytest.approx(1.0, abs=1e-15)
+    assert bridge_survival_exact(20, 8.0, 1.0) == 0.0          # the bin lies above the level
+    # a bin that straddles the level: only its part below can be reached
+    straddle = bridge_survival_exact(40, 1.5, 2.0)
+    assert 0.0 < straddle < bridge_survival_exact(40, 0.5, 2.0)
+    assert straddle == pytest.approx(bridge_survival_dp(40, 1.5, lambda j: 2.0).conditional,
+                                     abs=2e-6)
+    # 12 sd below the start, where erf(b) - erf(a) would be 0 / 0: 1 - ~e^{-25.5}
+    assert bridge_survival_exact(20, -40.0, 3.0) == pytest.approx(1.0 - 1e-11, abs=1e-11)
+    for k, w, level in ((20, 0.0, 0.0), (0, 0.0, 1.0), (20, 1e6, 1e7)):
+        with pytest.raises(DomainError):
+            bridge_survival_exact(k, w, level)
+
+
+def test_ballot_sweep_same_on_any_pool(tmp_path, monkeypatch):
+    # the sweep's DPs run as fixed items on the shared pool
+    base = dict(experiment="ballot_sweep", seed=3,
+                params={"n_random_configs": 2, "mc_paths": 10_000})
+    want = run(ExperimentConfig(out_dir=str(tmp_path / "default"), **base))
+    want.metrics.pop("elapsed_s")
+    for workers in (1, 8):
+        out = tmp_path / f"w{workers}"
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(parallel, "_pool", pool)
+            rec = run(ExperimentConfig(out_dir=str(out), **base))
+        rec.metrics.pop("elapsed_s")
+        assert rec.metrics == want.metrics and rec.passes == want.passes
+        for name in ("ballot_sweep.csv", "ballot_sweep_metrics.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 def test_mc_agrees_with_dp(rng):

@@ -201,6 +201,10 @@ def test_cli_runs_suite(capsys, out_dir):
     ('{"experiment": "density_check", "params": {"r": "nan"}}', []),
     ('{"experiment": "moments_model", "params": {"k": -1.0}}', []),
     ('{"experiment": "moments_model", "params": {"j": "-inf"}}', []),
+    # windows that hold no prime: (0, 0.01] asks for 1 < log p <= 1.01
+    ('{"experiment": "density_check", "params": {"r": 0.01, "n_samples": 10000}}', []),
+    ('{"experiment": "berry_esseen", "params": {"k": -5.0, "n_samples": 10000}}', []),
+    ('{"experiment": "moments_model", "params": {"j": 0.0, "k": 0.01}}', []),
 ])
 def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     cfg_path = tmp_path / "cfg.json"

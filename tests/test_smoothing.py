@@ -195,6 +195,36 @@ def test_bump_transform_l1(bump3):
     assert bump3.support_violation_mass() <= 1e-8
 
 
+def l1_grid(bump):
+    """(start, step, count) of the uniform grid, in the base's argument
+    xi / spread, on which `l1_transform` samples the transform."""
+    lobe = 1.0 / bump.indicator_length
+    step = lobe / 12 / bump.spread
+    return 0.5 * step, step, 12 * math.ceil(bump.spread / lobe)
+
+
+@pytest.mark.parametrize("delta", [3.0, 5.0, 8.0])
+def test_fhat_grid_matches_cosine_series(ingham, rng, delta):
+    # a chirp e^{i c n^2} taken naively loses ~8.5e-12 at delta = 8
+    start, step, count = l1_grid(make_bump(delta, 3.0))
+    got = ingham.fhat_grid(start, step, count)
+    idx = np.arange(count) if delta < 8 else \
+        np.concatenate([[0, count - 1], rng.integers(0, count, 4000)])
+    want = ingham.fhat(start + idx * step)
+    assert np.max(np.abs(got[idx] - want)) <= 1e-14 * ingham.l1_norm
+
+
+def test_l1_transform_matches_direct_sum(bump3):
+    length = bump3.indicator_length
+    lobe = 1.0 / length
+    xi = np.minimum((np.arange(12 * math.ceil(bump3.spread / lobe)) + 0.5) * lobe / 12,
+                    bump3.spread)
+    ghat = reference_fhat(bump3.base, xi / bump3.spread) / bump3.base.l1_norm \
+        * length * np.sinc(length * xi)
+    direct = 2.0 * float(np.sum(np.abs(ghat))) * lobe / 12
+    assert bump3.l1_transform() == pytest.approx(direct, rel=1e-13)
+
+
 def test_bump_guard():
     with pytest.raises(DomainError):
         make_bump(2.0, 3.0)
