@@ -27,7 +27,7 @@ from . import mollifier as mol
 from . import smoothing as sm
 from . import walk as wk
 from . import zeta as zt
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .parallel import map_blocks
 from .primes import MAX_SIEVE_LIMIT, cached_sieve, mertens_sum, loglog, primes_in_log_range
 
@@ -228,6 +228,14 @@ def _check_window(table, j: float, k: float) -> None:
         raise UsageError(f"the scale window ({j!r}, {k!r}] holds no prime")
 
 
+def _check_samples(n_samples: int) -> None:
+    """Capacity error (CLI exit 3) when a window-sum suite asks for more than
+    `model.MAX_SAMPLES` draws, before its sieve or any draw is allocated."""
+    if n_samples > model.MAX_SAMPLES:
+        raise CapacityError(f"param 'n_samples' = {n_samples} exceeds the budget "
+                            f"of {model.MAX_SAMPLES} window-sum draws")
+
+
 @suite("mertens", time_limit=60.0, params=("limit",))
 def run_mertens(config: ExperimentConfig):
     limit = param(config, "limit", 10 ** 8)
@@ -336,6 +344,7 @@ def run_poisson_suite(config: ExperimentConfig):
 @suite("smoothing_suite", params=("n_samples",))
 def run_smoothing_suite(config: ExperimentConfig):
     n_samples = param(config, "n_samples", 20000, above=0)
+    _check_samples(n_samples)
     table = cached_sieve(SHARED_SIEVE_LIMIT)
     rng = seed_stream(config.seed, 0)
     metrics: dict[str, float] = {}
@@ -434,6 +443,7 @@ def run_moments_model(config: ExperimentConfig):
     k = param(config, "k", 2.9, above=j)
     _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
+    _check_samples(n_samples)
     table = _window_sieve(max(k, LAPLACE_K))
     _check_window(table, j, k)
     split = model.window_split(table, j, k)
@@ -463,6 +473,7 @@ def run_berry_esseen(config: ExperimentConfig):
     k = param(config, "k", 2.9, above=-math.inf)
     _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
+    _check_samples(n_samples)
     table = _window_sieve(k)
     _check_window(table, k - 1.0, k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
@@ -480,6 +491,7 @@ def run_density_check(config: ExperimentConfig):
     _check_scale("r", r)
     delta = param(config, "delta", 4.0, above=0)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
+    _check_samples(n_samples)
     table = _window_sieve(r)
     _check_window(table, 0.0, r)
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)

@@ -14,13 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .parallel import map_blocks
 from .primes import PrimeTable, primes_in_log_range
 
 EXACT_PRIME_CUTOFF = 10_000   # primes above this are folded into one Gaussian
 QUADRATURE_PRIME = 10_007     # the prime of laplace_check's quadrature residual
 MAX_LEAVES = 10 ** 7          # leaves of one hierarchical surrogate run
-SAMPLE_CHUNK = 1 << 14
+MAX_SAMPLES = 10 ** 8         # window-sum draws of one request
+SAMPLE_CHUNK = 1 << 14        # rows drawn per prime block before the next block
 PRIME_BLOCK = 256
+ROW_BLOCK = 1 << 11           # rows of one pool item; divides SAMPLE_CHUNK
+JUMPABLE = ("Philox", "PCG64")   # bit generators whose doubles take one raw 64-bit draw each
 
 
 def x_p_values(primes: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -73,25 +77,69 @@ def window_split(table: PrimeTable, j: float, k: float,
     return WindowSplit(head=head, tail_variance=tail_var, tail_bias_bound=bias)
 
 
+def _jumped(state: dict, n: int) -> np.random.BitGenerator:
+    """A new `JUMPABLE` bit generator in `state`, moved on by `n` raw 64-bit
+    draws in O(1), so that it continues exactly as the original would."""
+    name = state["bit_generator"]
+    bit_gen = getattr(np.random, name)(0)
+    bit_gen.state = state
+    if name == "Philox":
+        # drain the 4-word buffer, skip whole counter blocks, then draw the
+        # rest; `advance` empties the buffer, so it runs only once it is spent
+        head = min(n, 4 - state["buffer_pos"])
+        bit_gen.random_raw(head, output=False)
+        if n > head:
+            bit_gen.advance((n - head) // 4)
+            bit_gen.random_raw((n - head) % 4, output=False)
+    else:
+        bit_gen.advance(n)
+    # `advance` also drops a buffered 32-bit half, which raw draws keep
+    bit_gen.state = {**bit_gen.state, "has_uint32": state["has_uint32"],
+                     "uinteger": state["uinteger"]}
+    return bit_gen
+
+
 def draw_window_sums(rng: np.random.Generator, split: WindowSplit,
                      n_samples: int) -> np.ndarray:
-    """Monte Carlo draws of the window sum of X_p at h = 0 over a split."""
+    """Monte Carlo draws of the window sum of X_p at h = 0 over a split.
+
+    The stream is read as by a serial sampler: the tail normals, then per
+    `SAMPLE_CHUNK` of rows one uniform block per `PRIME_BLOCK` of primes.
+    Fixed `ROW_BLOCK` items run on the shared pool, each from a copy of the
+    stream jumped to its first draw, and `rng` ends where the serial sampler
+    leaves it; the samples are the same for any pool size."""
+    if n_samples > MAX_SAMPLES:
+        raise CapacityError(f"{n_samples} samples exceed the budget of {MAX_SAMPLES}")
+    name = type(rng.bit_generator).__name__
+    if name not in JUMPABLE:   # another generator's raw draws need other jump arithmetic
+        raise DomainError(f"window sums need a {' or '.join(JUMPABLE)} stream, not {name}")
     out = np.zeros(n_samples)
     if split.tail_variance > 0:
         out += rng.normal(0.0, math.sqrt(split.tail_variance), size=n_samples)
-    head = split.head
-    head_f = head.astype(float)
+    head_f = split.head.astype(float)
+    n_head = len(head_f)
     amp1 = 1.0 / np.sqrt(head_f)
     amp2 = 0.5 / head_f
-    for lo in range(0, n_samples, SAMPLE_CHUNK):
+    start = rng.bit_generator.state
+
+    def block(r0: int) -> None:
+        lo = r0 - r0 % SAMPLE_CHUNK
         hi = min(n_samples, lo + SAMPLE_CHUNK)
-        acc = np.zeros(hi - lo)
-        for b in range(0, len(head), PRIME_BLOCK):
-            be = min(len(head), b + PRIME_BLOCK)
-            theta = rng.uniform(0.0, 2.0 * math.pi, size=(hi - lo, be - b))
-            c = np.cos(theta)
-            acc += c @ amp1[b:be] + (2.0 * c * c - 1.0) @ amp2[b:be]
-        out[lo:hi] += acc
+        r1 = min(hi, r0 + ROW_BLOCK)
+        acc = np.zeros(r1 - r0)
+        for b in range(0, n_head, PRIME_BLOCK):
+            be = min(n_head, b + PRIME_BLOCK)
+            gen = np.random.Generator(_jumped(
+                start, lo * n_head + (hi - lo) * b + (r0 - lo) * (be - b)))
+            c = np.cos(gen.uniform(0.0, 2.0 * math.pi, size=(r1 - r0, be - b)))
+            # einsum, not a BLAS `@`: each row's sum then depends on that row
+            # alone, not on the block shape or on any thread count
+            acc += np.einsum("ij,j->i", c, amp1[b:be]) \
+                + np.einsum("ij,j->i", 2.0 * c * c - 1.0, amp2[b:be])
+        out[r0:r1] += acc
+
+    map_blocks(block, range(0, n_samples, ROW_BLOCK))
+    rng.bit_generator.state = _jumped(start, n_samples * n_head).state
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .parallel import map_blocks
 
 MAX_SIEVE_LIMIT = 2 ** 34
 SEGMENT_SIZE = 1 << 20
@@ -56,27 +57,28 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _sieve_segment(base: list[int], lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], given every prime up to sqrt(hi) in `base`."""
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    for p in base:
+        start = max(((lo + p - 1) // p) * p, p * p)
+        if start <= hi:
+            mask[start - lo :: p] = False
+    return (np.flatnonzero(mask) + lo).astype(np.int64)
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented sieve of all primes <= limit, with compensated 1/p prefix sums."""
+    """Segmented sieve of all primes <= limit, with compensated 1/p prefix sums.
+    The segments run as fixed items on the shared pool, in segment order."""
     if limit < 2 or limit > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} outside [2, {MAX_SIEVE_LIMIT}]")
     base_limit = max(math.isqrt(limit), 2)
     base = _simple_sieve(base_limit)
-    chunks = [base[base <= limit]]
-    lo = base_limit + 1
-    while lo <= limit:
-        hi = min(lo + SEGMENT_SIZE - 1, limit)
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
-            if start <= hi:
-                mask[start - lo :: p] = False
-        chunks.append((np.flatnonzero(mask) + lo).astype(np.int64))
-        lo = hi + 1
-    primes = np.concatenate(chunks)
+    base_list = base.tolist()
+    segments = map_blocks(
+        lambda lo: _sieve_segment(base_list, lo, min(lo + SEGMENT_SIZE - 1, limit)),
+        range(base_limit + 1, limit + 1, SEGMENT_SIZE))
+    primes = np.concatenate([base[base <= limit]] + segments)
     # extended-precision cumsum keeps per-entry rounding at the ulp level,
     # far inside the 1e-12 * index budget
     cum = np.cumsum(1.0 / primes.astype(np.longdouble)).astype(np.float64)

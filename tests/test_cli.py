@@ -227,6 +227,20 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, config_text, flags):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name, n_samples", [
+    ("moments_model", 10 ** 12), ("berry_esseen", 10 ** 12), ("density_check", 10 ** 12),
+    ("smoothing_suite", 10 ** 12), ("berry_esseen", 10 ** 8 + 1),
+])
+def test_cli_sample_budget_exits_3(tmp_path, capsys, name, n_samples):
+    # refused before the sieve or any draw is allocated
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": name, "params": {"n_samples": n_samples}}))
+    out_dir = tmp_path / "out"
+    assert main([name, "--config", str(cfg_path), "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err.startswith("error [CapacityError]: ")
+    assert not out_dir.exists()
+
+
 def test_cli_config_for_another_suite_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"experiment": "poisson_suite"}')

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import zetalab
+from zetalab import parallel
 from zetalab.errors import CapacityError, DomainError
-from zetalab.experiments import chunk_streams, parallel_chunks
-from zetalab.model import (branching_pattern, centering, density_check,
+from zetalab.experiments import chunk_streams, parallel_chunks, seed_stream
+from zetalab.model import (MAX_SAMPLES, _jumped, branching_pattern, centering, density_check,
                            e_z_xp_quadrature, increment_gaussianity, laplace_check,
                            sample_hierarchical_leaves, sample_hierarchical_maxima,
                            draw_window_sums, sample_window_sums, tail_slope,
@@ -61,7 +67,9 @@ def test_window_sums_split_consistency(table_medium):
 
 def reference_window_sums(rng, table, j, k, n_samples, exact_below=10_000):
     """The sampler as it was before the split was factored out: the split is
-    recomputed on every call."""
+    recomputed on every call, and every draw comes serially from `rng`.  The
+    row sums use the sampler's BLAS-free reduction; a BLAS `@` would make the
+    bits depend on the BLAS thread count."""
     primes = primes_in_log_range(table, j, k)
     head = primes[primes <= exact_below]
     tail = primes[len(head):]
@@ -77,7 +85,8 @@ def reference_window_sums(rng, table, j, k, n_samples, exact_below=10_000):
         for b in range(0, len(head), 256):
             be = min(len(head), b + 256)
             c = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=(hi - lo, be - b)))
-            acc += c @ amp1[b:be] + (2.0 * c * c - 1.0) @ amp2[b:be]
+            acc += np.einsum("ij,j->i", c, amp1[b:be]) \
+                + np.einsum("ij,j->i", 2.0 * c * c - 1.0, amp2[b:be])
         out[lo:hi] += acc
     return out
 
@@ -94,6 +103,81 @@ def test_chunked_draws_with_one_split_match_per_chunk_calls(table_medium):
                                                          1.0, 2.3, 100))
     assert (info.n_exact, info.tail_variance, info.tail_bias_bound) == \
         (split.n_exact, split.tail_variance, split.tail_bias_bound)
+
+
+@pytest.mark.parametrize("make_bit_gen", [lambda: np.random.Philox(key=17),
+                                           lambda: np.random.PCG64(17)])
+def test_jump_matches_serial_skip(make_bit_gen):
+    warm = make_bit_gen()
+    warm.random_raw(6, output=False)   # a live Philox buffer, half spent
+    for pos in (0, 1, 2, 3, 4) if "buffer_pos" in warm.state else (None,):
+        state = warm.state
+        if pos is not None:
+            state["buffer_pos"] = pos
+        state["has_uint32"], state["uinteger"] = 1, 12345   # a buffered 32-bit half
+        for n in list(range(10)) + [1_000_003]:
+            serial = make_bit_gen()
+            serial.state = state
+            serial.random_raw(n, output=False)
+            jumped = _jumped(state, n)
+            assert jumped.state["has_uint32"] == 1 and jumped.state["uinteger"] == 12345
+            assert np.array_equal(jumped.random_raw(9), serial.random_raw(9)), (pos, n)
+
+
+def test_window_sums_pooled_match_serial_stream(table_medium, monkeypatch):
+    # 40,001 rows: three sample chunks, the last of 7,233 rows, which ends
+    # inside a row block; five prime blocks
+    split = window_split(table_medium, 0.0, 2.6)
+    assert split.tail_variance > 0 and split.n_exact > 4 * 256
+    runs = [(None, lambda: np.random.default_rng(4))]   # PCG64 on the default pool
+    runs += [(workers, lambda: seed_stream(1, 5)) for workers in (None, 1, 8)]   # Philox
+    wants = {}
+    for workers, make in runs:
+        if make not in wants:
+            serial = make()
+            wants[make] = (reference_window_sums(serial, table_medium, 0.0, 2.6, 40_001),
+                           serial.bit_generator.state)
+        want, serial_state = wants[make]
+        rng = make()
+        if workers is None:
+            got = draw_window_sums(rng, split, 40_001)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(parallel, "_pool", pool)
+                got = draw_window_sums(rng, split, 40_001)
+        assert np.array_equal(got, want)
+        # the caller's stream ends where the serial sampler leaves it
+        probe = make()
+        probe.bit_generator.state = serial_state
+        assert np.array_equal(rng.uniform(size=5), probe.uniform(size=5))
+
+
+def test_window_sums_refuse_unjumpable_streams(table_medium):
+    split = window_split(table_medium, 1.0, 2.0)
+    rng = np.random.Generator(np.random.MT19937(3))
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        draw_window_sums(rng, split, 100)
+    assert rng.bit_generator.state["state"]["pos"] == before["state"]["pos"]   # nothing drawn
+    with pytest.raises(CapacityError):   # the budget is checked before any allocation
+        draw_window_sums(np.random.default_rng(0), split, MAX_SAMPLES + 1)
+
+
+def test_window_sum_bits_do_not_depend_on_blas_threads():
+    # the row sums skip BLAS, whose gemv splits rows by its own thread count
+    code = ("import hashlib, numpy as np; from zetalab import model, primes; "
+            "split = model.window_split(primes.cached_sieve(2 * 10 ** 6), 1.0, 2.3); "
+            "s = model.draw_window_sums(np.random.default_rng(4), split, 3001); "
+            "print(hashlib.sha256(s.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_window_sum_variance_matches(table_medium, rng):

@@ -1,10 +1,13 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from zetalab import parallel
 from zetalab.errors import CapacityError, DomainError
-from zetalab.primes import cached_sieve, loglog, mertens_sum, primes_in_log_range, sieve_primes
+from zetalab.primes import (SEGMENT_SIZE, _simple_sieve, cached_sieve, loglog, mertens_sum,
+                            primes_in_log_range, sieve_primes)
 
 
 def brute_primes(limit):
@@ -23,6 +26,23 @@ def test_sieve_tiny_cases():
 def test_sieve_matches_trial_division():
     table = sieve_primes(5000)
     assert table.primes.tolist() == brute_primes(5000)
+
+
+@pytest.mark.parametrize("last_segment", [1, 2, SEGMENT_SIZE])
+def test_pooled_segments_match_simple_sieve(monkeypatch, last_segment):
+    # segments start above isqrt(limit); pick the limit whose last one holds
+    # `last_segment` numbers, after two full segments
+    limit = 2 * SEGMENT_SIZE + last_segment
+    while limit - math.isqrt(limit) != 2 * SEGMENT_SIZE + last_segment:
+        limit = 2 * SEGMENT_SIZE + last_segment + math.isqrt(limit)
+    want = _simple_sieve(limit)
+    want_cum = sieve_primes(limit).cum_recip   # the default pool
+    for workers in (1, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(parallel, "_pool", pool)
+            table = sieve_primes(limit)
+        assert np.array_equal(table.primes, want)
+        assert np.array_equal(table.cum_recip, want_cum)
 
 
 def test_sieve_limit_guard():
