@@ -127,13 +127,12 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
         level = levels[j - 1]
         reflect = not math.isinf(level) and prev_constrained
         if reflect:
-            # the step's barrier applies on the whole step, so mass already
-            # above it is absorbed before diffusing
+            # mass already above the step's barrier is absorbed before diffusing,
+            # and the image charge goes in before the one (linear) convolution
             density = _cut_above(density, grid, level)
+            density -= np.interp(2.0 * level - grid, grid, density, left=0.0, right=0.0)
         new = convolve(density)
         if reflect:
-            reflected = np.interp(2.0 * level - grid, grid, density, left=0.0, right=0.0)
-            new -= convolve(reflected)
             np.clip(new, 0.0, None, out=new)
         density = _cut_above(new, grid, level)
         prev_constrained = not math.isinf(level)

@@ -413,6 +413,9 @@ def run_ballot_sweep(config: ExperimentConfig):
     dps = [solved[i] for i in range(len(jobs))]
     worst_sigma = max(abs(est - dp.conditional) / se
                       for (est, se), dp in zip(estimates, dps))
+    # every random config has a constant level, so the exact law applies
+    random_gap = max(abs(dp.conditional - bar.bridge_survival_exact(k, w, barrier(1)))
+                     for (k, w, barrier), dp in zip(jobs[:n_rand], dps))
     dp_const = dps[n_rand]
     continuum = 1.0 - math.exp(-4.0 * 3.0 * 3.0 / 100.0)
     exact = bar.bridge_survival_exact(100, -0.5, 3.0)
@@ -429,6 +432,7 @@ def run_ballot_sweep(config: ExperimentConfig):
         "constant_barrier_continuum": continuum,
         "constant_barrier_exact": exact,
         "constant_barrier_dp_gap": abs(dp_const.conditional - exact),
+        "random_dp_gap_max": random_gap,
         "sweep_max_ratio": max_ratio,
     }
     passes = {"AC6": worst_sigma <= 3.0

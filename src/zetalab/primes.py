@@ -79,9 +79,13 @@ def sieve_primes(limit: int) -> PrimeTable:
         lambda lo: _sieve_segment(base_list, lo, min(lo + SEGMENT_SIZE - 1, limit)),
         range(base_limit + 1, limit + 1, SEGMENT_SIZE))
     primes = np.concatenate([base[base <= limit]] + segments)
-    # extended-precision cumsum keeps per-entry rounding at the ulp level,
-    # far inside the 1e-12 * index budget
-    cum = np.cumsum(1.0 / primes.astype(np.longdouble)).astype(np.float64)
+    # 1/p in extended precision, in fixed blocks on the pool, then one serial
+    # cumsum: per-entry rounding stays at the ulp level (budget: 1e-12 * index)
+    recip = np.empty(len(primes), dtype=np.longdouble)
+    map_blocks(lambda lo: np.divide(1.0, primes[lo:lo + SEGMENT_SIZE], dtype=np.longdouble,
+                                    out=recip[lo:lo + SEGMENT_SIZE]),
+               range(0, len(primes), SEGMENT_SIZE))
+    cum = np.cumsum(recip, out=recip).astype(np.float64)
     return PrimeTable(limit=int(limit), primes=primes, cum_recip=cum)
 
 

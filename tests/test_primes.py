@@ -36,7 +36,10 @@ def test_pooled_segments_match_simple_sieve(monkeypatch, last_segment):
     while limit - math.isqrt(limit) != 2 * SEGMENT_SIZE + last_segment:
         limit = 2 * SEGMENT_SIZE + last_segment + math.isqrt(limit)
     want = _simple_sieve(limit)
-    want_cum = sieve_primes(limit).cum_recip   # the default pool
+    # 1/p is taken in fixed blocks on the pool and then summed serially:
+    # the bits of one extended-precision cumsum
+    want_cum = np.cumsum(1.0 / want.astype(np.longdouble)).astype(np.float64)
+    assert np.array_equal(sieve_primes(limit).cum_recip, want_cum)   # the default pool
     for workers in (1, 8):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             monkeypatch.setattr(parallel, "_pool", pool)
