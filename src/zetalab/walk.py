@@ -9,6 +9,7 @@ tail is `higher_order_tail`.
 
 This module is the only one that knows how phases are held: `log_phase`
 reduces `t log n` mod 2 pi, `powers` builds every n^{-s} of the package on it,
+`shifted_sums` takes the Dirichlet sums of nearby heights from one reduction,
 and `theta_mod_2pi` reduces the Riemann-Siegel theta.
 """
 
@@ -75,12 +76,93 @@ def powers(n, s: complex) -> np.ndarray:
     return np.exp(-s.real * logs) * np.exp(-1j * phase)
 
 
-def theta_mod_2pi(t: float) -> tuple[float, float]:
+# Jacobi-Anger: e^{-i d log n} = sum_k eps_k (-i)^k J_k(2 log n) T_k(d / 2), with
+# eps_0 = 1 and eps_k = 2, for |d| <= 2.  64 terms reach J_64(2 log 4e5) ~ 1e-18,
+# so they cover every main sum below 1e12.
+_JA_TERMS = 64
+_JA_PHASE = np.array([(1 if k == 0 else 2) * (-1j) ** k for k in range(_JA_TERMS)])
+_MILLER_START = 128          # fixed, so a row never depends on which rows were built
+_BESSEL_ROWS_MAX = 398_942   # floor(sqrt(1e12 / 2 pi)): doubling stops at the longest main sum
+
+# J_k(2 log n) for n = 1..len (rows) and k < 64 (columns), read-only; row
+# n = 1 holds J_k(0) = [k == 0]
+_bessel_table = np.eye(1, _JA_TERMS)
+_bessel_table.flags.writeable = False
+_bessel_lock = threading.Lock()
+
+
+def _bessel_rows(z: np.ndarray) -> np.ndarray:
+    """J_k(z) for k < 64 and z > 0, one row per z, by Miller's backward
+    recurrence J_{k-1} = (2k/z) J_k - J_{k+1} from a fixed start, normalized
+    by J_0 + 2 J_2 + 2 J_4 + ... = 1.  The seed 2^-900 leaves room for the
+    growth of the recurrence at the smallest z, 2 log 2."""
+    rows = np.empty((_JA_TERMS, len(z)))
+    nxt, cur = np.zeros_like(z), np.full_like(z, 2.0 ** -900)
+    norm = np.zeros_like(z)
+    for k in range(_MILLER_START, 0, -1):
+        nxt, cur = cur, (2.0 * k / z) * cur - nxt      # cur is now J_{k-1}, unscaled
+        if k - 1 < _JA_TERMS:
+            rows[k - 1] = cur
+        if k % 2 == 1 and k > 1:
+            norm += 2.0 * cur
+    norm += cur
+    return np.ascontiguousarray((rows / norm).T)
+
+
+def _bessel_upto(n: int) -> np.ndarray:
+    """The Bessel table, first grown when it is shorter than n, the way
+    `_logs_upto` grows the log table; only the new rows are computed, and each
+    row depends on its n alone."""
+    global _bessel_table
+    table = _bessel_table
+    if len(table) < n:
+        with _bessel_lock:
+            table = _bessel_table
+            if len(table) < n:
+                size = max(n, min(2 * len(table), _BESSEL_ROWS_MAX), 1024)
+                logs = _logs_upto(size)[1]
+                table = np.concatenate([table, _bessel_rows(2.0 * logs[len(table):size])])
+                table.flags.writeable = False
+                _bessel_table = table
+    return table
+
+
+def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.ndarray:
+    """sum_{n <= tops[j]} n^{-1/2 - i ts[j]} for heights ts within 2 of tau,
+    with every tops[j] >= n0.
+
+    The terms n <= n0 come from one reduction at tau: with a_n = n^{-1/2-i tau}
+    and d = ts[j] - tau (exact in float64), sum_n a_n e^{-i d log n} is the
+    Chebyshev series sum_k c_k T_k(d / 2), c_k = eps_k (-i)^k sum_n a_n
+    J_k(2 log n).  The few terms in (n0, tops[j]] are taken directly.  Every
+    operation is elementwise over the heights or fixed by tau and n0, so each
+    value depends only on (tau, ts[j], tops[j])."""
+    a = powers(n0, 0.5 + 1j * tau)
+    bessel = _bessel_upto(n0)[:n0]
+    # one pass over the table for the real and imaginary parts; einsum, not a
+    # BLAS product, so the bits do not depend on the BLAS thread count
+    re_im = np.einsum("nr,nk->rk", a.view(float).reshape(n0, 2), bessel)
+    coeffs = (re_im[0] + 1j * re_im[1]) * _JA_PHASE
+    # Clenshaw's recurrence for sum_k c_k T_k(x), x = d / 2
+    x = 0.5 * (ts - tau)
+    b1 = b2 = np.zeros(len(ts), dtype=complex)
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    sums = coeffs[0] + x * b1 - b2
+    top = int(tops.max())
+    logs = _logs_upto(top)[0]
+    for n in range(n0 + 1, top + 1):
+        term = n ** -0.5 * np.exp(-1j * _reduce(logs[n - 1], ts))
+        sums = sums + np.where(tops >= n, term, 0)
+    return sums
+
+
+def theta_mod_2pi(t):
     """(main argument of the Riemann-Siegel theta mod 2pi in extended
-    precision, Stirling correction)."""
-    tl = np.longdouble(t)
+    precision, Stirling correction), for a height or an array of them."""
+    tl = np.asarray(t, dtype=np.longdouble)
     main = 0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - np.longdouble(math.pi) / 8
-    main = float(np.mod(main, _TWO_PI_LD))
+    main = np.mod(main, _TWO_PI_LD).astype(float)
     corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
     return main, corr
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CapacityError
-from .walk import powers, theta_mod_2pi
+from .walk import powers, shifted_sums, theta_mod_2pi
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,24 +57,55 @@ def _rs_f(z: np.ndarray) -> np.ndarray:
 # keep the nodes away from the real axis where cos(pi z) vanishes
 _RS_RADIUS, _RS_NODES = 2.0, 512
 _RS_CIRCLE = _RS_RADIUS * np.exp(1j * (TWO_PI * (np.arange(_RS_NODES) + 0.5) / _RS_NODES))
+# for m = 0..170 (m! stays finite): the twiddle of the contour's half-step
+# offset, m! and nodes * radius^m, which turn its FFT into F^(m)
+_RS_M = np.arange(171)
+_RS_TWIDDLE = np.exp(-1j * math.pi * _RS_M / _RS_NODES)
+_RS_FACT = np.array([math.factorial(int(v)) for v in _RS_M], dtype=float)
+_RS_NORM = _RS_NODES * _RS_RADIUS ** _RS_M
+
+
+def _rs_derivatives(p: float, count: int) -> np.ndarray:
+    """F^(m)(p) for m < count, by the Cauchy contour around p."""
+    coeffs = np.fft.fft(_rs_f(p + _RS_CIRCLE))
+    return coeffs[:count] * _RS_TWIDDLE[:count] * _RS_FACT[:count] / _RS_NORM[:count]
 
 
 @functools.cache
-def _rs_tables(levels: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Everything of a correction depth that does not depend on t:
-
-    - per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
-      correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l);
-    - for m = 0..3 (levels - 1), the twiddle of the contour's half-step
-      offset, m! and nodes * radius^m, which turn its FFT into F^(m)."""
+def _rs_terms(levels: int) -> list:
+    """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
+    correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l)."""
     d = _rs_d_table(levels)
-    terms = [[(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
-              for ell in range(3 * n // 2 + 1)]
-             for n in range(levels)]
-    m = np.arange(3 * (levels - 1) + 1)
-    return (terms, np.exp(-1j * math.pi * m / _RS_NODES),
-            np.array([math.factorial(int(v)) for v in m], dtype=float),
-            _RS_NODES * _RS_RADIUS ** m)
+    return [[(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
+             for ell in range(3 * n // 2 + 1)]
+            for n in range(levels)]
+
+
+def _rs_correction(derivs: np.ndarray, delta: float, a: float, levels: int) -> complex:
+    """The correction series sum_n a^{-n} sum_l d[n][l] F^(3n-2l)(q) / (pi^{2n-l}
+    (2i)^l) at q = p + delta, from F^(m)(p) in `derivs`: each F^(m)(q) is the
+    Taylor shift sum_s F^(m+s)(p) delta^s / s!.  With delta = 0 it reads
+    `derivs` as they are.  A shift needs (3 (levels - 1) + 1) |delta| <= 1,
+    which bounds its s-th term by 2^-s of the first; the sum stops at 2^-53."""
+    count = 3 * (levels - 1) + 1
+    fp = derivs[:count]
+    weight, bound, s = 1.0, 1.0, 1
+    while True:
+        bound *= (count - 1 + s) / s * abs(delta) / _RS_RADIUS
+        if bound < 2.0 ** -53:
+            break
+        weight *= delta / s
+        fp = fp + derivs[s:s + count] * weight
+        s += 1
+    rssum = 0.0 + 0.0j
+    a_pow = 1.0
+    for terms in _rs_terms(levels):
+        acc = 0.0 + 0.0j
+        for coef, m, den in terms:
+            acc += coef * fp[m] / den
+        rssum += acc * a_pow
+        a_pow /= a
+    return rssum
 
 
 def _rs_d_table(levels: int) -> list[list[float]]:
@@ -126,18 +157,8 @@ def zeta_riemann_siegel(t: float) -> complex:
     if n_main < 1:
         raise DomainError(f"t={t} too small for the main sum")
     p = 1.0 - 2.0 * (a - n_main)
-    all_terms, twiddle, fact, norm = _rs_tables(_rs_depth(a))
-    # F^(m)(p) for m = 0..3 (levels - 1) by the Cauchy contour around p
-    coeffs = np.fft.fft(_rs_f(p + _RS_CIRCLE))
-    fp = coeffs[: len(norm)] * twiddle * fact / norm
-    rssum = 0.0 + 0.0j
-    a_pow = 1.0
-    for terms in all_terms:
-        acc = 0.0 + 0.0j
-        for coef, m, den in terms:
-            acc += coef * fp[m] / den
-        rssum += acc * a_pow
-        a_pow /= a
+    levels = _rs_depth(a)
+    rssum = _rs_correction(_rs_derivatives(p, 3 * (levels - 1) + 1), 0.0, a, levels)
     arg_main, arg_corr = theta_mod_2pi(t)
     u = np.exp(-1j * arg_main)
     s3 = ((-1) ** (n_main - 1)) * u / math.sqrt(a)
@@ -167,14 +188,76 @@ def relative_gap(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
-    """(argmax shift, max |zeta|) over shifts h in the grid."""
+# the deepest correction that takes a shifted contour: deeper ones (t below
+# about 58.5, next to RS_SWITCH) read derivatives of order 84 and up, which
+# have lost digits to rounding, and a shift would move those digits
+_RS_SHIFT_LEVELS = 28
+
+
+def _rs_grid(tau: float, ts: np.ndarray) -> np.ndarray:
+    """zeta_riemann_siegel at heights ts within 2 of tau, in one pass.
+
+    The main sums come from `shifted_sums` about tau, over n <= N(tau - 2).  A
+    point with tau's N whose p lies close enough to tau's p takes its contour
+    derivatives by a Taylor shift from one contour at tau's p; any other
+    point (N changes inside the grid, or the depth is above _RS_SHIFT_LEVELS)
+    takes its own contour.  So each value depends on (tau, ts[j]) alone,
+    never on the rest of the grid."""
+    a = np.sqrt(ts / TWO_PI)
+    n_main = np.floor(a).astype(int)
+    p = 1.0 - 2.0 * (a - n_main)
+    s1 = shifted_sums(tau, ts, math.floor(math.sqrt((tau - 2.0) / TWO_PI)), n_main)
+    a_tau = math.sqrt(tau / TWO_PI)
+    n_tau = math.floor(a_tau)
+    p_tau = 1.0 - 2.0 * (a_tau - n_tau)
+    shared = None
+    rssum = np.empty(len(ts), dtype=complex)
+    for j in range(len(ts)):
+        levels = _rs_depth(float(a[j]))
+        count = 3 * (levels - 1) + 1
+        delta = float(p[j]) - p_tau
+        if levels <= _RS_SHIFT_LEVELS and n_main[j] == n_tau and count * abs(delta) <= 1.0:
+            if shared is None:
+                shared = _rs_derivatives(p_tau, len(_RS_M))
+            derivs = shared
+        else:
+            derivs, delta = _rs_derivatives(float(p[j]), count), 0.0
+        rssum[j] = _rs_correction(derivs, delta, float(a[j]), levels)
+    arg_main, arg_corr = theta_mod_2pi(ts)
+    u = np.exp(-1j * arg_main)
+    s3 = np.where(n_main % 2 == 1, 1.0, -1.0) * u / np.sqrt(a)
+    r_val = s1 + s3 * rssum
+    chi = u * u * np.exp(-2j * arg_corr)
+    return r_val + chi * np.conj(r_val)
+
+
+def zeta_on_grid(t: float, grid: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + i (t + h)) for the shifts h in the grid, |h| <= 2: as
+    `zeta_critical` per point below RS_SWITCH, and in one Riemann-Siegel pass
+    about t above it.  A point's value depends only on (t, h)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty grid")
     if not np.all(np.abs(grid) <= 2.0):   # NaN fails this too
         raise DomainError("shifts must be finite and lie in [-2, 2]")
-    mags = np.array([abs(zeta_critical(t + h)) for h in grid])
+    ts = t + grid
+    if not np.all(ts > 0):   # NaN fails this too
+        raise DomainError(f"need t + h > 0, got t = {t} and shifts down to {grid.min()}")
+    if np.any(ts > MAX_T):
+        raise CapacityError(f"t + h beyond supported range {MAX_T} at t = {t}")
+    values = np.empty(len(ts), dtype=complex)
+    above = ts >= RS_SWITCH
+    for j in np.flatnonzero(~above):
+        values[j] = zeta_critical(ts[j])
+    if above.any():
+        values[above] = _rs_grid(float(t), ts[above])
+    return values
+
+
+def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
+    """(argmax shift, max |zeta|) over shifts h in the grid."""
+    grid = np.asarray(grid, dtype=float)
+    mags = np.abs(zeta_on_grid(t, grid))
     i = int(np.argmax(mags))
     return float(grid[i]), float(mags[i])
 

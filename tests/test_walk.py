@@ -1,10 +1,19 @@
 import cmath
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import zetalab
+from zetalab import parallel, walk
 from zetalab.walk import euler_product_check, higher_order_tail, partial_sum, primes_in_log_range
+from zetalab.zeta import MAX_T, zeta_on_grid
 
 
 def brute_partial_sum(table, k_start, k, tau, h):
@@ -83,3 +92,73 @@ def test_euler_product_random_tau(table_small, rng):
         worst = max(worst, euler_product_check(table_small, 0.0, k_hi, 0.5 + 1j * tau))
     assert worst < 1e-10
 
+
+
+def test_bessel_table_matches_scipy():
+    jv = pytest.importorskip("scipy.special").jv
+    k = np.arange(64)
+    table = walk._bessel_upto(8192)[:8192]
+    z = 2.0 * walk.log_phase(8192, 0.0)[0]     # the float64 logs the table is built from
+    assert np.abs(table - jv(k, z[:, None])).max() <= 1e-15
+    assert np.array_equal(table[0], (k == 0).astype(float))     # n = 1: J_k(0)
+    assert np.array_equal(table[1000:1100], walk._bessel_rows(z[1000:1100]))
+    # rows up to the longest main sum below MAX_T, from the same kernel, without
+    # growing the shared table to that size
+    ns = np.unique(np.geomspace(8193, walk._BESSEL_ROWS_MAX, 400).astype(int))
+    z = 2.0 * walk.log_phase(ns, 0.0)[0]
+    assert np.abs(walk._bessel_rows(z) - jv(k, z[:, None])).max() <= 1e-15
+
+
+def test_bessel_table_stops_doubling_at_the_longest_main_sum(monkeypatch):
+    assert walk._BESSEL_ROWS_MAX == math.floor(math.sqrt(MAX_T / (2.0 * math.pi)))
+    ref = walk._bessel_upto(3500)[:3500].copy()
+    monkeypatch.setattr(walk, "_BESSEL_ROWS_MAX", 3000)
+    monkeypatch.setattr(walk, "_bessel_table", walk._bessel_table[:1])
+    for n, rows in ((2000, 2000), (2500, 3000), (3500, 3500)):
+        assert len(walk._bessel_upto(n)) == rows
+    assert np.array_equal(walk._bessel_upto(3500), ref)
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_bessel_table_growth_order_keeps_bits(descending):
+    # a fresh interpreter grows the table from empty: ascending sizes double
+    # it step by step, descending ones build it whole at the first call
+    sizes = sorted((1, 1000, 1025, 5000, 20_000), reverse=descending)
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import hashlib, json, sys\n"
+            "from zetalab import walk\n"
+            "print(json.dumps([hashlib.sha256(walk._bessel_upto(n)[:n].tobytes()).hexdigest()\n"
+            "                  for n in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(sizes)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == [_sha(walk._bessel_upto(n)[:n]) for n in sizes]
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_bessel_table_shared_by_threads(monkeypatch, workers):
+    # pool items race to grow emptied Bessel and log tables, half upward and
+    # half downward, with frequent thread switches
+    heights = [60.5, 1e3 + 0.5, 1e5 + 0.25, 1.5e7, 2e8]
+    items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
+    grid = np.linspace(-1.0, 1.0, 9)
+
+    def values(ts):
+        return [_sha(zeta_on_grid(t, grid)) for t in ts]
+
+    serial = [values(ts) for ts in items]
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(parallel, "_pool", pool)
+        monkeypatch.setattr(walk, "_bessel_table", walk._bessel_table[:1])
+        monkeypatch.setattr(walk, "_log_table", (np.empty(0, np.longdouble), np.empty(0)))
+        sys.setswitchinterval(1e-6)
+        try:
+            assert parallel.map_blocks(values, items) == serial
+        finally:
+            sys.setswitchinterval(interval)

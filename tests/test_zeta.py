@@ -11,8 +11,9 @@ import pytest
 import zetalab
 from zetalab import parallel, walk
 from zetalab.errors import CapacityError, DomainError
-from zetalab.zeta import (max_on_grid, moment_estimate, relative_gap, zeta_critical,
-                          zeta_euler_maclaurin, zeta_riemann_siegel)
+from zetalab.zeta import (MAX_T, RS_SWITCH, max_on_grid, moment_estimate, relative_gap,
+                          zeta_critical, zeta_euler_maclaurin, zeta_on_grid,
+                          zeta_riemann_siegel)
 
 FIRST_ZERO = 14.134725141734695
 
@@ -59,7 +60,7 @@ def test_golden_bits():
     assert {s: _hex(zeta_euler_maclaurin(s)) for s in EM_HEX} == EM_HEX
     step = 2.0 * math.pi / (8.0 * math.log(1e8))      # tail_zeta's grid at big_t = 1e8
     h, m = max_on_grid(1.5e8, np.arange(-1.0, 1.0 + step / 2, step))
-    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef960160bp+3")
+    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef9605911p+3")
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -187,13 +188,92 @@ def test_zeta_critical_vs_mpmath(heights, bound):
 
 def test_max_on_grid_basics():
     h, m = max_on_grid(100.0, np.array([0.25]))
-    assert h == 0.25 and m == abs(zeta_critical(100.25))
+    assert h == 0.25 and relative_gap(m, abs(zeta_critical(100.25))) <= 1e-12
     with pytest.raises(DomainError):
         max_on_grid(100.0, np.array([]))
     with pytest.raises(DomainError):
         max_on_grid(100.0, np.array([2.5]))
     with pytest.raises(DomainError):
         max_on_grid(1e5, np.array([math.nan]))
+
+
+def _tail_grid(big_t: float) -> np.ndarray:
+    step = 2.0 * math.pi / (8.0 * math.log(big_t))
+    return np.arange(-1.0, 1.0 + step / 2, step)
+
+
+# (lowest and highest tau, number of taus, bound on the relative gap of the
+# one-pass grid to per-point zeta_critical), stated before the kernel was run;
+# the per-point path's extended-precision rounding of t log n drives the gaps
+GRID_BANDS = ((60.0, 1e5, 8, 1e-12), (1e7, 2e7, 2, 1e-10), (1e8, 2e8, 2, 1e-9),
+              (1e10, 2e10, 1, 3e-7))
+
+
+@pytest.mark.parametrize("lo, hi, n_taus, bound", GRID_BANDS, ids=["1e5", "1e7", "1e8", "1e10"])
+def test_grid_matches_zeta_critical(rng, lo, hi, n_taus, bound):
+    grid = _tail_grid(lo)
+    worst = 0.0
+    for tau in np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_taus)):
+        values = zeta_on_grid(float(tau), grid)
+        worst = max(worst, max(relative_gap(v, zeta_critical(float(tau) + h))
+                               for h, v in zip(grid, values)))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("heights, bound", MPMATH_DECADES,
+                         ids=[f"1e{d}" for d in range(1, 12)])
+def test_grid_vs_mpmath(heights, bound):
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.array([-0.75, -0.25])
+    with mpmath.workdps(30):
+        gaps = [relative_gap(v, complex(mpmath.zeta(mpmath.mpc(0.5, t + h))))
+                for t in heights for h, v in zip(grid, zeta_on_grid(t, grid))]
+    assert max(gaps) <= bound
+
+
+@pytest.mark.parametrize("tau", [57.0, 1e3 + 0.5, 1.5e8, 9.9e11])
+def test_grid_point_depends_only_on_its_shift(tau):
+    grid = _tail_grid(max(tau, 1e3))
+    values = zeta_on_grid(tau, grid)
+    supergrid = np.concatenate([np.linspace(-2.0, 2.0, 61), grid[::-1]])
+    assert np.array_equal(zeta_on_grid(tau, supergrid)[61:], values[::-1])
+    for i in (0, len(grid) // 2, len(grid) - 1):
+        assert zeta_on_grid(tau, grid[i:i + 1])[0] == values[i]
+
+
+def test_grid_where_n_changes():
+    # sqrt(t / 2 pi) passes 40 at t = 3200 pi = 10053.1, inside the grid
+    tau = 3200.0 * math.pi + 0.3
+    grid = np.linspace(-1.0, 1.0, 41)
+    ns = np.floor(np.sqrt((tau + grid) / (2.0 * math.pi)))
+    assert set(ns) == {39.0, 40.0}
+    values = zeta_on_grid(tau, grid)
+    assert max(relative_gap(v, zeta_critical(tau + h)) for h, v in zip(grid, values)) <= 1e-12
+
+
+def test_grid_straddling_rs_switch():
+    tau = RS_SWITCH + 0.5
+    grid = np.linspace(-2.0, 2.0, 41)
+    values = zeta_on_grid(tau, grid)
+    below = tau + grid < RS_SWITCH
+    assert 0 < below.sum() < len(grid)
+    for h, v, em in zip(grid, values, below):
+        if em:   # Euler-Maclaurin, one point at a time, as zeta_critical
+            assert v == zeta_critical(tau + h)
+        else:
+            assert relative_gap(v, zeta_critical(tau + h)) <= 1e-12
+
+
+def test_grid_domain_guards():
+    with pytest.raises(DomainError):
+        max_on_grid(0.5, np.array([0.25, -1.0]))
+    with pytest.raises(DomainError):
+        zeta_on_grid(-1.0, np.array([1.0]))
+    with pytest.raises(CapacityError):
+        max_on_grid(MAX_T, np.array([-0.5, 0.5]))
+    with pytest.raises(CapacityError):
+        zeta_on_grid(MAX_T - 1.0, np.array([1.5]))
+    assert np.isfinite(zeta_on_grid(MAX_T - 2.0, np.array([0.0, 2.0]))).all()
 
 
 def test_max_on_grid_zero_ordinate():
