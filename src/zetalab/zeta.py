@@ -4,7 +4,8 @@ Two independent evaluators back each other: Euler-Maclaurin summation (exact
 up to a controlled remainder, cost O(t)) and the Riemann-Siegel expansion
 (cost O(sqrt(t))) whose correction terms are generated from the entire
 function F(z) = (e^{i pi (z^2/2 + 3/8)} - i sqrt(2) cos(pi z / 2)) / (2 cos(pi z))
-via contour derivatives, so the order adapts to the target accuracy.
+via contour derivatives from a cached lattice in p, so the order adapts to the
+target accuracy.
 """
 
 from __future__ import annotations
@@ -71,6 +72,17 @@ def _rs_derivatives(p: float, count: int) -> np.ndarray:
     return coeffs[:count] * _RS_TWIDDLE[:count] * _RS_FACT[:count] / _RS_NORM[:count]
 
 
+# the contour lattice: node k holds F^(m)(k / 256) for m < 171, built on first
+# use from k alone, so its bits never depend on which heights came first; p
+# lies in [-1, 1], so k runs over -256..256 (513 nodes, 1.4 MB in all)
+_RS_LATTICE = 256
+
+
+@functools.cache
+def _rs_node(k: int) -> np.ndarray:
+    return _rs_derivatives(k / _RS_LATTICE, len(_RS_M))
+
+
 @functools.cache
 def _rs_terms(levels: int) -> list:
     """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
@@ -81,31 +93,20 @@ def _rs_terms(levels: int) -> list:
             for n in range(levels)]
 
 
-def _rs_correction(derivs: np.ndarray, delta: float, a: float, levels: int) -> complex:
-    """The correction series sum_n a^{-n} sum_l d[n][l] F^(3n-2l)(q) / (pi^{2n-l}
-    (2i)^l) at q = p + delta, from F^(m)(p) in `derivs`: each F^(m)(q) is the
-    Taylor shift sum_s F^(m+s)(p) delta^s / s!.  With delta = 0 it reads
-    `derivs` as they are.  A shift needs (3 (levels - 1) + 1) |delta| <= 1,
-    which bounds its s-th term by 2^-s of the first; the sum stops at 2^-53."""
-    count = 3 * (levels - 1) + 1
-    fp = derivs[:count]
-    weight, bound, s = 1.0, 1.0, 1
+def _rs_shift(derivs: np.ndarray, delta: float, count: int) -> list[complex]:
+    """F^(m)(p + delta) for m < count from F^(m)(p) in contiguous `derivs`: the
+    Taylor shift sum_s F^(m+s)(p) delta^s / s!, which needs count |delta| <= 1
+    (its s-th term is then below 2^-s of the first) and stops at 2^-53."""
+    weights, bound = [1.0], 1.0
     while True:
+        s = len(weights)
         bound *= (count - 1 + s) / s * abs(delta) / _RS_RADIUS
         if bound < 2.0 ** -53:
             break
-        weight *= delta / s
-        fp = fp + derivs[s:s + count] * weight
-        s += 1
-    rssum = 0.0 + 0.0j
-    a_pow = 1.0
-    for terms in _rs_terms(levels):
-        acc = 0.0 + 0.0j
-        for coef, m, den in terms:
-            acc += coef * fp[m] / den
-        rssum += acc * a_pow
-        a_pow /= a
-    return rssum
+        weights.append(weights[-1] * (delta / s))
+    # row s of this view is derivs[s:s + count], without a copy
+    rows = np.ndarray((len(weights), count), derivs.dtype, derivs, strides=(derivs.itemsize,) * 2)
+    return (np.array(weights) @ rows).tolist()
 
 
 def _rs_d_table(levels: int) -> list[list[float]]:
@@ -131,22 +132,42 @@ def _rs_d_table(levels: int) -> list[list[float]]:
     return d
 
 
+# the deepest correction: at 20 levels the series reads F^(m) for m < 58,
+# plus the lattice shift's few orders above; deeper levels (which the envelope
+# below picks just above t = 50) read orders near 100, whose contour values
+# have lost their digits to rounding
+_RS_MAX_LEVELS = 20
+
+
 def _rs_depth(a: float, target: float = 1e-12) -> int:
-    """Number of correction levels: minimize the term-size envelope."""
+    """Correction levels, at most _RS_MAX_LEVELS: minimize the term-size envelope."""
     best_l, best = 2, math.inf
-    bound = math.inf
-    for level in range(2, 40):
-        try:
-            bound = 2.03 * math.gamma(0.5 * level) * (2.0 * a) ** (-level)
-        except OverflowError:
-            break
+    for level in range(2, _RS_MAX_LEVELS + 1):
+        bound = 2.03 * math.gamma(0.5 * level) * (2.0 * a) ** (-level)
         if bound < best:
             best_l, best = level, bound
-        if bound < target:
-            break
-        if bound > 10 * best:
+        if bound < target or bound > 10 * best:
             break
     return best_l
+
+
+def _rs_remainder(a: float, p: float) -> complex:
+    """The correction series sum_n a^{-n} sum_l d[n][l] F^(3n-2l)(p) /
+    (pi^{2n-l} (2i)^l) at a = sqrt(t / 2 pi) and p = 1 - 2 frac(a), with F's
+    derivatives shifted from the nearest lattice node: |delta| <= 1/512 meets
+    _rs_shift's condition at every depth up to _RS_MAX_LEVELS."""
+    levels = _rs_depth(a)
+    k = round(p * _RS_LATTICE)
+    fp = _rs_shift(_rs_node(k), p - k / _RS_LATTICE, 3 * (levels - 1) + 1)
+    rssum = 0.0 + 0.0j
+    a_pow = 1.0
+    for terms in _rs_terms(levels):
+        acc = 0.0 + 0.0j
+        for coef, m, den in terms:
+            acc += coef * fp[m] / den
+        rssum += acc * a_pow
+        a_pow /= a
+    return rssum
 
 
 def zeta_riemann_siegel(t: float) -> complex:
@@ -156,9 +177,7 @@ def zeta_riemann_siegel(t: float) -> complex:
     n_main = int(math.floor(a))
     if n_main < 1:
         raise DomainError(f"t={t} too small for the main sum")
-    p = 1.0 - 2.0 * (a - n_main)
-    levels = _rs_depth(a)
-    rssum = _rs_correction(_rs_derivatives(p, 3 * (levels - 1) + 1), 0.0, a, levels)
+    rssum = _rs_remainder(a, 1.0 - 2.0 * (a - n_main))
     arg_main, arg_corr = theta_mod_2pi(t)
     u = np.exp(-1j * arg_main)
     s3 = ((-1) ** (n_main - 1)) * u / math.sqrt(a)
@@ -188,41 +207,17 @@ def relative_gap(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-# the deepest correction that takes a shifted contour: deeper ones (t below
-# about 58.5, next to RS_SWITCH) read derivatives of order 84 and up, which
-# have lost digits to rounding, and a shift would move those digits
-_RS_SHIFT_LEVELS = 28
-
-
 def _rs_grid(tau: float, ts: np.ndarray) -> np.ndarray:
     """zeta_riemann_siegel at heights ts within 2 of tau, in one pass.
 
-    The main sums come from `shifted_sums` about tau, over n <= N(tau - 2).  A
-    point with tau's N whose p lies close enough to tau's p takes its contour
-    derivatives by a Taylor shift from one contour at tau's p; any other
-    point (N changes inside the grid, or the depth is above _RS_SHIFT_LEVELS)
-    takes its own contour.  So each value depends on (tau, ts[j]) alone,
-    never on the rest of the grid."""
+    The main sums come from `shifted_sums` about tau, over n <= N(tau - 2),
+    and each correction from the lattice, as in zeta_riemann_siegel.  So each
+    value depends on (tau, ts[j]) alone, never on the rest of the grid."""
     a = np.sqrt(ts / TWO_PI)
     n_main = np.floor(a).astype(int)
     p = 1.0 - 2.0 * (a - n_main)
     s1 = shifted_sums(tau, ts, math.floor(math.sqrt((tau - 2.0) / TWO_PI)), n_main)
-    a_tau = math.sqrt(tau / TWO_PI)
-    n_tau = math.floor(a_tau)
-    p_tau = 1.0 - 2.0 * (a_tau - n_tau)
-    shared = None
-    rssum = np.empty(len(ts), dtype=complex)
-    for j in range(len(ts)):
-        levels = _rs_depth(float(a[j]))
-        count = 3 * (levels - 1) + 1
-        delta = float(p[j]) - p_tau
-        if levels <= _RS_SHIFT_LEVELS and n_main[j] == n_tau and count * abs(delta) <= 1.0:
-            if shared is None:
-                shared = _rs_derivatives(p_tau, len(_RS_M))
-            derivs = shared
-        else:
-            derivs, delta = _rs_derivatives(float(p[j]), count), 0.0
-        rssum[j] = _rs_correction(derivs, delta, float(a[j]), levels)
+    rssum = np.array([_rs_remainder(aj, pj) for aj, pj in zip(a.tolist(), p.tolist())])
     arg_main, arg_corr = theta_mod_2pi(ts)
     u = np.exp(-1j * arg_main)
     s3 = np.where(n_main % 2 == 1, 1.0, -1.0) * u / np.sqrt(a)
@@ -281,8 +276,8 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
     mean = float(np.mean(vals))
     if n_samples < 2:
         return MomentEstimate(mean, math.nan, math.nan)
-    idx = rng.integers(0, n_samples, size=(400, n_samples))
-    boots = np.mean(vals[idx], axis=1)
+    # one resample row at a time: the same stream as one (400, n) draw
+    boots = [np.mean(vals[rng.integers(0, n_samples, size=n_samples)]) for _ in range(400)]
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return MomentEstimate(mean, float(lo), float(hi))
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import parallel, walk
+from zetalab import parallel, walk, zeta
 from zetalab.walk import euler_product_check, higher_order_tail, partial_sum, primes_in_log_range
-from zetalab.zeta import MAX_T, zeta_on_grid
+from zetalab.zeta import MAX_T, zeta_critical, zeta_on_grid
 
 
 def brute_partial_sum(table, k_start, k, tau, h):
@@ -162,3 +162,63 @@ def test_bessel_table_shared_by_threads(monkeypatch, workers):
             assert parallel.map_blocks(values, items) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_rs_lattice_build_order_keeps_bits(descending):
+    # a fresh interpreter builds the contour lattice's nodes from empty, in
+    # order going up or going down; each node depends on its index alone
+    ks = sorted(range(-256, 257, 17), reverse=descending)
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import hashlib, json, sys\n"
+            "from zetalab import zeta\n"
+            "print(json.dumps([hashlib.sha256(zeta._rs_node(k).tobytes()).hexdigest()\n"
+            "                  for k in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(ks)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == [_sha(zeta._rs_node(k)) for k in ks]
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_rs_lattice_shared_by_threads(monkeypatch, workers):
+    # pool items race to fill the emptied lattice, half upward and half
+    # downward, with frequent thread switches; a node depends on its index
+    # alone, so emptying the process-wide cache leaves no trace
+    heights = [50.25, 57.5, 60.5, 1e3 + 0.5, 1e5 + 0.25, 1.5e7, 2e8]
+    items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
+    grid = np.linspace(-1.0, 1.0, 9)
+
+    def values(ts):
+        return [(_sha(zeta_on_grid(t, grid)), repr(zeta_critical(t))) for t in ts]
+
+    serial = [values(ts) for ts in items]
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(parallel, "_pool", pool)
+        zeta._rs_node.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert parallel.map_blocks(values, items) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_rs_lattice_shift_matches_direct_contour(rng):
+    # F^(m)(p) shifted from the nearest node against a contour at p itself,
+    # for every order that a correction of up to 20 levels reads; relative
+    # to |F^(m)(p)|, floored at m! / 2^m, the size below which the contour's
+    # own rounding (absolute, about 2^-52 m! / radius^m) decides
+    assert zeta._RS_MAX_LEVELS == 20
+    m = np.arange(3 * 19 + 1)
+    floor = np.array([math.factorial(int(v)) for v in m]) / 2.0 ** m
+    worst = 0.0
+    for p in rng.uniform(-1.0, 1.0, size=400):
+        count = 3 * (int(rng.integers(2, 21)) - 1) + 1
+        k = round(p * zeta._RS_LATTICE)
+        shifted = zeta._rs_shift(zeta._rs_node(k), p - k / zeta._RS_LATTICE, count)
+        direct = zeta._rs_derivatives(p, count)
+        worst = max(worst, float(np.max(np.abs(shifted - direct)
+                                        / np.maximum(np.abs(direct), floor[:count]))))
+    assert worst <= 1e-13
