@@ -205,27 +205,21 @@ def _check_heights(big_t: float, top: float) -> None:
 
 SHARED_SIEVE_LIMIT = 10 ** 6   # mollifier_suite and smoothing_suite share this table
 LAPLACE_K = 2.0                # moments_model's Laplace check runs over (1, LAPLACE_K]
-MAX_SCALE = loglog(MAX_SIEVE_LIMIT - 10)   # ~3.1598: top scale whose `_window_sieve` fits
+MAX_SCALE = loglog(MAX_SIEVE_LIMIT - 10)   # ~3.1598: top scale whose `_window_table` fits
 
 
-def _window_sieve(k: float):
-    """The sieve that covers every prime of the scale windows up to k."""
-    return cached_sieve(int(math.exp(math.exp(k))) + 10)
-
-
-def _check_scale(name: str, k: float) -> None:
-    """Usage error when the top scale `k` of a suite's windows lies above
-    `MAX_SCALE`, before its window sieve is built."""
-    if k > MAX_SCALE:
+def _window_table(name: str, j: float, k: float, top: float):
+    """The sieve that covers every prime of the scale windows up to `top`.
+    Usage error when `top` lies above `MAX_SCALE`, before the sieve is built,
+    or when the window (j, k] holds no prime, before any draw: a suite over
+    it would sample only zeros and report on nothing."""
+    if top > MAX_SCALE:
         raise UsageError(f"param {name!r} must be at most {MAX_SCALE:.6g} "
-                         f"(primes up to {MAX_SIEVE_LIMIT}), got {k!r}")
-
-
-def _check_window(table, j: float, k: float) -> None:
-    """Usage error when the scale window (j, k] holds no prime, before any
-    draw: a suite over it would sample only zeros and report on nothing."""
+                         f"(primes up to {MAX_SIEVE_LIMIT}), got {top!r}")
+    table = cached_sieve(int(math.exp(math.exp(top))) + 10)
     if len(primes_in_log_range(table, j, k)) == 0:
         raise UsageError(f"the scale window ({j!r}, {k!r}] holds no prime")
+    return table
 
 
 def _check_samples(n_samples: int) -> None:
@@ -445,11 +439,9 @@ def run_ballot_sweep(config: ExperimentConfig):
 def run_moments_model(config: ExperimentConfig):
     j = param(config, "j", 2.0, above=-math.inf)
     k = param(config, "k", 2.9, above=j)
-    _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     _check_samples(n_samples)
-    table = _window_sieve(max(k, LAPLACE_K))
-    _check_window(table, j, k)
+    table = _window_table("k", j, k, max(k, LAPLACE_K))
     split = model.window_split(table, j, k)
     chunks = parallel_chunks(config.seed, n_samples,
                              lambda rng, n: model.draw_window_sums(rng, split, n))
@@ -475,11 +467,9 @@ def run_moments_model(config: ExperimentConfig):
 @suite("berry_esseen", params=("k", "n_samples"))
 def run_berry_esseen(config: ExperimentConfig):
     k = param(config, "k", 2.9, above=-math.inf)
-    _check_scale("k", k)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     _check_samples(n_samples)
-    table = _window_sieve(k)
-    _check_window(table, k - 1.0, k)
+    table = _window_table("k", k - 1.0, k, k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
     metrics = {
         "sup_distance": comp.sup_distance,
@@ -492,12 +482,10 @@ def run_berry_esseen(config: ExperimentConfig):
 @suite("density_check", params=("r", "delta", "n_samples"))
 def run_density_check(config: ExperimentConfig):
     r = param(config, "r", 2.9, above=0)
-    _check_scale("r", r)
     delta = param(config, "delta", 4.0, above=0)
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     _check_samples(n_samples)
-    table = _window_sieve(r)
-    _check_window(table, 0.0, r)
+    table = _window_table("r", 0.0, r, r)
     rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
     metrics = {

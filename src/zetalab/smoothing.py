@@ -158,7 +158,7 @@ def make_ingham() -> SmoothingFunction:
     for a in widths:
         tmp *= np.sinc(2.0 * a * nodes)
     vals = tmp * tmp
-    l1 = float(NODE_SPACING * np.sum(vals, dtype=np.longdouble))
+    l1 = NODE_SPACING * math.fsum(memoryview(vals))   # the node sum, correctly rounded
     return SmoothingFunction(half_widths=widths, nodes=nodes, node_values=vals, l1_norm=l1)
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,16 +37,11 @@ def test_pooled_segments_match_simple_sieve(monkeypatch, last_segment):
     while limit - math.isqrt(limit) != 2 * SEGMENT_SIZE + last_segment:
         limit = 2 * SEGMENT_SIZE + last_segment + math.isqrt(limit)
     want = _simple_sieve(limit)
-    # 1/p is taken in fixed blocks on the pool and then summed serially:
-    # the bits of one extended-precision cumsum
-    want_cum = np.cumsum(1.0 / want.astype(np.longdouble)).astype(np.float64)
-    assert np.array_equal(sieve_primes(limit).cum_recip, want_cum)   # the default pool
     for workers in (1, 8):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             monkeypatch.setattr(parallel, "_pool", pool)
             table = sieve_primes(limit)
         assert np.array_equal(table.primes, want)
-        assert np.array_equal(table.cum_recip, want_cum)
 
 
 def test_sieve_limit_guard():
@@ -59,15 +55,6 @@ def test_sieve_random_sample_is_prime(table_small, rng):
     sample = rng.choice(table_small.primes, size=64)
     assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) and p >= 2
                for p in map(int, sample))
-
-
-def test_cum_recip_monotone_and_consistent(table_small):
-    cum = table_small.cum_recip
-    assert np.all(np.diff(cum) > 0)
-    direct = 0.0
-    for p in table_small.primes[:5000]:
-        direct += 1.0 / p
-    assert abs(cum[4999] - direct) < 1e-9
 
 
 def test_primes_in_log_range_examples(table_small):
@@ -106,6 +93,25 @@ def test_mertens_matches_direct(table_small):
     direct = float(np.sum(1.0 / table_small.primes[(table_small.primes > 1000)
                                                    & (table_small.primes <= 100000)]))
     assert abs(mertens_sum(table_small, 1000, 100000) - direct) < 1e-12
+
+
+def _decimal_mertens(table, a, b):
+    ctx = decimal.Context(prec=40)
+    total = decimal.Decimal(0)
+    for p in table.slice_leq(a, b).tolist():
+        total = ctx.add(total, ctx.divide(1, p))
+    return total
+
+
+@pytest.mark.parametrize("a, b", [(100, 2e6), (1e3, 2e6), (1e3, 1e5), (2, 2e6)])
+def test_mertens_correctly_rounded(table_medium, a, b):
+    # the segmented fsum lands on the float nearest a 40-digit decimal sum
+    assert mertens_sum(table_medium, a, b) == float(_decimal_mertens(table_medium, a, b))
+
+
+def test_mertens_to_1e8_pinned():
+    # the 40-digit decimal sum is 0.97689510274543788118 (about 6 s to compute)
+    assert mertens_sum(sieve_primes(10 ** 8), 1e3, 1e8) == 0.9768951027454379
 
 
 def test_mertens_loglog_property(table_medium):

@@ -228,3 +228,17 @@ def test_every_allowance_names_an_unset_option():
 
 def test_every_dataclass_field_is_read():
     assert unread_fields(PACKAGE) == []
+
+
+def _names_longdouble(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "longdouble")
+            or (isinstance(node, ast.Attribute) and node.attr == "longdouble")
+            or (isinstance(node, ast.alias) and node.name == "longdouble")
+            or (isinstance(node, ast.Constant) and node.value == "longdouble"))
+
+
+def test_only_walk_names_longdouble():
+    # the extended format's bits depend on the platform; README keeps it inside `walk`
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if any(map(_names_longdouble, ast.walk(ast.parse(path.read_text()))))]
+    assert naming == ["walk.py"]
