@@ -341,9 +341,10 @@ def run_smoothing_suite(config: ExperimentConfig):
     _check_samples(n_samples)
     table = cached_sieve(SHARED_SIEVE_LIMIT)
     rng = seed_stream(config.seed, 0)
-    metrics: dict[str, float] = {}
+    samples, split = model.sample_window_sums(rng, table, 0.0, 2.0, n_samples)
+    metrics: dict[str, float] = {"n_exact_primes": split.n_exact,
+                                 "tail_bias_bound": split.tail_bias_bound}
     ok = True
-    samples, _ = model.sample_window_sums(rng, table, 0.0, 2.0, n_samples)
     for delta in (3.0, 5.0, 8.0):
         bump = sm.make_bump(delta, 3.0)
         grid = np.linspace(-2.0 / delta, 2.0 / delta, 10_000)

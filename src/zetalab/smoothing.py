@@ -415,17 +415,33 @@ def _window_vhat(xi: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
-    """D(1/2 + i(t+h)) = sum a_n n^{-1/2 - i(t+h)} for one or many shifts h.
+    """D(1/2 + i(t+h)) = sum a_n n^{-1/2 - i(t+h)} at the evenly spaced shifts
+    h[0] + j step, j < m (a single shift is m = 1).
 
     The large t-part of the phase is reduced mod 2 pi in extended precision
-    so shifts evaluated at different lattice points stay coherent.
+    so shifts evaluated at different lattice points stay coherent.  With
+    B = isqrt(m), shift j = b B + k has the phase factor e^{-i h[bB] log n}
+    e^{-i k step log n}: B inner rows and ceil(m / B) outer rows of exp, about
+    2 sqrt(m) per term instead of m (baby-step giant-step, as Odlyzko and
+    Schoenhage 1988 share work across a progression of heights).  The outer
+    rows start at the given h[bB], so each block's first value is exact.
+    Shifts that are not evenly spaced to within 8 ulps of max|h| raise.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
+    m = len(h)
+    if m == 0 or not np.isfinite(h).all():
+        raise DomainError("dirichlet_value needs finite, evenly spaced shifts")
+    step = (h[-1] - h[0]) / (m - 1) if m > 1 else 0.0
+    if np.max(np.abs(h - (h[0] + np.arange(m) * step))) > 8.0 * np.spacing(np.max(np.abs(h))):
+        raise DomainError("dirichlet_value needs finite, evenly spaced shifts")
     ns = np.arange(1, len(coeffs) + 1, dtype=float)
     logs, base = log_phase(len(coeffs), t)
     amp = (coeffs / np.sqrt(ns)) * np.exp(-1j * base)
-    phases = np.exp(-1j * np.outer(h, logs))
-    return phases @ amp
+    block = math.isqrt(m)
+    inner = np.exp(-1j * np.outer(np.arange(block) * step, logs))
+    outer = np.exp(-1j * np.outer(h[::block], logs)) * amp
+    # einsum, not a BLAS product, so the bits do not depend on the BLAS thread count
+    return np.einsum("kn,bn->bk", inner, outer).ravel()[:m]
 
 
 def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float) -> complex:
@@ -448,8 +464,10 @@ def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float) -> complex:
     args = (hs - h0) * log_n / (2.0 * math.pi)
     weights = _window_vhat(args)
     keep = np.abs(weights) >= 1e-14
-    vals = dirichlet_value(np.asarray(coeffs, dtype=complex), t, hs[keep])
-    return complex(np.sum(vals * weights[keep]) / (2.0 + eps))
+    lo, hi = np.flatnonzero(keep)[[0, -1]]
+    # the kernel takes a lattice: evaluate the hull of the kept points, then select
+    vals = dirichlet_value(np.asarray(coeffs, dtype=complex), t, hs[lo:hi + 1])
+    return complex(np.sum(vals[keep[lo:hi + 1]] * weights[keep]) / (2.0 + eps))
 
 
 @dataclass

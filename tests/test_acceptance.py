@@ -75,6 +75,8 @@ def test_ac5_smoothing_suite(cfg_factory):
            f"range viol {worst_range:.1e} <= 1e-9, support mass {worst_support:.1e} <= 1e-8, "
            f"sandwich fraction {worst_frac:.3f} = 1, l1-ratio {worst_l1:.1e} <= 1")
     assert rec.passes["AC5"]
+    # the window (0, 2] lies below the exact-prime cutoff: no Gaussian tail
+    assert (rec.metrics["n_exact_primes"], rec.metrics["tail_bias_bound"]) == (254, 0.0)
 
 
 def test_ac6_ballot_engine(cfg_factory, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ from zetalab.errors import CapacityError, DomainError
 from zetalab.smoothing import (dirichlet_value, discretized_max_bound,
                                indicator_sandwich_check, make_bump, make_expansion,
                                make_ingham, poisson_reconstruct)
+from zetalab.walk import log_phase
 
 DECAY_CONSTANT = 1.0   # calibrated from the direct-evaluation sweep below
 
@@ -139,12 +141,22 @@ def test_golden_bits():
     assert make_ingham().transform_tail_mass().hex() == "0x1.31e599550c0c0p-51"
     coefficients = make_expansion(make_bump(5.0, 3.0), 40).coefficients
     assert [(c.real.hex(), c.imag.hex()) for c in coefficients] == EXPANSION_D5_HEX
-    values = dirichlet_value((1.0 + 0.5j) / np.arange(1, 301), 1e6 + 0.25,
-                             np.array([-0.75, 0.0, 0.5]))
-    assert [(v.real.hex(), v.imag.hex()) for v in values] == [
-        ("0x1.46f0d1a5bc020p-1", "0x1.7be3cd6fef44ep-1"),
-        ("0x1.98e04b1e61d9dp-1", "0x1.c819002fcf58cp-1"),
-        ("0x1.ca9a0f7564bb2p-1", "0x1.f238ff8b1b584p-1"),
+    coeffs = (1.0 + 0.5j) / np.arange(1, 301)
+    singles = [dirichlet_value(coeffs, 1e6 + 0.25, h)[0] for h in (-0.75, 0.0, 0.5)]
+    assert [(v.real.hex(), v.imag.hex()) for v in singles] == [
+        ("0x1.46f0d1a5bc027p-1", "0x1.7be3cd6fef446p-1"),
+        ("0x1.98e04b1e61da2p-1", "0x1.c819002fcf585p-1"),
+        ("0x1.ca9a0f7564bb1p-1", "0x1.f238ff8b1b57ep-1"),
+    ]
+    # six shifts on a lattice: three blocks of two
+    lattice = dirichlet_value(coeffs, 1e6 + 0.25, -0.75 + 0.25 * np.arange(6))
+    assert [(v.real.hex(), v.imag.hex()) for v in lattice] == [
+        ("0x1.46f0d1a5bc027p-1", "0x1.7be3cd6fef446p-1"),
+        ("0x1.60acdb1460d74p-1", "0x1.9d69ea4f28efap-1"),
+        ("0x1.7ddc845970186p-1", "0x1.b5cdfba31ca80p-1"),
+        ("0x1.98e04b1e61da2p-1", "0x1.c819002fcf587p-1"),
+        ("0x1.b0f81fd4d63e0p-1", "0x1.daac55bb39bc0p-1"),
+        ("0x1.ca9a0f7564bb1p-1", "0x1.f238ff8b1b57cp-1"),
     ]
 
 
@@ -298,6 +310,71 @@ def test_sandwich_check_reports(bump3, rng):
 def test_poly_value_at_bin_center(bump3):
     exp40 = make_expansion(bump3, 40)
     assert abs(exp40.value(1.0 / 6.0)[0]) ** 2 >= 0.9
+
+
+def dense_dirichlet(coeffs, t, h):
+    """sum a_n n^{-1/2 - i(t+h)} with one exp per (shift, term), in row blocks
+    of 64 shifts: the form the lattice kernel factors."""
+    logs, base = log_phase(len(coeffs), t)
+    amp = coeffs / np.sqrt(np.arange(1, len(coeffs) + 1)) * np.exp(-1j * base)
+    return np.concatenate([np.exp(-1j * np.outer(h[i:i + 64], logs)) @ amp
+                           for i in range(0, len(h), 64)])
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 4096])
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, 1089])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dirichlet_lattice_matches_dense(rng, n_terms, m, sign):
+    # the step of poisson_reconstruct's lattice at N = 4096; 1089 shifts
+    # then span about 330, as its hull does
+    step = sign * 2.0 * math.pi / (2.5 * math.log(4096))
+    coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    t = float(rng.uniform(1e5, 2e5))
+    h = float(rng.uniform(-1.0, 1.0)) + np.arange(m) * step
+    l1 = float(np.sum(np.abs(coeffs) / np.sqrt(np.arange(1, n_terms + 1))))
+    got = dirichlet_value(coeffs, t, h)
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - dense_dirichlet(coeffs, t, h))) <= 1e-13 * l1
+
+
+def test_dirichlet_uneven_shifts_raise():
+    for h in ([-0.75, 0.0, 0.5], [0.0, np.nan], [np.inf], []):
+        with pytest.raises(DomainError):
+            dirichlet_value(np.ones(8, dtype=complex), 1e4, h)
+
+
+def test_dirichlet_lattice_vs_mpmath(rng):
+    """The kernel is no further from a 30-digit sum than the dense form is,
+    plus 1e-13 of sum |a_n| n^{-1/2} (a bound stated before any run); both
+    gaps come from the extended-precision reduction of t log n."""
+    mpmath = pytest.importorskip("mpmath")
+    n_terms, pick = 1024, [4, 19, 32]   # inside three of the seven blocks of 33 shifts
+    ns = np.arange(1, n_terms + 1)
+    for _ in range(3):
+        coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+        t = float(rng.uniform(1e5, 2e5))
+        h = float(rng.uniform(-1.0, 1.0)) + 0.3 * np.arange(33)
+        got = dirichlet_value(coeffs, t, h)[pick]
+        dense = dense_dirichlet(coeffs, t, h[pick])
+        with mpmath.workdps(30):
+            exact = np.array([complex(mpmath.fsum(
+                mpmath.mpc(a.real, a.imag)
+                * mpmath.exp(-mpmath.mpc(0.5, mpmath.mpf(t) + mpmath.mpf(float(h[j])))
+                             * mpmath.log(n)) for n, a in zip(ns, coeffs))) for j in pick])
+        l1 = float(np.sum(np.abs(coeffs) / np.sqrt(ns)))
+        assert np.all(np.abs(got - exact) <= np.abs(dense - exact) + 1e-13 * l1)
+
+
+def test_poisson_reconstruct_memory(rng):
+    # a dense phase matrix (one exp per kept shift and term) traces about 126 MB here
+    coeffs = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    tracemalloc.start()
+    try:
+        poisson_reconstruct(coeffs, 1.5e5, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_poisson_monomials(rng):
