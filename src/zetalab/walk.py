@@ -15,8 +15,8 @@ and `theta_mod_2pi` reduces the Riemann-Siegel theta.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -33,28 +33,25 @@ def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
     return np.mod(np.longdouble(t) * logs, _TWO_PI_LD).astype(float)
 
 
-# (extended-precision log n, its float64 cast) for n = 1..len, read-only
-_log_table = (np.empty(0, dtype=np.longdouble), np.empty(0))
-_log_table_lock = threading.Lock()
+# The log and Bessel tables are held in chunks of _CHUNK rows, n = cC + 1 ..
+# (c + 1)C in chunk c, each a read-only array built on first use from c alone,
+# so its bits never depend on which sizes came first or on threads racing to
+# build it.  Chunk 0 covers every main sum below t = 2 pi C^2 ~ 4.2e8.
+_CHUNK = 8192
 
 
-def _logs_upto(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The log table, first grown by doubling when it is shorter than n.  The
-    grower builds both arrays before publishing them in one assignment, so a
-    reader never sees a half-built table, and growth holds the lock, so two
-    growers never replace a longer table with a shorter one."""
-    global _log_table
-    table = _log_table
-    if len(table[0]) < n:
-        with _log_table_lock:
-            table = _log_table
-            if len(table[0]) < n:
-                size = max(n, 2 * len(table[0]), 1024)
-                logs = np.log(np.arange(1, size + 1).astype(np.longdouble))
-                table = (logs, logs.astype(float))
-                for a in table:
-                    a.flags.writeable = False
-                _log_table = table
+def _chunks(n: int) -> range:
+    """The ceil(n / C) chunks that hold rows 1..n."""
+    return range(-(-n // _CHUNK))
+
+
+@functools.cache
+def _log_chunk(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(extended-precision log n, its float64 cast) for n in chunk c."""
+    logs = np.log(np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1).astype(np.longdouble))
+    table = (logs, logs.astype(float))
+    for a in table:
+        a.flags.writeable = False
     return table
 
 
@@ -64,8 +61,11 @@ def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
     An int n stands for 1..n and reads the log table; an array of integers is
     logged directly.  Both paths give the same values bit for bit."""
     if isinstance(n, (int, np.integer)):
-        logs, logs_f = _logs_upto(n)
-        return logs_f[:n], _reduce(logs[:n], t)
+        if n <= _CHUNK:
+            logs, logs_f = (a[:n] for a in _log_chunk(0))
+        else:
+            logs, logs_f = (np.concatenate(a)[:n] for a in zip(*map(_log_chunk, _chunks(n))))
+        return logs_f, _reduce(logs, t)
     logs = np.log(np.asarray(n).astype(np.longdouble))
     return logs.astype(float), _reduce(logs, t)
 
@@ -82,48 +82,37 @@ def powers(n, s: complex) -> np.ndarray:
 _JA_TERMS = 64
 _JA_PHASE = np.array([(1 if k == 0 else 2) * (-1j) ** k for k in range(_JA_TERMS)])
 _MILLER_START = 128          # fixed, so a row never depends on which rows were built
-_BESSEL_ROWS_MAX = 398_942   # floor(sqrt(1e12 / 2 pi)): doubling stops at the longest main sum
-
-# J_k(2 log n) for n = 1..len (rows) and k < 64 (columns), read-only; row
-# n = 1 holds J_k(0) = [k == 0]
-_bessel_table = np.eye(1, _JA_TERMS)
-_bessel_table.flags.writeable = False
-_bessel_lock = threading.Lock()
 
 
-def _bessel_rows(z: np.ndarray) -> np.ndarray:
-    """J_k(z) for k < 64 and z > 0, one row per z, by Miller's backward
-    recurrence J_{k-1} = (2k/z) J_k - J_{k+1} from a fixed start, normalized
-    by J_0 + 2 J_2 + 2 J_4 + ... = 1.  The seed 2^-900 leaves room for the
-    growth of the recurrence at the smallest z, 2 log 2."""
-    rows = np.empty((_JA_TERMS, len(z)))
+def _bessel_rows(z: np.ndarray, out: np.ndarray) -> None:
+    """J_k(z) for k < 64 and z > 0 into `out`, one row per z, by Miller's
+    backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} from a fixed start,
+    normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1.  The seed 2^-900 leaves room
+    for the growth of the recurrence at the smallest z, 2 log 2."""
     nxt, cur = np.zeros_like(z), np.full_like(z, 2.0 ** -900)
     norm = np.zeros_like(z)
     for k in range(_MILLER_START, 0, -1):
         nxt, cur = cur, (2.0 * k / z) * cur - nxt      # cur is now J_{k-1}, unscaled
         if k - 1 < _JA_TERMS:
-            rows[k - 1] = cur
+            out[:, k - 1] = cur
         if k % 2 == 1 and k > 1:
             norm += 2.0 * cur
     norm += cur
-    return np.ascontiguousarray((rows / norm).T)
+    out /= norm[:, None]
 
 
-def _bessel_upto(n: int) -> np.ndarray:
-    """The Bessel table, first grown when it is shorter than n, the way
-    `_logs_upto` grows the log table; only the new rows are computed, and each
-    row depends on its n alone."""
-    global _bessel_table
-    table = _bessel_table
-    if len(table) < n:
-        with _bessel_lock:
-            table = _bessel_table
-            if len(table) < n:
-                size = max(n, min(2 * len(table), _BESSEL_ROWS_MAX), 1024)
-                logs = _logs_upto(size)[1]
-                table = np.concatenate([table, _bessel_rows(2.0 * logs[len(table):size])])
-                table.flags.writeable = False
-                _bessel_table = table
+@functools.cache
+def _bessel_chunk(c: int) -> np.ndarray:
+    """J_k(2 log n) for n in chunk c (rows) and k < 64 (columns), built in
+    place from the chunk's float64 logs; row n = 1 holds J_k(0) = [k == 0]."""
+    z = 2.0 * _log_chunk(c)[1]
+    table = np.empty((_CHUNK, _JA_TERMS))
+    if c == 0:
+        table[0] = np.arange(_JA_TERMS) == 0
+        _bessel_rows(z[1:], table[1:])
+    else:
+        _bessel_rows(z, table)
+    table.flags.writeable = False
     return table
 
 
@@ -137,11 +126,13 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
     J_k(2 log n).  The few terms in (n0, tops[j]] are taken directly.  Every
     operation is elementwise over the heights or fixed by tau and n0, so each
     value depends only on (tau, ts[j], tops[j])."""
-    a = powers(n0, 0.5 + 1j * tau)
-    bessel = _bessel_upto(n0)[:n0]
-    # one pass over the table for the real and imaginary parts; einsum, not a
-    # BLAS product, so the bits do not depend on the BLAS thread count
-    re_im = np.einsum("nr,nk->rk", a.view(float).reshape(n0, 2), bessel)
+    a = powers(n0, 0.5 + 1j * tau).view(float).reshape(n0, 2)
+    # one pass per Bessel chunk for the real and imaginary parts; einsum, not
+    # a BLAS product, so the bits do not depend on the BLAS thread count
+    re_im = np.einsum("nr,nk->rk", a[:_CHUNK], _bessel_chunk(0)[:n0])
+    for c in _chunks(n0)[1:]:
+        re_im += np.einsum("nr,nk->rk", a[c * _CHUNK:(c + 1) * _CHUNK],
+                           _bessel_chunk(c)[:n0 - c * _CHUNK])
     coeffs = (re_im[0] + 1j * re_im[1]) * _JA_PHASE
     # Clenshaw's recurrence for sum_k c_k T_k(x), x = d / 2
     x = 0.5 * (ts - tau)
@@ -149,10 +140,9 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
     for c in coeffs[:0:-1]:
         b1, b2 = c + 2.0 * x * b1 - b2, b1
     sums = coeffs[0] + x * b1 - b2
-    top = int(tops.max())
-    logs = _logs_upto(top)[0]
-    for n in range(n0 + 1, top + 1):
-        term = n ** -0.5 * np.exp(-1j * _reduce(logs[n - 1], ts))
+    for n in range(n0 + 1, int(tops.max()) + 1):
+        c, i = divmod(n - 1, _CHUNK)
+        term = n ** -0.5 * np.exp(-1j * _reduce(_log_chunk(c)[0][i], ts))
         sums = sums + np.where(tops >= n, term, 0)
     return sums
 

@@ -242,3 +242,13 @@ def test_only_walk_names_longdouble():
     naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if any(map(_names_longdouble, ast.walk(ast.parse(path.read_text()))))]
     assert naming == ["walk.py"]
+
+
+def test_no_global_statement_outside_parallel():
+    # process-wide tables are `functools.cache`s of a function of their index
+    # (walk's log and Bessel chunks, zeta's contour lattice); only the shared
+    # pool is created and replaced by hand
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "parallel"
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)]
+    assert found == []

@@ -97,26 +97,37 @@ def test_euler_product_random_tau(table_small, rng):
 def test_bessel_table_matches_scipy():
     jv = pytest.importorskip("scipy.special").jv
     k = np.arange(64)
-    table = walk._bessel_upto(8192)[:8192]
+    table = walk._bessel_chunk(0)
     z = 2.0 * walk.log_phase(8192, 0.0)[0]     # the float64 logs the table is built from
     assert np.abs(table - jv(k, z[:, None])).max() <= 1e-15
     assert np.array_equal(table[0], (k == 0).astype(float))     # n = 1: J_k(0)
-    assert np.array_equal(table[1000:1100], walk._bessel_rows(z[1000:1100]))
-    # rows up to the longest main sum below MAX_T, from the same kernel, without
-    # growing the shared table to that size
-    ns = np.unique(np.geomspace(8193, walk._BESSEL_ROWS_MAX, 400).astype(int))
+    rows = np.empty((100, 64))
+    walk._bessel_rows(z[1000:1100], rows)
+    assert np.array_equal(table[1000:1100], rows)
+    # rows up to the longest main sum below MAX_T, from the same kernel,
+    # without building every chunk up to that size
+    ns = np.unique(np.geomspace(8193, math.floor(math.sqrt(MAX_T / (2.0 * math.pi))), 400)
+                   .astype(int))
     z = 2.0 * walk.log_phase(ns, 0.0)[0]
-    assert np.abs(walk._bessel_rows(z) - jv(k, z[:, None])).max() <= 1e-15
+    rows = np.empty((len(ns), 64))
+    walk._bessel_rows(z, rows)
+    assert np.abs(rows - jv(k, z[:, None])).max() <= 1e-15
+    # a chunk above the first holds the same rows as the kernel at its n
+    z = 2.0 * walk.log_phase(np.arange(16385, 16390), 0.0)[0]
+    walk._bessel_rows(z, rows[:5])
+    assert np.array_equal(walk._bessel_chunk(2)[:5], rows[:5])
 
 
-def test_bessel_table_stops_doubling_at_the_longest_main_sum(monkeypatch):
-    assert walk._BESSEL_ROWS_MAX == math.floor(math.sqrt(MAX_T / (2.0 * math.pi)))
-    ref = walk._bessel_upto(3500)[:3500].copy()
-    monkeypatch.setattr(walk, "_BESSEL_ROWS_MAX", 3000)
-    monkeypatch.setattr(walk, "_bessel_table", walk._bessel_table[:1])
-    for n, rows in ((2000, 2000), (2500, 3000), (3500, 3500)):
-        assert len(walk._bessel_upto(n)) == rows
-    assert np.array_equal(walk._bessel_upto(3500), ref)
+@pytest.mark.parametrize("n", [1, 8192, 8193, 20_000])
+def test_reading_n_rows_builds_ceil_n_over_c_chunks(n):
+    assert walk._CHUNK == 8192
+    walk._log_chunk.cache_clear()
+    walk._bessel_chunk.cache_clear()
+    walk.log_phase(n, 1e3)
+    assert walk._log_chunk.cache_info().currsize == math.ceil(n / 8192)
+    sums = walk.shifted_sums(1e3, np.array([1e3]), n, np.array([n]))
+    assert walk._bessel_chunk.cache_info().currsize == math.ceil(n / 8192)
+    assert abs(sums[0] - np.sum(walk.powers(n, 0.5 + 1e3j))) <= 1e-12 * math.sqrt(n)
 
 
 def _sha(a: np.ndarray) -> str:
@@ -125,26 +136,26 @@ def _sha(a: np.ndarray) -> str:
 
 @pytest.mark.parametrize("descending", [False, True])
 def test_bessel_table_growth_order_keeps_bits(descending):
-    # a fresh interpreter grows the table from empty: ascending sizes double
-    # it step by step, descending ones build it whole at the first call
-    sizes = sorted((1, 1000, 1025, 5000, 20_000), reverse=descending)
+    # a fresh interpreter builds the log and Bessel chunks from empty, going
+    # up or going down; each chunk depends on its index alone
+    chunks = sorted((0, 1, 2, 48), reverse=descending)
     src = os.path.dirname(os.path.dirname(zetalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import hashlib, json, sys\n"
             "from zetalab import walk\n"
-            "print(json.dumps([hashlib.sha256(walk._bessel_upto(n)[:n].tobytes()).hexdigest()\n"
-            "                  for n in json.loads(sys.argv[1])]))")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(sizes)], env=env,
+            "print(json.dumps([hashlib.sha256(walk._bessel_chunk(c).tobytes()).hexdigest()\n"
+            "                  for c in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(chunks)], env=env,
                          check=True, capture_output=True, text=True, timeout=120)
-    assert json.loads(out.stdout) == [_sha(walk._bessel_upto(n)[:n]) for n in sizes]
+    assert json.loads(out.stdout) == [_sha(walk._bessel_chunk(c)) for c in chunks]
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_bessel_table_shared_by_threads(monkeypatch, workers):
-    # pool items race to grow emptied Bessel and log tables, half upward and
-    # half downward, with frequent thread switches
-    heights = [60.5, 1e3 + 0.5, 1e5 + 0.25, 1.5e7, 2e8]
+    # pool items race to fill the emptied Bessel and log chunks, half upward
+    # and half downward, with frequent thread switches; 1e9 reads two chunks
+    heights = [60.5, 1e3 + 0.5, 1e5 + 0.25, 1.5e7, 2e8, 1e9 + 0.5]
     items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
     grid = np.linspace(-1.0, 1.0, 9)
 
@@ -155,8 +166,8 @@ def test_bessel_table_shared_by_threads(monkeypatch, workers):
     interval = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
-        monkeypatch.setattr(walk, "_bessel_table", walk._bessel_table[:1])
-        monkeypatch.setattr(walk, "_log_table", (np.empty(0, np.longdouble), np.empty(0)))
+        walk._bessel_chunk.cache_clear()
+        walk._log_chunk.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             assert parallel.map_blocks(values, items) == serial

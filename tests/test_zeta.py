@@ -65,8 +65,8 @@ def test_golden_bits():
 
 @pytest.mark.parametrize("descending", [False, True])
 def test_log_table_growth_order_keeps_bits(descending):
-    # a fresh interpreter grows the log table from empty: ascending heights
-    # double it step by step, descending ones build it whole at the first call
+    # a fresh interpreter builds the log chunks from empty: ascending heights
+    # add them a few at a time, descending ones build all 49 at the first call
     src = os.path.dirname(os.path.dirname(zetalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -81,8 +81,8 @@ def test_log_table_growth_order_keeps_bits(descending):
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_log_table_shared_by_threads(monkeypatch, workers):
-    # pool items race to grow an emptied table, half upward and half downward,
-    # with frequent thread switches
+    # pool items race to fill the emptied log chunks, half upward and half
+    # downward, with frequent thread switches
     heights = sorted(RS_HEX) + [1e3 + 0.5, 2e5 + 0.75]
     items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
 
@@ -94,7 +94,7 @@ def test_log_table_shared_by_threads(monkeypatch, workers):
     interval = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
-        monkeypatch.setattr(walk, "_log_table", (np.empty(0, np.longdouble), np.empty(0)))
+        walk._log_chunk.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             assert parallel.map_blocks(values, items) == serial
@@ -104,7 +104,8 @@ def test_log_table_shared_by_threads(monkeypatch, workers):
 
 @pytest.mark.parametrize("n", [1, 1024, 4886, 396_942])   # RS's N at 1.5e8 and 9.9e11
 def test_log_table_matches_direct_logs(n):
-    # an int n reads the shared table, an array takes its logs directly
+    # an int n reads the log chunks (one, or 49 joined), an array takes its
+    # logs directly
     ns = np.arange(1, n + 1)
     for t in (0.0, 37.5, 1.5e8, 9.9e11):
         for table_path, direct in zip(walk.log_phase(n, t), walk.log_phase(ns, t)):
