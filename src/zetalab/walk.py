@@ -22,7 +22,10 @@ import numpy as np
 
 from .primes import PrimeTable, primes_in_log_range
 
-_TWO_PI_LD = np.longdouble(2 * math.pi)   # the modulus of every phase reduction
+# pi to the last bit of the extended type, parsed from its decimal digits (the
+# float64 pi is 1.2e-16 short); _TWO_PI_LD is the modulus of every reduction
+_PI_LD = np.longdouble("3.141592653589793238462643383279502884")
+_TWO_PI_LD = 2 * _PI_LD
 
 
 def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
@@ -151,7 +154,7 @@ def theta_mod_2pi(t):
     """(main argument of the Riemann-Siegel theta mod 2pi in extended
     precision, Stirling correction), for a height or an array of them."""
     tl = np.asarray(t, dtype=np.longdouble)
-    main = 0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - np.longdouble(math.pi) / 8
+    main = 0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - _PI_LD / 8
     main = np.mod(main, _TWO_PI_LD).astype(float)
     corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
     return main, corr

@@ -144,19 +144,19 @@ def test_golden_bits():
     coeffs = (1.0 + 0.5j) / np.arange(1, 301)
     singles = [dirichlet_value(coeffs, 1e6 + 0.25, h)[0] for h in (-0.75, 0.0, 0.5)]
     assert [(v.real.hex(), v.imag.hex()) for v in singles] == [
-        ("0x1.46f0d1a5bc027p-1", "0x1.7be3cd6fef446p-1"),
-        ("0x1.98e04b1e61da2p-1", "0x1.c819002fcf585p-1"),
-        ("0x1.ca9a0f7564bb1p-1", "0x1.f238ff8b1b57ep-1"),
+        ("0x1.46f0d1a5ad578p-1", "0x1.7be3cd6fd614dp-1"),
+        ("0x1.98e04b1e50fe1p-1", "0x1.c819002fc3b61p-1"),
+        ("0x1.ca9a0f755196ep-1", "0x1.f238ff8b097e4p-1"),
     ]
     # six shifts on a lattice: three blocks of two
     lattice = dirichlet_value(coeffs, 1e6 + 0.25, -0.75 + 0.25 * np.arange(6))
     assert [(v.real.hex(), v.imag.hex()) for v in lattice] == [
-        ("0x1.46f0d1a5bc027p-1", "0x1.7be3cd6fef446p-1"),
-        ("0x1.60acdb1460d74p-1", "0x1.9d69ea4f28efap-1"),
-        ("0x1.7ddc845970186p-1", "0x1.b5cdfba31ca80p-1"),
-        ("0x1.98e04b1e61da2p-1", "0x1.c819002fcf587p-1"),
-        ("0x1.b0f81fd4d63e0p-1", "0x1.daac55bb39bc0p-1"),
-        ("0x1.ca9a0f7564bb1p-1", "0x1.f238ff8b1b57cp-1"),
+        ("0x1.46f0d1a5ad578p-1", "0x1.7be3cd6fd614dp-1"),
+        ("0x1.60acdb144db03p-1", "0x1.9d69ea4f158a3p-1"),
+        ("0x1.7ddc84595cd67p-1", "0x1.b5cdfba30eff7p-1"),
+        ("0x1.98e04b1e50fe1p-1", "0x1.c819002fc3b60p-1"),
+        ("0x1.b0f81fd4c645cp-1", "0x1.daac55bb2bee9p-1"),
+        ("0x1.ca9a0f755196ep-1", "0x1.f238ff8b097e5p-1"),
     ]
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ def test_euler_product_random_tau(table_small, rng):
         worst = max(worst, euler_product_check(table_small, 0.0, k_hi, 0.5 + 1j * tau))
     assert worst < 1e-10
 
+
+
+def test_two_pi_to_the_last_bit_of_the_extended_type():
+    # 40 digits of pi; the float64 value, the old modulus, is 2.45e-16 short
+    # of 2 pi, 565 ulps of the 80-bit type
+    pi = Fraction("3.141592653589793238462643383279502884197")
+    for value, exact in ((walk._PI_LD, pi), (walk._TWO_PI_LD, 2 * pi)):
+        ulp = Fraction(*np.spacing(value).as_integer_ratio())
+        assert abs(Fraction(*value.as_integer_ratio()) - exact) <= ulp
 
 
 def test_bessel_table_matches_scipy():
