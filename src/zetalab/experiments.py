@@ -205,7 +205,7 @@ def _check_heights(big_t: float, top: float) -> None:
 
 SHARED_SIEVE_LIMIT = 10 ** 6   # mollifier_suite and smoothing_suite share this table
 LAPLACE_K = 2.0                # moments_model's Laplace check runs over (1, LAPLACE_K]
-MAX_SCALE = loglog(MAX_SIEVE_LIMIT - 10)   # ~3.1598: top scale whose `_window_table` fits
+MAX_SCALE = loglog(MAX_SIEVE_LIMIT - 10)   # ~3.0992: top scale whose `_window_table` fits
 
 
 def _window_table(name: str, j: float, k: float, top: float):
@@ -476,6 +476,8 @@ def run_berry_esseen(config: ExperimentConfig):
         "sup_distance": comp.sup_distance,
         "window_variance": comp.variance,
         "n_samples": n_samples,
+        "n_exact_primes": comp.split.n_exact,
+        "tail_bias_bound": comp.split.tail_bias_bound,
     }
     return metrics, {"AC8": comp.sup_distance <= 0.01}
 
@@ -487,12 +489,14 @@ def run_density_check(config: ExperimentConfig):
     n_samples = param(config, "n_samples", 1_000_000, above=0)
     _check_samples(n_samples)
     table = _window_table("r", 0.0, r, r)
-    rows = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
+    rows, split = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
     metrics = {
         "ratio_min": min(ratios),
         "ratio_max": max(ratios),
         "n_bins": len(rows),
+        "n_exact_primes": split.n_exact,
+        "tail_bias_bound": split.tail_bias_bound,
     }
     table_rows = [(row.v, row.v + 1 / delta, row.empirical, row.asymptotic, row.ratio)
                   for row in rows]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .parallel import map_blocks
-from .primes import PrimeTable, primes_in_log_range
+from .primes import SEGMENT_SIZE, PrimeTable, primes_in_log_range
 
 EXACT_PRIME_CUTOFF = 10_000   # primes above this are folded into one Gaussian
 QUADRATURE_PRIME = 10_007     # the prime of laplace_check's quadrature residual
@@ -57,6 +57,12 @@ class WindowSplit:
     def n_exact(self) -> int:
         return len(self.head)
 
+    @property
+    def variance(self) -> float:
+        """beta, the variance of the window sum: the head's exact variances
+        plus the tail's."""
+        return self.tail_variance + float(np.sum(x_p_variance(self.head)))
+
 
 def window_split(table: PrimeTable, j: float, k: float,
                  exact_below: float = EXACT_PRIME_CUTOFF) -> WindowSplit:
@@ -65,15 +71,19 @@ def window_split(table: PrimeTable, j: float, k: float,
     variance.  The replacement bias (third-moment Edgeworth bound, reported)
     is orders of magnitude below any tolerance used in the experiments.  The
     tail sums run over every prime in the window (millions for k near 3), so
-    a caller drawing many chunks computes the split once."""
+    a caller drawing many chunks computes the split once, and they take one
+    segment of 2^20 primes at a time: `np.sum` per segment, `math.fsum`
+    across segments, and no float temporary as long as the tail."""
     primes = primes_in_log_range(table, j, k)
-    head = primes[primes <= exact_below]
-    tail = primes[len(head):]
-    tail_f = tail.astype(float)
-    tail_var = float(np.sum(x_p_variance(tail))) if len(tail) else 0.0
-    total_var = tail_var + (float(np.sum(x_p_variance(head))) if len(head) else 0.0)
-    skew = float(np.sum(0.375 / (tail_f * tail_f))) if len(tail) else 0.0
-    bias = skew / max(total_var, 1e-30) ** 1.5
+    head, tail = np.split(primes, [np.searchsorted(primes, exact_below, side="right")])
+
+    def tail_sum(term) -> float:
+        return math.fsum(float(np.sum(term(tail[lo:lo + SEGMENT_SIZE])))
+                         for lo in range(0, len(tail), SEGMENT_SIZE))
+
+    tail_var = tail_sum(x_p_variance)
+    total_var = tail_var + float(np.sum(x_p_variance(head)))
+    bias = tail_sum(lambda p: 0.375 / np.square(p.astype(float))) / max(total_var, 1e-30) ** 1.5
     return WindowSplit(head=head, tail_variance=tail_var, tail_bias_bound=bias)
 
 
@@ -176,6 +186,7 @@ def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: floa
 class GaussianComparison:
     sup_distance: float
     variance: float      # beta over the window, from exact prime sums
+    split: WindowSplit   # the split the samples were drawn from
 
 
 def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
@@ -194,12 +205,13 @@ def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples")
     j = k - 1.0
-    samples, _ = sample_window_sums(rng, table, j, k, n_samples)
-    beta = float(np.sum(x_p_variance(primes_in_log_range(table, j, k))))
+    samples, split = sample_window_sums(rng, table, j, k, n_samples)
+    beta = split.variance
     qs = np.quantile(samples, np.linspace(0.001, 0.999, 1000))
     emp = np.searchsorted(np.sort(samples), qs, side="right") / n_samples
     gaps = emp - _gauss_cdf(qs, beta)
-    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()), variance=beta)
+    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()), variance=beta,
+                              split=split)
 
 
 @dataclass
@@ -211,9 +223,10 @@ class DensityRow:
 
 
 def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: float,
-                  n_samples: int) -> list[DensityRow]:
-    """Bin probabilities of S_r over (0, r] against delta^{-1} r^{-1/2} exp(-v^2/r)."""
-    samples, _ = sample_window_sums(rng, table, 0.0, r, n_samples)
+                  n_samples: int) -> tuple[list[DensityRow], WindowSplit]:
+    """Bin probabilities of S_r over (0, r] against delta^{-1} r^{-1/2}
+    exp(-v^2/r), and the `window_split` the samples were drawn from."""
+    samples, split = sample_window_sums(rng, table, 0.0, r, n_samples)
     vmax = 2.0 * math.sqrt(r)
     vs = np.arange(-math.floor(vmax * delta), math.floor(vmax * delta) + 1) / delta
     sorted_samples = np.sort(samples)
@@ -225,7 +238,7 @@ def density_check(rng: np.random.Generator, table: PrimeTable, r: float, delta: 
         asym = (1.0 / delta) * r ** -0.5 * math.exp(-v * v / r)
         rows.append(DensityRow(v=float(v), empirical=float(emp), asymptotic=asym,
                                ratio=float(emp / asym)))
-    return rows
+    return rows, split
 
 
 # --- hierarchical branching surrogate ---

@@ -1,8 +1,10 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,9 +13,10 @@ import pytest
 from scipy.stats import chi2
 
 import zetalab
-from zetalab import experiments, parallel
+from zetalab import experiments, model, parallel, primes
 from zetalab.cli import main
 from zetalab.errors import UsageError
+from zetalab.primes import cached_sieve
 from zetalab.experiments import (REGISTRY, ExperimentConfig, ResultRecord,
                                  parallel_chunks, run, seed_stream)
 
@@ -193,10 +196,11 @@ def test_cli_runs_suite(capsys, out_dir):
     # seeds beyond the 64 bits that seed_stream keys on
     ('{"experiment": "poisson_suite", "seed": -1}', []),
     ('{"experiment": "poisson_suite", "seed": 18446744073709551616}', []),
-    # scales whose window cannot be sieved (above log log (2^34 - 10) ~ 3.1598),
+    # scales whose window cannot be sieved (above log log (2^32 - 10) ~ 3.0992),
     # or is empty, or is not a number
     ('{"experiment": "berry_esseen", "params": {"k": 7.0}}', []),
     ('{"experiment": "berry_esseen", "params": {"k": 3.16}}', []),
+    ('{"experiment": "density_check", "params": {"r": 3.1}}', []),
     ('{"experiment": "density_check", "params": {"r": 0.0}}', []),
     ('{"experiment": "density_check", "params": {"r": "nan"}}', []),
     ('{"experiment": "moments_model", "params": {"k": -1.0}}', []),
@@ -239,6 +243,36 @@ def test_cli_sample_budget_exits_3(tmp_path, capsys, name, n_samples):
     assert main([name, "--config", str(cfg_path), "--out", str(out_dir)]) == 3
     assert capsys.readouterr().err.startswith("error [CapacityError]: ")
     assert not out_dir.exists()
+
+
+def test_cli_sieve_beyond_the_memory_budget_exits_3(tmp_path, capsys):
+    # 2^32 + 1 is one past MAX_SIEVE_LIMIT; refused before the sieve allocates
+    assert primes.MAX_SIEVE_LIMIT == 2 ** 32
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "mertens", "params": {"limit": 2 ** 32 + 1}}))
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["mertens", "--config", str(cfg_path), "--out", str(out_dir)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert capsys.readouterr().err.startswith("error [CapacityError]: sieve limit 4294967297")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, k", [("berry_esseen", "k"), ("density_check", "r")])
+def test_window_suites_report_their_split(tmp_path, name, k):
+    # the split the samples were drawn from, as moments_model reports it
+    config = ExperimentConfig(experiment=name, out_dir=str(tmp_path),
+                              params={k: 2.3, "n_samples": 10_000})
+    metrics = run(config).metrics
+    j = 1.3 if name == "berry_esseen" else 0.0
+    split = model.window_split(cached_sieve(int(math.exp(math.exp(2.3))) + 10), j, 2.3)
+    assert split.tail_variance > 0
+    assert (metrics["n_exact_primes"], metrics["tail_bias_bound"]) == \
+        (split.n_exact, split.tail_bias_bound)
 
 
 def test_cli_config_for_another_suite_is_usage_error(tmp_path, capsys):

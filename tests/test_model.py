@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +17,7 @@ from zetalab.model import (MAX_SAMPLES, _jumped, branching_pattern, centering, d
                            sample_hierarchical_leaves, sample_hierarchical_maxima,
                            draw_window_sums, sample_window_sums, tail_slope,
                            window_split, x_p_values, x_p_variance)
-from zetalab.primes import primes_in_log_range
+from zetalab.primes import SEGMENT_SIZE, primes_in_log_range, sieve_primes
 from zetalab.walk import partial_sum
 
 
@@ -183,9 +184,36 @@ def test_window_sum_bits_do_not_depend_on_blas_threads():
 def test_window_sum_variance_matches(table_medium, rng):
     samples, info = sample_window_sums(rng, table_medium, 1.0, 2.3, 200_000)
     target = float(np.sum(x_p_variance(primes_in_log_range(table_medium, 1.0, 2.3))))
-    split_var = info.tail_variance + float(np.sum(x_p_variance(info.head)))
-    assert split_var == pytest.approx(target, rel=1e-12)
+    assert info.variance == pytest.approx(target, rel=1e-12)
     assert np.var(samples) == pytest.approx(target, rel=0.02)
+
+
+def test_window_split_keeps_one_segment_sums(table_medium):
+    # a tail of at most 2^20 primes is one segment: one np.sum, as before
+    split = window_split(table_medium, 1.0, 2.6)
+    tail = primes_in_log_range(table_medium, 1.0, 2.6)[split.n_exact:]
+    assert 0 < len(tail) <= SEGMENT_SIZE
+    assert split.tail_variance == float(np.sum(x_p_variance(tail)))
+    tail_f = tail.astype(float)
+    skew = float(np.sum(0.375 / (tail_f * tail_f)))
+    assert split.tail_bias_bound == skew / split.variance ** 1.5
+
+
+def test_window_split_memory_is_one_segment_deep():
+    # (2, 2.85] holds 1,984,695 tail primes, two segments: the tail sums
+    # traced 32 MiB, where full-length float temporaries traced 76 MiB (and
+    # 174 MiB over the 4.6M tail primes of (2, 2.9])
+    table = sieve_primes(33_000_000)
+    tracemalloc.start()
+    try:
+        split = window_split(table, 2.0, 2.85)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * SEGMENT_SIZE
+    tail = primes_in_log_range(table, 2.0, 2.85)[split.n_exact:]
+    assert len(tail) > SEGMENT_SIZE
+    assert split.tail_variance == pytest.approx(math.fsum(x_p_variance(tail)), rel=1e-15)
 
 
 def test_laplace_trivial_and_bound(table_small, rng):
@@ -207,6 +235,7 @@ def test_increment_gaussianity_small_range_is_far(table_small):
     rng = np.random.default_rng(3)
     comp = increment_gaussianity(rng, table_small, 0.0, 20_000)
     assert comp.sup_distance > 0.05
+    assert comp.split.head.tolist() == [2] and comp.variance == comp.split.variance
 
 
 def test_increment_gaussianity_improves_with_width(table_medium):
@@ -225,7 +254,7 @@ def test_increment_gaussianity_guard(table_small, rng):
 
 def test_density_symmetry_and_shape(table_medium):
     rng = np.random.default_rng(9)
-    rows = density_check(rng, table_medium, 2.3, 4.0, 150_000)
+    rows, _ = density_check(rng, table_medium, 2.3, 4.0, 150_000)
     by_v = {row.v: row for row in rows}
     # symmetric bins at +-v balance within 3 sigma
     p_plus, p_minus = by_v[0.0].empirical, by_v[-0.25].empirical
@@ -236,8 +265,8 @@ def test_density_symmetry_and_shape(table_medium):
 
 def test_density_halving(table_medium):
     rng = np.random.default_rng(10)
-    rows4 = density_check(rng, table_medium, 2.3, 4.0, 100_000)
-    rows8 = density_check(rng, table_medium, 2.3, 8.0, 100_000)
+    rows4, _ = density_check(rng, table_medium, 2.3, 4.0, 100_000)
+    rows8, _ = density_check(rng, table_medium, 2.3, 8.0, 100_000)
     p4 = next(r for r in rows4 if r.v == 0.0).empirical
     p8 = next(r for r in rows8 if r.v == 0.0).empirical
     assert p8 == pytest.approx(p4 / 2, abs=3 * math.sqrt(p4 / 100_000))

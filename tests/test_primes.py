@@ -48,7 +48,7 @@ def test_sieve_limit_guard():
     with pytest.raises(CapacityError):
         sieve_primes(1)
     with pytest.raises(CapacityError):
-        sieve_primes(2 ** 34 + 1)
+        sieve_primes(2 ** 32 + 1)
 
 
 def test_sieve_random_sample_is_prime(table_small, rng):
