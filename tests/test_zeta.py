@@ -168,21 +168,21 @@ def test_rs_hard_points():
 # zeta_critical against mpmath (30 digits), per decade of t: fixed heights and
 # the bound on their relative gap, 5x the worst gap seen over 362
 # log-uniform heights in the decade (164 in the last), rounded up.  Above
-# the first decade the gap grows with t because phases are reduced modulo
-# the float64 value of 2 pi (ROADMAP item 1).  The bounds may be tightened,
-# never loosened.
+# t = 1e4 the gap grows about tenfold per decade, with the rounding of t log n
+# and of theta in the extended type (ROADMAP item 1).  The bounds may be
+# tightened, never loosened.
 MPMATH_DECADES = (
-    ((25.25, 50.1, 80.75), 9e-14),
-    ((250.25, 800.75), 2e-12),
-    ((2500.25, 8000.75), 2e-11),
-    ((25000.25, 80000.75), 3e-10),
-    ((2.5e5 + 0.25, 8e5 + 0.75), 7e-9),
-    ((2.5e6 + 0.25, 8e6 + 0.75), 5e-8),
-    ((2.5e7 + 0.25, 8e7 + 0.75), 8e-7),
-    ((2.5e8 + 0.25, 8e8 + 0.75), 9e-6),
-    ((2.5e9 + 0.25, 8e9 + 0.75), 8e-5),
-    ((2.5e10 + 0.25, 8e10 + 0.75), 2e-3),
-    ((9.9e11, 1e12), 8e-3),   # 1e12 is MAX_T
+    ((25.25, 50.1, 80.75), 2e-14),
+    ((250.25, 800.75), 4e-14),
+    ((2500.25, 8000.75), 6e-14),
+    ((25000.25, 80000.75), 2e-12),
+    ((2.5e5 + 0.25, 8e5 + 0.75), 3e-11),
+    ((2.5e6 + 0.25, 8e6 + 0.75), 2e-10),
+    ((2.5e7 + 0.25, 8e7 + 0.75), 3e-9),
+    ((2.5e8 + 0.25, 8e8 + 0.75), 3e-8),
+    ((2.5e9 + 0.25, 8e9 + 0.75), 4e-7),
+    ((2.5e10 + 0.25, 8e10 + 0.75), 2e-6),
+    ((9.9e11, 1e12), 3e-5),   # 1e12 is MAX_T
 )
 
 
