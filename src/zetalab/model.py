@@ -59,8 +59,7 @@ class WindowSplit:
 
     @property
     def variance(self) -> float:
-        """beta, the variance of the window sum: the head's exact variances
-        plus the tail's."""
+        """beta, the window sum's variance: the head's exact terms plus the tail's."""
         return self.tail_variance + float(np.sum(x_p_variance(self.head)))
 
 
@@ -71,9 +70,8 @@ def window_split(table: PrimeTable, j: float, k: float,
     variance.  The replacement bias (third-moment Edgeworth bound, reported)
     is orders of magnitude below any tolerance used in the experiments.  The
     tail sums run over every prime in the window (millions for k near 3), so
-    a caller drawing many chunks computes the split once, and they take one
-    segment of 2^20 primes at a time: `np.sum` per segment, `math.fsum`
-    across segments, and no float temporary as long as the tail."""
+    a caller drawing many chunks computes the split once; they take `np.sum`
+    per segment of 2^20 primes and `math.fsum` across, in bounded memory."""
     primes = primes_in_log_range(table, j, k)
     head, tail = np.split(primes, [np.searchsorted(primes, exact_below, side="right")])
 

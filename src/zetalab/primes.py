@@ -15,9 +15,8 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .parallel import map_blocks
 
-# the largest power of two whose sieve fits a 4 GB budget: the sieve and
-# `mertens_sum` peak near 16.5 B per prime, and there are 203,280,221 primes
-# below 2^32 (about 3.4 GB); 2^33 would take about 6.5 GB
+# the largest power of two under a 4 GB budget: the sieve and `mertens_sum` peak
+# near 16.5 B per prime, about 3.4 GB for the 203,280,221 primes below 2^32
 MAX_SIEVE_LIMIT = 2 ** 32
 SEGMENT_SIZE = 1 << 20
 

@@ -36,26 +36,20 @@ def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
     return np.mod(np.longdouble(t) * logs, _TWO_PI_LD).astype(float)
 
 
-# The log and Bessel tables are held in chunks of _CHUNK rows, n = cC + 1 ..
-# (c + 1)C in chunk c, each a read-only array built on first use from c alone,
-# so its bits never depend on which sizes came first or on threads racing to
-# build it.  Chunk 0 covers every main sum below t = 2 pi C^2 ~ 4.2e8.
+# The log and Bessel tables are held in chunks of _CHUNK rows (n = cC + 1 ..
+# (c + 1)C in chunk c), read-only arrays each built on first use from c alone,
+# so no bit depends on which sizes came first or on threads racing to build
+# them.  Chunk 0 covers every main sum below t = 2 pi C^2 ~ 4.2e8.
 _CHUNK = 8192
-
-
-def _chunks(n: int) -> range:
-    """The ceil(n / C) chunks that hold rows 1..n."""
-    return range(-(-n // _CHUNK))
 
 
 @functools.cache
 def _log_chunk(c: int) -> tuple[np.ndarray, np.ndarray]:
     """(extended-precision log n, its float64 cast) for n in chunk c."""
     logs = np.log(np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1).astype(np.longdouble))
-    table = (logs, logs.astype(float))
-    for a in table:
-        a.flags.writeable = False
-    return table
+    logs_f = logs.astype(float)
+    logs.flags.writeable = logs_f.flags.writeable = False
+    return logs, logs_f
 
 
 def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +61,8 @@ def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
         if n <= _CHUNK:
             logs, logs_f = (a[:n] for a in _log_chunk(0))
         else:
-            logs, logs_f = (np.concatenate(a)[:n] for a in zip(*map(_log_chunk, _chunks(n))))
+            chunks = map(_log_chunk, range(-(-n // _CHUNK)))
+            logs, logs_f = (np.concatenate(a)[:n] for a in zip(*chunks))
         return logs_f, _reduce(logs, t)
     logs = np.log(np.asarray(n).astype(np.longdouble))
     return logs.astype(float), _reduce(logs, t)
@@ -108,13 +103,10 @@ def _bessel_rows(z: np.ndarray, out: np.ndarray) -> None:
 def _bessel_chunk(c: int) -> np.ndarray:
     """J_k(2 log n) for n in chunk c (rows) and k < 64 (columns), built in
     place from the chunk's float64 logs; row n = 1 holds J_k(0) = [k == 0]."""
-    z = 2.0 * _log_chunk(c)[1]
     table = np.empty((_CHUNK, _JA_TERMS))
-    if c == 0:
-        table[0] = np.arange(_JA_TERMS) == 0
-        _bessel_rows(z[1:], table[1:])
-    else:
-        _bessel_rows(z, table)
+    skip = 1 if c == 0 else 0
+    table[:skip] = np.arange(_JA_TERMS) == 0
+    _bessel_rows(2.0 * _log_chunk(c)[1][skip:], table[skip:])
     table.flags.writeable = False
     return table
 
@@ -133,7 +125,7 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
     # one pass per Bessel chunk for the real and imaginary parts; einsum, not
     # a BLAS product, so the bits do not depend on the BLAS thread count
     re_im = np.einsum("nr,nk->rk", a[:_CHUNK], _bessel_chunk(0)[:n0])
-    for c in _chunks(n0)[1:]:
+    for c in range(1, -(-n0 // _CHUNK)):
         re_im += np.einsum("nr,nk->rk", a[c * _CHUNK:(c + 1) * _CHUNK],
                            _bessel_chunk(c)[:n0 - c * _CHUNK])
     coeffs = (re_im[0] + 1j * re_im[1]) * _JA_PHASE
