@@ -472,9 +472,13 @@ def run_berry_esseen(config: ExperimentConfig):
     _check_samples(n_samples)
     table = _window_table("k", k - 1.0, k, k)
     comp = model.increment_gaussianity(seed_stream(config.seed, 0), table, k, n_samples)
-    metrics = {"sup_distance": comp.sup_distance, "window_variance": comp.variance,
-               "n_samples": n_samples, "n_exact_primes": comp.split.n_exact,
-               "tail_bias_bound": comp.split.tail_bias_bound}
+    metrics = {
+        "sup_distance": comp.sup_distance,
+        "window_variance": comp.split.variance,
+        "n_samples": n_samples,
+        "n_exact_primes": comp.split.n_exact,
+        "tail_bias_bound": comp.split.tail_bias_bound,
+    }
     return metrics, {"AC8": comp.sup_distance <= 0.01}
 
 
@@ -487,8 +491,13 @@ def run_density_check(config: ExperimentConfig):
     table = _window_table("r", 0.0, r, r)
     rows, split = model.density_check(seed_stream(config.seed, 0), table, r, delta, n_samples)
     ratios = [row.ratio for row in rows]
-    metrics = {"ratio_min": min(ratios), "ratio_max": max(ratios), "n_bins": len(rows),
-               "n_exact_primes": split.n_exact, "tail_bias_bound": split.tail_bias_bound}
+    metrics = {
+        "ratio_min": min(ratios),
+        "ratio_max": max(ratios),
+        "n_bins": len(rows),
+        "n_exact_primes": split.n_exact,
+        "tail_bias_bound": split.tail_bias_bound,
+    }
     table_rows = [(row.v, row.v + 1 / delta, row.empirical, row.asymptotic, row.ratio)
                   for row in rows]
     return (metrics, {"AC9": 0.2 <= min(ratios) and max(ratios) <= 5.0},

@@ -183,8 +183,7 @@ def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: floa
 @dataclass
 class GaussianComparison:
     sup_distance: float
-    variance: float      # beta over the window, from exact prime sums
-    split: WindowSplit   # the split the samples were drawn from
+    split: WindowSplit   # the split the samples were drawn from; beta is its variance
 
 
 def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
@@ -204,12 +203,10 @@ def increment_gaussianity(rng: np.random.Generator, table: PrimeTable, k: float,
         raise DomainError("need at least 1e4 samples")
     j = k - 1.0
     samples, split = sample_window_sums(rng, table, j, k, n_samples)
-    beta = split.variance
     qs = np.quantile(samples, np.linspace(0.001, 0.999, 1000))
     emp = np.searchsorted(np.sort(samples), qs, side="right") / n_samples
-    gaps = emp - _gauss_cdf(qs, beta)
-    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()), variance=beta,
-                              split=split)
+    gaps = emp - _gauss_cdf(qs, split.variance)
+    return GaussianComparison(sup_distance=float(gaps.max() - gaps.min()), split=split)
 
 
 @dataclass

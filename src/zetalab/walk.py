@@ -82,31 +82,28 @@ _JA_PHASE = np.array([(1 if k == 0 else 2) * (-1j) ** k for k in range(_JA_TERMS
 _MILLER_START = 128          # fixed, so a row never depends on which rows were built
 
 
-def _bessel_rows(z: np.ndarray, out: np.ndarray) -> None:
-    """J_k(z) for k < 64 and z > 0 into `out`, one row per z, by Miller's
-    backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} from a fixed start,
-    normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1.  The seed 2^-900 leaves room
-    for the growth of the recurrence at the smallest z, 2 log 2."""
+@functools.cache
+def _bessel_chunk(c: int) -> np.ndarray:
+    """J_k(2 log n) for n in chunk c (rows) and k < 64 (columns), read-only;
+    row n = 1 holds J_k(0) = [k == 0].  Built in place from the chunk's
+    float64 logs by Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}
+    from a fixed start, normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1.  The seed
+    2^-900 leaves room for the growth of the recurrence at the smallest z,
+    2 log 2."""
+    table = np.empty((_CHUNK, _JA_TERMS))
+    skip = 1 if c == 0 else 0
+    table[:skip] = np.arange(_JA_TERMS) == 0
+    rows, z = table[skip:], 2.0 * _log_chunk(c)[1][skip:]
     nxt, cur = np.zeros_like(z), np.full_like(z, 2.0 ** -900)
     norm = np.zeros_like(z)
     for k in range(_MILLER_START, 0, -1):
         nxt, cur = cur, (2.0 * k / z) * cur - nxt      # cur is now J_{k-1}, unscaled
         if k - 1 < _JA_TERMS:
-            out[:, k - 1] = cur
+            rows[:, k - 1] = cur
         if k % 2 == 1 and k > 1:
             norm += 2.0 * cur
     norm += cur
-    out /= norm[:, None]
-
-
-@functools.cache
-def _bessel_chunk(c: int) -> np.ndarray:
-    """J_k(2 log n) for n in chunk c (rows) and k < 64 (columns), built in
-    place from the chunk's float64 logs; row n = 1 holds J_k(0) = [k == 0]."""
-    table = np.empty((_CHUNK, _JA_TERMS))
-    skip = 1 if c == 0 else 0
-    table[:skip] = np.arange(_JA_TERMS) == 0
-    _bessel_rows(2.0 * _log_chunk(c)[1][skip:], table[skip:])
+    rows /= norm[:, None]
     table.flags.writeable = False
     return table
 

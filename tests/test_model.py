@@ -235,7 +235,7 @@ def test_increment_gaussianity_small_range_is_far(table_small):
     rng = np.random.default_rng(3)
     comp = increment_gaussianity(rng, table_small, 0.0, 20_000)
     assert comp.sup_distance > 0.05
-    assert comp.split.head.tolist() == [2] and comp.variance == comp.split.variance
+    assert comp.split.head.tolist() == [2] and comp.split.tail_variance == 0.0
 
 
 def test_increment_gaussianity_improves_with_width(table_medium):
