@@ -59,11 +59,12 @@ def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
     logged directly.  Both paths give the same values bit for bit."""
     if isinstance(n, (int, np.integer)):
         if n <= _CHUNK:
-            logs, logs_f = (a[:n] for a in _log_chunk(0))
-        else:
-            chunks = map(_log_chunk, range(-(-n // _CHUNK)))
-            logs, logs_f = (np.concatenate(a)[:n] for a in zip(*chunks))
-        return logs_f, _reduce(logs, t)
+            logs, logs_f = _log_chunk(0)
+            return logs_f[:n], _reduce(logs[:n], t)
+        # above one chunk, reduce chunk by chunk and join only the float64 results
+        chunks = [_log_chunk(c) for c in range(-(-n // _CHUNK))]
+        return (np.concatenate([logs_f for _, logs_f in chunks])[:n],
+                np.concatenate([_reduce(logs, t) for logs, _ in chunks])[:n])
     logs = np.log(np.asarray(n).astype(np.longdouble))
     return logs.astype(float), _reduce(logs, t)
 
