@@ -61,7 +61,7 @@ def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
         if n <= _CHUNK:
             logs, logs_f = _log_chunk(0)
             return logs_f[:n], _reduce(logs[:n], t)
-        # above one chunk, reduce chunk by chunk and join only the float64 results
+        # above one chunk, reduce each chunk: only the float64 results are joined
         chunks = [_log_chunk(c) for c in range(-(-n // _CHUNK))]
         return (np.concatenate([logs_f for _, logs_f in chunks])[:n],
                 np.concatenate([_reduce(logs, t) for logs, _ in chunks])[:n])
