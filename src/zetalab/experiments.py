@@ -518,6 +518,9 @@ def run_moments_zeta(config: ExperimentConfig):
     est2 = zt.moment_estimate(big_t, 2, param(config, "n_samples", 2000, above=0),
                               seed_stream(config.seed, 1))
     ratio2 = est2.mean / math.log(big_t)
+    # the mean of |zeta|^2 over [T, 2T]: log(T / 2 pi) + 2 log 2 + 2 gamma - 1,
+    # up to O(T^{-1/2} log T) (Ingham 1926)
+    target2 = math.log(big_t / (2.0 * math.pi)) + 2.0 * math.log(2.0) + 2.0 * np.euler_gamma - 1.0
     est4 = zt.moment_estimate(1e6, 4, 400, seed_stream(config.seed, 2))
     ratio4 = est4.mean / math.log(1e6) ** 4
     metrics = {
@@ -526,6 +529,8 @@ def run_moments_zeta(config: ExperimentConfig):
         "second_moment_over_logT": ratio2,
         "second_moment_ci_lo": est2.ci_lo / math.log(big_t),
         "second_moment_ci_hi": est2.ci_hi / math.log(big_t),
+        "second_moment_target_over_logT": target2 / math.log(big_t),
+        "second_moment_z": (est2.mean - target2) / est2.stderr,
         "fourth_moment_over_log4T": ratio4,
     }
     return metrics, {"AC10": first_zero <= 1e-4 and worst_gap <= 1e-6

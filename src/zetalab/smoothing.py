@@ -19,7 +19,7 @@ from scipy.special import sici
 
 from .errors import CapacityError, DomainError
 from .parallel import map_blocks
-from .walk import log_phase
+from .walk import logs, powers
 
 NODE_SPACING = 0.25
 NODE_EXTENT = 200.0
@@ -418,13 +418,13 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
     """D(1/2 + i(t+h)) = sum a_n n^{-1/2 - i(t+h)} at the evenly spaced shifts
     h[0] + j step, j < m (a single shift is m = 1).
 
-    The large t-part of the phase is reduced mod 2 pi in extended precision
-    so shifts evaluated at different lattice points stay coherent.  With
-    B = isqrt(m), shift j = b B + k has the phase factor e^{-i h[bB] log n}
-    e^{-i k step log n}: B inner rows and ceil(m / B) outer rows of exp, about
-    2 sqrt(m) per term instead of m (baby-step giant-step, as Odlyzko and
-    Schoenhage 1988 share work across a progression of heights).  The outer
-    rows start at the given h[bB], so each block's first value is exact.
+    The amplitudes a_n n^{-1/2 - it} come from `powers`, and the float64
+    logs of the shift phases from its table.  With B = isqrt(m), shift
+    j = b B + k has the phase factor e^{-i h[bB] log n} e^{-i k step log n}: B
+    inner rows and ceil(m / B) outer rows of exp, about 2 sqrt(m) per term
+    instead of m (baby-step giant-step, as Odlyzko and Schoenhage 1988 share
+    work across a progression of heights).  The outer rows start at the given
+    h[bB], so each block's first value is exact.
     Shifts that are not evenly spaced to within 8 ulps of max|h| raise.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -434,12 +434,11 @@ def dirichlet_value(coeffs: np.ndarray, t: float, h) -> np.ndarray:
     step = (h[-1] - h[0]) / (m - 1) if m > 1 else 0.0
     if np.max(np.abs(h - (h[0] + np.arange(m) * step))) > 8.0 * np.spacing(np.max(np.abs(h))):
         raise DomainError("dirichlet_value needs finite, evenly spaced shifts")
-    ns = np.arange(1, len(coeffs) + 1, dtype=float)
-    logs, base = log_phase(len(coeffs), t)
-    amp = (coeffs / np.sqrt(ns)) * np.exp(-1j * base)
+    log_n = logs(len(coeffs))
+    amp = coeffs * powers(len(coeffs), 0.5 + 1j * t)
     block = math.isqrt(m)
-    inner = np.exp(-1j * np.outer(np.arange(block) * step, logs))
-    outer = np.exp(-1j * np.outer(h[::block], logs)) * amp
+    inner = np.exp(-1j * np.outer(np.arange(block) * step, log_n))
+    outer = np.exp(-1j * np.outer(h[::block], log_n)) * amp
     # einsum, not a BLAS product, so the bits do not depend on the BLAS thread count
     return np.einsum("kn,bn->bk", inner, outer).ravel()[:m]
 

@@ -7,20 +7,23 @@ The complex walk at scale k and shift h is
 The two summands are the first two terms of -log(1 - p^{-s}); the alpha >= 3
 tail is `higher_order_tail`.
 
-This module is the only one that knows how phases are held: `log_phase`
-reduces `t log n` mod 2 pi, `powers` builds every n^{-s} of the package on it,
-`shifted_sums` takes the Dirichlet sums of nearby heights from one reduction,
-and `theta_mod_2pi` reduces the Riemann-Siegel theta.
+This module is the only one that knows how phases are held: `powers` builds
+every n^{-s} of the package, `shifted_sums` takes the Dirichlet sums of nearby
+heights from one set of them, and `theta_mod_2pi` reduces the Riemann-Siegel
+theta.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .primes import PrimeTable, primes_in_log_range
+from .errors import CapacityError
+from .primes import PrimeTable, _simple_sieve, primes_in_log_range
 
 # pi to the last bit of the extended type, parsed from its decimal digits (the
 # float64 pi is 1.2e-16 short); _TWO_PI_LD is the modulus of every reduction
@@ -28,51 +31,203 @@ _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 _TWO_PI_LD = 2 * _PI_LD
 
 
-def _reduce(logs: np.ndarray, t: float) -> np.ndarray:
-    """t log n mod 2 pi from extended-precision logs: the package's one
-    reduction of `t log n`.  Taking the log in extended precision keeps phases
-    of products coherent: t*log(m) and sum_p t*log(p) agree to ~1e-12 rad even
-    at t ~ 1e6, which the multiplicative identities rely on."""
+def _reduce(logs: np.ndarray, t) -> np.ndarray:
+    """t log n mod 2 pi from extended-precision logs, for the array path of
+    `powers` and the few direct terms of `shifted_sums`."""
     return np.mod(np.longdouble(t) * logs, _TWO_PI_LD).astype(float)
 
 
-# The log and Bessel tables are held in chunks of _CHUNK rows (n = cC + 1 ..
-# (c + 1)C in chunk c), read-only arrays each built on first use from c alone,
-# so no bit depends on which sizes came first or on threads racing to build
-# them.  Chunk 0 covers every main sum below t = 2 pi C^2 ~ 4.2e8.
+# The tables are held in chunks of _CHUNK rows (n = cC + 1 .. (c + 1)C in chunk
+# c), read-only arrays each built on first use from c alone, so no bit depends
+# on which sizes came first or on threads racing to build them.  Chunk 0
+# covers every main sum below t = 2 pi C^2 ~ 4.2e8.
 _CHUNK = 8192
+
+# the unit circle's table: e^{2 pi i r / _TURN} for r < _TURN
+_TURN = 1024
+# the prime logs and the unit circle are taken from 40 decimal digits; one
+# step of the circle in radians and Veltkamp's splitter 2^27 + 1 in float64
+_DEC = decimal.Context(prec=40)
+_PI_DEC = decimal.Decimal("3.141592653589793238462643383279502884197")
+_STEPS_PER_RADIAN = _DEC.divide(_TURN, _DEC.multiply(2, _PI_DEC))
+_STEP = 2.0 * math.pi / _TURN
+_SPLIT = 134217729.0
+# the int path's range: _TURN t log n / 2 pi below 2^53, so that its reduction
+# is exact; |t| up to 4.3e12 at n = 398,942
+_MAX_PHASE = 2.0 * math.pi * 2.0 ** 43
+
+
+def _halves(x):
+    """x = hi + lo with hi holding x's upper 26 bits, so that the product of
+    two such halves is exact (Dekker 1971)."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 @functools.cache
-def _log_chunk(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(extended-precision log n, its float64 cast) for n in chunk c."""
-    logs = np.log(np.arange(c * _CHUNK + 1, (c + 1) * _CHUNK + 1).astype(np.longdouble))
-    logs_f = logs.astype(float)
-    logs.flags.writeable = logs_f.flags.writeable = False
-    return logs, logs_f
+def _circle() -> tuple[np.ndarray, np.ndarray]:
+    """e^{2 pi i r / _TURN} for r < _TURN as a double-double (hi, lo) of complex
+    arrays: the angle-addition recurrence from the Taylor series of the first
+    step, in 40 digits."""
+    step = _DEC.divide(_DEC.multiply(2, _PI_DEC), _TURN)
+    c1 = s1 = decimal.Decimal(0)
+    term = decimal.Decimal(1)
+    for k in range(32):
+        if k % 2 == 0:
+            c1 = _DEC.add(c1, term) if k % 4 == 0 else _DEC.subtract(c1, term)
+        else:
+            s1 = _DEC.add(s1, term) if k % 4 == 1 else _DEC.subtract(s1, term)
+        term = _DEC.divide(_DEC.multiply(term, step), k + 1)
+    rows = [(decimal.Decimal(1), decimal.Decimal(0))]
+    for _ in range(_TURN - 1):
+        c, s = rows[-1]
+        rows.append((_DEC.subtract(_DEC.multiply(c, c1), _DEC.multiply(s, s1)),
+                     _DEC.add(_DEC.multiply(s, c1), _DEC.multiply(c, s1))))
+    (cos_hi, cos_lo), (sin_hi, sin_lo) = (_double_double(col) for col in zip(*rows))
+    out = (cos_hi + 1j * sin_hi, cos_lo + 1j * sin_lo)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-def log_phase(n, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log n, t log n mod 2 pi), both from one extended-precision log of n.
+def _double_double(values) -> tuple[np.ndarray, np.ndarray]:
+    """decimals as (hi, lo) float64 pairs, hi the nearest float."""
+    hi = np.array([float(v) for v in values])
+    return hi, np.array([float(_DEC.subtract(v, decimal.Decimal(h))) for v, h in zip(values, hi)])
 
-    An int n stands for 1..n and reads the log table; an array of integers is
-    logged directly.  Both paths give the same values bit for bit."""
+
+# composite levels: ceil(log2 Omega(n)) <= 5 for Omega(n) <= 18, every n below 2^19
+_LEVELS = 5
+
+
+class _Chunk(NamedTuple):
+    logs: np.ndarray       # float64 log n, the cast of the extended-precision log
+    primes: np.ndarray     # n - 1 for the primes n of the chunk, ascending
+    amp: np.ndarray        # those primes as floats
+    turns: np.ndarray      # rows hi, hi's two halves, lo: _TURN log p / 2 pi as a double-double
+    levels: tuple          # per level l = 1.._LEVELS, rows n - 1, a - 1, b - 1 for n = a b
+    counts: np.ndarray     # row j: primes, then composites per level, among the first j n
+
+
+@functools.cache
+def _chunk(c: int) -> _Chunk:
+    """Chunk c of the multiplicative table.  A composite n is split as n = a b,
+    with a the product of n's floor(Omega(n) / 2) smallest prime factors, so
+    its level ceil(log2 Omega(n)) is one above those of a and b.  Each prime's
+    log / 2 pi is taken from 40 decimal digits."""
+    lo = c * _CHUNK + 1
+    n = np.arange(lo, lo + _CHUNK)
+    logs = np.log(n.astype(np.longdouble)).astype(float)
+    # Omega(n) by trial division with the primes up to sqrt(n), then a
+    small = _simple_sieve(math.isqrt(lo + _CHUNK - 1)).tolist()
+    omega, rest = np.zeros(_CHUNK, dtype=int), n.copy()
+    for p in small:
+        k = np.arange(-lo % p, _CHUNK, p)
+        while k.size:
+            omega[k] += 1
+            rest[k] //= p
+            k = k[rest[k] % p == 0]
+    omega += rest > 1
+    a, need, rest = np.ones(_CHUNK, dtype=int), omega // 2, n.copy()
+    for p in small:
+        k = np.arange(-lo % p, _CHUNK, p)
+        k = k[need[k] > 0]
+        while k.size:
+            a[k] *= p
+            need[k] -= 1
+            rest[k] //= p
+            k = k[(need[k] > 0) & (rest[k] % p == 0)]
+    # 0 for a prime, the level for a composite, -1 for n = 1
+    kind = np.searchsorted([1, 2, 4, 8, 16, 32], omega) - (omega == 0)
+    primes = np.flatnonzero(kind == 0)
+    hi, tail = _double_double([_DEC.multiply(_DEC.ln(p), _STEPS_PER_RADIAN)
+                               for p in n[primes].tolist()])
+    levels = tuple(np.array([k + lo - 1, a[k] - 1, n[k] // a[k] - 1])
+                   for k in (np.flatnonzero(kind == ell) for ell in range(1, _LEVELS + 1)))
+    counts = np.zeros((_CHUNK + 1, _LEVELS + 1), dtype=np.int16)
+    counts[1:] = np.cumsum(kind[:, None] == np.arange(_LEVELS + 1), axis=0)
+    chunk = _Chunk(logs, primes + lo - 1, n[primes].astype(float),
+                   np.array([hi, *_halves(hi), tail]), levels, counts)
+    for arr in (logs, chunk.primes, chunk.amp, chunk.turns, *levels, counts):
+        arr.flags.writeable = False
+    return chunk
+
+
+# Taylor coefficients of (cos x - 1) / x^2 and (sin x - x) / x^3, in powers of x^2
+_TAYLOR = np.array([[-1.0 / 720, 1.0 / 24, -0.5], [-1.0 / 5040, 1.0 / 120, -1.0 / 6]])
+
+
+def _prime_powers(chunk: _Chunk, k: int, t, sigma) -> np.ndarray:
+    """p^{-sigma - i t} for the chunk's first k primes (columns) at the heights
+    t (rows), in float64 arithmetic.  -t log p / 2 pi is reduced mod 1 in
+    double-double (t times the high word is exact as Dekker's two-product) to
+    (r + y) / _TURN with |y| < 0.86: e^{2 pi i r / _TURN} comes from the table
+    and e^{2 pi i y / _TURN} from its Taylor series, so each value is within a
+    unit in the last place and a few 1e-19 while |t| log p / 2 pi < 2^43."""
+    hi, hh, hl, lo = chunk.turns[:, :k]
+    t = -t
+    th, tl = _halves(t)
+    prod = t * hi
+    err = ((th * hh - prod) + th * hl + tl * hh) + tl * hl   # t hi = prod + err exactly
+    q = np.rint(prod)
+    x = _STEP * ((prod - q) + (err + t * lo))                # prod - q is exact
+    sq = x * x
+    coef = _TAYLOR.reshape(2, 3, *[1] * sq.ndim)
+    series = coef[:, 0] * sq
+    for j in (1, 2):
+        series = (series + coef[:, j]) * sq
+    rot = np.empty(x.shape, dtype=complex)
+    rot.real = series[0]                                      # cos x - 1
+    rot.imag = x + x * series[1]                              # sin x
+    base_hi, base_lo = _circle()
+    r = q.astype(np.intp) & (_TURN - 1)
+    base = base_hi[r]
+    return (base + (base_lo[r] + base * rot)) * np.power(chunk.amp[:k], -sigma)
+
+
+def logs(n: int) -> np.ndarray:
+    """float64 log k for k = 1..n, from the table."""
+    return np.concatenate([_chunk(c).logs for c in range(-(-n // _CHUNK))])[:n]
+
+
+def powers(n, s, out: np.ndarray | None = None) -> np.ndarray:
+    """n^{-s}: the package's one n^{-s} kernel.
+
+    An int n stands for 1..n, and s may then be an array of exponents, one
+    row of n values each, built in `out` if given.  Only the primes take a
+    reduction, of t log p mod 2 pi in double-double; each composite n = a b is
+    the product of two earlier entries, level by level.  Every operation is
+    elementwise, so a row has the same bits whatever the other rows; |t| log n
+    beyond _MAX_PHASE raises.  An array of integers takes its logs directly, in
+    extended precision."""
     if isinstance(n, (int, np.integer)):
-        if n <= _CHUNK:
-            logs, logs_f = _log_chunk(0)
-            return logs_f[:n], _reduce(logs[:n], t)
-        # above one chunk, reduce each chunk: only the float64 results are joined
-        chunks = [_log_chunk(c) for c in range(-(-n // _CHUNK))]
-        return (np.concatenate([logs_f for _, logs_f in chunks])[:n],
-                np.concatenate([_reduce(logs, t) for logs, _ in chunks])[:n])
-    logs = np.log(np.asarray(n).astype(np.longdouble))
-    return logs.astype(float), _reduce(logs, t)
-
-
-def powers(n, s: complex) -> np.ndarray:
-    """n^{-s} for `log_phase`'s n: the package's one n^{-s} kernel."""
-    logs, phase = log_phase(n, s.imag)
-    return np.exp(-s.real * logs) * np.exp(-1j * phase)
+        s = np.asarray(s, dtype=complex)
+        if out is None:
+            out = np.empty(s.shape + (n,), dtype=complex)
+        # a single exponent as plain floats and one flat row: numpy's fastest path
+        if s.size == 1:
+            rows, cols = out.reshape(n), ()
+            t, sigma = float(s.imag.flat[0]), float(s.real.flat[0])
+        else:
+            rows, cols = out.reshape(-1, n), (slice(None),)
+            t, sigma = s.imag.reshape(-1, 1), s.real.reshape(-1, 1)
+        if np.max(np.abs(t)) * math.log(n) > _MAX_PHASE:
+            raise CapacityError(f"|t| log n beyond {_MAX_PHASE:.3g} at n = {n}")
+        rows[cols + (0,)] = 1.0
+        reads = [(_chunk(c), _chunk(c).counts[min(n - c * _CHUNK, _CHUNK)].tolist())
+                 for c in range(-(-n // _CHUNK))]
+        for chunk, cut in reads:
+            if cut[0]:
+                rows[cols + (chunk.primes[:cut[0]],)] = _prime_powers(chunk, cut[0], t, sigma)
+        for ell in range(1, _LEVELS + 1):
+            for chunk, cut in reads:
+                if cut[ell]:
+                    idx, a, b = chunk.levels[ell - 1][:, :cut[ell]]
+                    rows[cols + (idx,)] = rows[cols + (a,)] * rows[cols + (b,)]
+        return out
+    logs_ld = np.log(np.asarray(n).astype(np.longdouble))
+    return np.exp(-s.real * logs_ld.astype(float)) * np.exp(-1j * _reduce(logs_ld, s.imag))
 
 
 # Jacobi-Anger: e^{-i d log n} = sum_k eps_k (-i)^k J_k(2 log n) T_k(d / 2), with
@@ -94,7 +249,7 @@ def _bessel_chunk(c: int) -> np.ndarray:
     table = np.empty((_CHUNK, _JA_TERMS))
     skip = 1 if c == 0 else 0
     table[:skip] = np.arange(_JA_TERMS) == 0
-    rows, z = table[skip:], 2.0 * _log_chunk(c)[1][skip:]
+    rows, z = table[skip:], 2.0 * _chunk(c).logs[skip:]
     nxt, cur = np.zeros_like(z), np.full_like(z, 2.0 ** -900)
     norm = np.zeros_like(z)
     for k in range(_MILLER_START, 0, -1):
@@ -134,8 +289,7 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
         b1, b2 = c + 2.0 * x * b1 - b2, b1
     sums = coeffs[0] + x * b1 - b2
     for n in range(n0 + 1, int(tops.max()) + 1):
-        c, i = divmod(n - 1, _CHUNK)
-        term = n ** -0.5 * np.exp(-1j * _reduce(_log_chunk(c)[0][i], ts))
+        term = n ** -0.5 * np.exp(-1j * _reduce(np.log(np.longdouble(n)), ts))
         sums = sums + np.where(tops >= n, term, 0)
     return sums
 
@@ -146,7 +300,8 @@ def theta_mod_2pi(t):
     tl = np.asarray(t, dtype=np.longdouble)
     main = 0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - _PI_LD / 8
     main = np.mod(main, _TWO_PI_LD).astype(float)
-    corr = 1.0 / (48 * t) + 7.0 / (5760 * t ** 3) + 31.0 / (80640 * t ** 5)
+    inv = 1.0 / np.asarray(t, dtype=float)
+    corr = inv * (1.0 / 48 + inv * inv * (7.0 / 5760 + inv * inv * (31.0 / 80640)))
     return main, corr
 
 

@@ -170,21 +170,54 @@ def _rs_remainder(a: float, p: float) -> complex:
     return rssum
 
 
+def _rs_block(n_main: int, ts: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """zeta_riemann_siegel at heights ts that share the main-sum length n_main,
+    with their main-sum terms built in `buffer` if given.  Every operation is
+    elementwise over the heights, so a value has the same bits alone as in
+    any block."""
+    a = np.sqrt(ts / TWO_PI)
+    rssum = np.array([_rs_remainder(aj, 1.0 - 2.0 * (aj - n_main)) for aj in a.tolist()])
+    arg_main, arg_corr = theta_mod_2pi(ts)
+    u = np.exp(-1j * arg_main)
+    s3 = (1.0 if n_main % 2 else -1.0) * u / np.sqrt(a)
+    terms = None if buffer is None else buffer[:len(ts) * n_main].reshape(len(ts), n_main)
+    s1 = np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1)
+    r_val = s1 + s3 * rssum
+    chi = u * u * np.exp(-2j * arg_corr)
+    return r_val + chi * np.conj(r_val)
+
+
 def zeta_riemann_siegel(t: float) -> complex:
     """zeta(1/2 + i t) by the Riemann-Siegel expansion (t above ~ 20)."""
     t = float(t)
-    a = math.sqrt(t / TWO_PI)
-    n_main = int(math.floor(a))
+    n_main = math.floor(math.sqrt(t / TWO_PI))
     if n_main < 1:
         raise DomainError(f"t={t} too small for the main sum")
-    rssum = _rs_remainder(a, 1.0 - 2.0 * (a - n_main))
-    arg_main, arg_corr = theta_mod_2pi(t)
-    u = np.exp(-1j * arg_main)
-    s3 = ((-1) ** (n_main - 1)) * u / math.sqrt(a)
-    s1 = complex(np.sum(powers(n_main, 0.5 + 1j * t)))
-    r_val = s1 + s3 * rssum
-    chi = u * u * np.exp(-2j * arg_corr)
-    return complex(r_val + chi * np.conj(r_val))
+    return complex(_rs_block(n_main, np.array([t]))[0])
+
+
+# main-sum terms per block of heights: 2^16 complex values, 1 MB, so a block's
+# temporaries stay near 4 MB
+_BLOCK_TERMS = 1 << 16
+
+
+def _rs_heights(ts: np.ndarray) -> np.ndarray:
+    """zeta_riemann_siegel at every height ts[j], grouped by main-sum length in
+    blocks of at most _BLOCK_TERMS terms, built in one buffer; bit for bit as
+    one call per height."""
+    values = np.empty(len(ts), dtype=complex)
+    if not len(ts):
+        return values
+    n_main = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
+    order = np.argsort(n_main, kind="stable")
+    buffer = np.empty(_BLOCK_TERMS, dtype=complex)
+    for group in np.split(order, np.flatnonzero(np.diff(n_main[order])) + 1):
+        n = int(n_main[group[0]])
+        size = max(1, _BLOCK_TERMS // n)
+        for i in range(0, len(group), size):
+            block = group[i:i + size]
+            values[block] = _rs_block(n, ts[block], buffer if n <= _BLOCK_TERMS else None)
+    return values
 
 
 RS_SWITCH = 50.0
@@ -262,6 +295,7 @@ class MomentEstimate:
     mean: float
     ci_lo: float      # bootstrap 95% interval; NaN from a single sample
     ci_hi: float
+    stderr: float     # sample standard deviation / sqrt(n); NaN from a single sample
 
 
 def moment_estimate(big_t: float, power: int, n_samples: int,
@@ -272,12 +306,19 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
     if n_samples < 1:
         raise DomainError("need at least one sample")
     taus = rng.uniform(big_t, 2 * big_t, size=n_samples)
-    vals = np.array([abs(zeta_critical(tau)) ** power for tau in taus])
+    # draws below RS_SWITCH (or out of range, which raise) one at a time, as
+    # zeta_critical, then the rest in blocks
+    values = np.empty(n_samples, dtype=complex)
+    blocked = (taus >= RS_SWITCH) & (taus <= MAX_T)
+    for j in np.flatnonzero(~blocked):
+        values[j] = zeta_critical(taus[j])
+    values[blocked] = _rs_heights(taus[blocked])
+    vals = np.array([abs(v) ** power for v in values.tolist()])
     mean = float(np.mean(vals))
     if n_samples < 2:
-        return MomentEstimate(mean, math.nan, math.nan)
+        return MomentEstimate(mean, math.nan, math.nan, math.nan)
     # one resample row at a time: the same stream as one (400, n) draw
     boots = [np.mean(vals[rng.integers(0, n_samples, size=n_samples)]) for _ in range(400)]
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return MomentEstimate(mean, float(lo), float(hi))
+    return MomentEstimate(mean, float(lo), float(hi), float(np.std(vals, ddof=1)) / math.sqrt(n_samples))
 

@@ -113,19 +113,21 @@ def test_bessel_table_matches_scipy():
     for c in (0, 1, 12, 48):
         rows = slice(None) if c == 0 else slice(None, None, 97)
         # the float64 logs the chunk is built from
-        z = 2.0 * walk.log_phase(np.arange(8192 * c + 1, 8192 * (c + 1) + 1), 0.0)[0][rows]
+        z = 2.0 * walk._chunk(c).logs[rows]
         assert np.abs(walk._bessel_chunk(c)[rows] - jv(k, z[:, None])).max() <= 1e-15
     assert np.array_equal(walk._bessel_chunk(0)[0], (k == 0).astype(float))     # n = 1: J_k(0)
 
 
 @pytest.mark.parametrize("n", [1, 8192, 8193, 20_000])
 def test_reading_n_rows_builds_ceil_n_over_c_chunks(n):
+    # the multiplicative table (powers) and the Bessel table (shifted_sums)
     assert walk._CHUNK == 8192
-    walk._log_chunk.cache_clear()
+    walk._chunk.cache_clear()
     walk._bessel_chunk.cache_clear()
-    walk.log_phase(n, 1e3)
-    assert walk._log_chunk.cache_info().currsize == math.ceil(n / 8192)
+    walk.powers(n, 0.5 + 1e3j)
+    assert walk._chunk.cache_info().currsize == math.ceil(n / 8192)
     sums = walk.shifted_sums(1e3, np.array([1e3]), n, np.array([n]))
+    assert walk._chunk.cache_info().currsize == math.ceil(n / 8192)
     assert walk._bessel_chunk.cache_info().currsize == math.ceil(n / 8192)
     assert abs(sums[0] - np.sum(walk.powers(n, 0.5 + 1e3j))) <= 1e-12 * math.sqrt(n)
 
@@ -134,27 +136,38 @@ def _sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
+def _table_sha(c: int) -> str:
+    # every array of the multiplicative chunk c, then its Bessel chunk
+    chunk = walk._chunk(c)
+    arrays = [chunk.logs, chunk.primes, chunk.amp, chunk.turns, *chunk.levels, chunk.counts,
+              *walk._circle(), walk._bessel_chunk(c)]
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
 @pytest.mark.parametrize("descending", [False, True])
 def test_bessel_table_growth_order_keeps_bits(descending):
-    # a fresh interpreter builds the log and Bessel chunks from empty, going
-    # up or going down; each chunk depends on its index alone
+    # a fresh interpreter builds the multiplicative and Bessel chunks and the
+    # unit circle from empty, going up or going down; each chunk depends on
+    # its index alone
     chunks = sorted((0, 1, 2, 48), reverse=descending)
     src = os.path.dirname(os.path.dirname(zetalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import hashlib, json, sys\n"
-            "from zetalab import walk\n"
-            "print(json.dumps([hashlib.sha256(walk._bessel_chunk(c).tobytes()).hexdigest()\n"
-            "                  for c in json.loads(sys.argv[1])]))")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(chunks)], env=env,
+    code = ("import json, sys\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "from test_walk import _table_sha\n"
+            "print(json.dumps([_table_sha(c) for c in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(chunks),
+                          os.path.dirname(__file__)], env=env,
                          check=True, capture_output=True, text=True, timeout=120)
-    assert json.loads(out.stdout) == [_sha(walk._bessel_chunk(c)) for c in chunks]
+    assert json.loads(out.stdout) == [_table_sha(c) for c in chunks]
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_bessel_table_shared_by_threads(monkeypatch, workers):
-    # pool items race to fill the emptied Bessel and log chunks, half upward
-    # and half downward, with frequent thread switches; 1e9 reads two chunks
+    # pool items race to fill the emptied Bessel and multiplicative chunks and
+    # the unit circle, half upward and half downward, with frequent thread
+    # switches; 1e9 reads two chunks
     heights = [60.5, 1e3 + 0.5, 1e5 + 0.25, 1.5e7, 2e8, 1e9 + 0.5]
     items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
     grid = np.linspace(-1.0, 1.0, 9)
@@ -167,7 +180,8 @@ def test_bessel_table_shared_by_threads(monkeypatch, workers):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
         walk._bessel_chunk.cache_clear()
-        walk._log_chunk.cache_clear()
+        walk._chunk.cache_clear()
+        walk._circle.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             assert parallel.map_blocks(values, items) == serial

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import parallel, walk
+from zetalab import parallel, walk, zeta
 from zetalab.errors import CapacityError, DomainError
 from zetalab.zeta import (MAX_T, RS_SWITCH, max_on_grid, moment_estimate, relative_gap,
                           zeta_critical, zeta_euler_maclaurin, zeta_on_grid,
@@ -20,15 +20,15 @@ FIRST_ZERO = 14.134725141734695
 # float.hex of (re, im), pinned so that any change to the evaluators'
 # arithmetic shows; the heights span both ends of the Riemann-Siegel range
 RS_HEX = {
-    60.5: ("0x1.b18014ea3cc34p-2", "-0x1.2592eeb55ea60p-4"),
-    1e4 + 0.25: ("0x1.6794bbb38f956p-2", "-0x1.7bc51628263eap-2"),
-    1.5e7: ("0x1.84edd4ec96228p+0", "-0x1.155b779e41f70p-4"),
-    1.5e8: ("-0x1.ee26657006a74p-1", "0x1.3f9696647b0b2p-1"),
-    9.9e11: ("0x1.ba7783a951e84p-2", "-0x1.2962dc33427c6p-4"),
+    60.5: ("0x1.b18014ea3cc3cp-2", "-0x1.2592eeb55ea68p-4"),
+    1e4 + 0.25: ("0x1.6794bbb38f946p-2", "-0x1.7bc51628263dap-2"),
+    1.5e7: ("0x1.84edd4ec91cb2p+0", "-0x1.155b779e3edf0p-4"),
+    1.5e8: ("-0x1.ee26656ef842ep-1", "0x1.3f969663cc2b4p-1"),
+    9.9e11: ("0x1.ba778db85feb2p-2", "-0x1.2962e2f5fa7b4p-4"),
 }
 EM_HEX = {
-    0.5 + 37.5j: ("-0x1.28757c953af01p-5", "-0x1.505869428593ep-3"),
-    0.5 - 37.5j: ("-0x1.28757c953af13p-5", "0x1.505869428593fp-3"),
+    0.5 + 37.5j: ("-0x1.28757c953af3bp-5", "-0x1.505869428593dp-3"),
+    0.5 - 37.5j: ("-0x1.28757c953af3bp-5", "0x1.505869428593dp-3"),
     2.0: ("0x1.a51a6625307d4p+0", "0x0.0p+0"),
 }
 
@@ -60,13 +60,14 @@ def test_golden_bits():
     assert {s: _hex(zeta_euler_maclaurin(s)) for s in EM_HEX} == EM_HEX
     step = 2.0 * math.pi / (8.0 * math.log(1e8))      # tail_zeta's grid at big_t = 1e8
     h, m = max_on_grid(1.5e8, np.arange(-1.0, 1.0 + step / 2, step))
-    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef892e855p+3")
+    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef8914c3dp+3")
 
 
 @pytest.mark.parametrize("descending", [False, True])
 def test_log_table_growth_order_keeps_bits(descending):
-    # a fresh interpreter builds the log chunks from empty: ascending heights
-    # add them a few at a time, descending ones build all 49 at the first call
+    # a fresh interpreter builds the multiplicative chunks from empty:
+    # ascending heights add them a few at a time, descending ones build all 49
+    # at the first call
     src = os.path.dirname(os.path.dirname(zetalab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -81,8 +82,8 @@ def test_log_table_growth_order_keeps_bits(descending):
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_log_table_shared_by_threads(monkeypatch, workers):
-    # pool items race to fill the emptied log chunks, half upward and half
-    # downward, with frequent thread switches
+    # pool items race to fill the emptied multiplicative chunks and the unit
+    # circle, half upward and half downward, with frequent thread switches
     heights = sorted(RS_HEX) + [1e3 + 0.5, 2e5 + 0.75]
     items = [sorted(heights, reverse=bool(i % 2)) for i in range(8)]
 
@@ -94,7 +95,8 @@ def test_log_table_shared_by_threads(monkeypatch, workers):
     interval = sys.getswitchinterval()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         monkeypatch.setattr(parallel, "_pool", pool)
-        walk._log_chunk.cache_clear()
+        walk._chunk.cache_clear()
+        walk._circle.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             assert parallel.map_blocks(values, items) == serial
@@ -102,16 +104,40 @@ def test_log_table_shared_by_threads(monkeypatch, workers):
             sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("n", [1, 1024, 4886, 396_942])   # RS's N at 1.5e8 and 9.9e11
-def test_log_table_matches_direct_logs(n):
-    # an int n reads the log chunks (one, or 49 joined), an array takes its
-    # logs directly
-    ns = np.arange(1, n + 1)
-    for t in (0.0, 37.5, 1.5e8, 9.9e11):
-        for table_path, direct in zip(walk.log_phase(n, t), walk.log_phase(ns, t)):
-            assert np.array_equal(table_path, direct)
-        s = 0.5 + 1j * t
-        assert np.array_equal(walk.powers(n, s), walk.powers(ns, s))
+def _omega(n: int) -> np.ndarray:
+    """Omega(k), the prime factors of k with multiplicity, for k <= n."""
+    omega, rest = np.zeros(n + 1, dtype=int), np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if omega[p] == 0:
+            q = p
+            while q <= n:
+                omega[q::q] += 1
+                rest[q::q] //= p
+                q *= p
+    return omega + (rest > 1)
+
+
+@pytest.mark.parametrize("t, n", [(37.5, 34), (1.5e8, 4886), (9.9e11, 396_942)])
+def test_int_powers_within_2e15_of_mpmath(t, n):
+    # the int path builds composites from the primes, the array path logs each
+    # integer: different methods, so each is held to an oracle.  Per term, a
+    # bound stated before any run: 2e-15 n^{-sigma} against 40-digit mpmath,
+    # sampled over primes, prime powers and the largest Omega
+    mpmath = pytest.importorskip("mpmath")
+    omega = _omega(n)
+    ks = np.arange(n + 1)
+    primes = ks[omega == 1]
+    powers_of_primes = [p ** e for p in primes[:12].tolist() for e in range(2, 19) if p ** e <= n]
+    sample = set(primes[:200].tolist()) | set(primes[-100:].tolist()) | set(powers_of_primes)
+    sample |= set(ks[omega >= omega.max() - 1].tolist()[:200])
+    s = 0.5 + 1j * t
+    got = walk.powers(n, s)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpc(got[k - 1].real, got[k - 1].imag)
+                        - mpmath.exp(-mpmath.mpc(0.5, t) * mpmath.log(k))) * mpmath.sqrt(k)
+                    for k in sorted(sample))
+    assert worst <= 2e-15
+    assert np.array_equal(walk.powers(n, np.array([s, s + 1j])), np.array([got, walk.powers(n, s + 1j)]))
 
 
 def test_domain_guards():
@@ -138,7 +164,7 @@ def test_rs_vs_em_agreement(rng):
 
 # (band, README's bound on the Riemann-Siegel vs Euler-Maclaurin gap there,
 # the height where a dense grid found the band's worst gap)
-RS_EM_BANDS = ((50.0, 60.0, 5e-14, 56.8535), (60.0, 1e3, 5e-14, 156.6), (1e3, 1e4, 1e-13, 9608.0))
+RS_EM_BANDS = ((50.0, 60.0, 5e-14, 56.8115), (60.0, 1e3, 5e-14, 905.95), (1e3, 1e4, 1e-13, 8105.0))
 
 
 @pytest.mark.parametrize("lo, hi, bound, worst_t", RS_EM_BANDS)
@@ -213,10 +239,12 @@ def _tail_grid(big_t: float) -> np.ndarray:
 
 
 # (lowest and highest tau, number of taus, bound on the relative gap of the
-# one-pass grid to per-point zeta_critical), stated before the kernel was run;
-# the per-point path's extended-precision rounding of t log n drives the gaps
-GRID_BANDS = ((60.0, 1e5, 8, 1e-12), (1e7, 2e7, 2, 1e-10), (1e8, 2e8, 2, 1e-9),
-              (1e10, 2e10, 1, 3e-7))
+# one-pass grid to per-point zeta_critical): both take their main sums from
+# the multiplicative powers, so the bounds are about 10 times the worst gaps
+# seen on tail_zeta's grids (README), where they were 1e-12, 1e-10, 1e-9 and
+# 3e-7 while the per-point path reduced each t log n in the extended type
+GRID_BANDS = ((60.0, 1e5, 8, 1e-13), (1e7, 2e7, 2, 2e-13), (1e8, 2e8, 2, 5e-13),
+              (1e10, 2e10, 1, 1e-12))
 
 
 @pytest.mark.parametrize("lo, hi, n_taus, bound", GRID_BANDS, ids=["1e5", "1e7", "1e8", "1e10"])
@@ -302,7 +330,7 @@ def test_max_refinement_monotone(rng):
 
 def test_moment_estimate_degenerate(rng):
     est = moment_estimate(1e5, 2, 1, rng)
-    assert math.isnan(est.ci_lo) and math.isnan(est.ci_hi)
+    assert math.isnan(est.ci_lo) and math.isnan(est.ci_hi) and math.isnan(est.stderr)
 
 
 def test_moment_estimate_second(rng):
@@ -310,6 +338,43 @@ def test_moment_estimate_second(rng):
     ratio = est.mean / math.log(1e6)
     assert 0.5 <= ratio <= 1.6
     assert est.ci_lo <= est.mean <= est.ci_hi
+    # the bootstrap interval spans about four standard errors
+    assert 2.0 <= (est.ci_hi - est.ci_lo) / est.stderr <= 6.0
+
+
+def test_blocked_heights_keep_their_bits_alone():
+    # moment_estimate's evaluator groups heights by main-sum length N and
+    # splits a group into blocks of at most 65,536 terms; each value has the
+    # bits of one zeta_riemann_siegel call.  Heights on both sides of the N
+    # boundaries t = 2 pi N^2, in chunk 0 and reading chunks 0 and 1 (N above
+    # 8,192, 7 heights per block, so 20 heights make three blocks), and two
+    # with N above 65,536, one height per block
+    ts = []
+    for big_n in (1545, 1546, 8193, 8919):
+        edge = 2.0 * math.pi * big_n ** 2
+        ts += [edge - 0.25, math.nextafter(edge, 0.0), edge, edge + 0.25]
+    ts += (2.0 * math.pi * 8919 ** 2 + np.linspace(1.0, 30.0, 20)).tolist()
+    ts += [2.0 * math.pi * 70_000 ** 2 + 0.5, 2.0 * math.pi * 70_000 ** 2 + 1.5]
+    ts = np.array(ts)
+    ns = np.floor(np.sqrt(ts / (2.0 * math.pi)))
+    assert {1544, 1545, 8192, 8193, 8918, 8919} <= set(ns.tolist())
+    assert np.sum(ns == 8919) > 2 * (zeta._BLOCK_TERMS // 8919)
+    blocked = zeta._rs_heights(ts[::-1])[::-1]
+    assert [_hex(v) for v in blocked] == [_hex(zeta_riemann_siegel(t)) for t in ts]
+
+
+def test_moment_estimate_memory_is_one_block_deep():
+    # 12,000 draws at T = 1e7, as moments_zeta; the tables are built first
+    # so that only the estimate's own arrays and blocks are traced
+    tracemalloc = pytest.importorskip("tracemalloc")
+    moment_estimate(1e7, 2, 2, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        moment_estimate(1e7, 2, 12_000, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_moment_bootstrap_rows_match_one_matrix_draw():
