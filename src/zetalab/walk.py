@@ -15,7 +15,6 @@ theta.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from .errors import CapacityError
 from .primes import PrimeTable, _simple_sieve, primes_in_log_range
 
 # pi to the last bit of the extended type, parsed from its decimal digits (the
-# float64 pi is 1.2e-16 short); _TWO_PI_LD is the modulus of every reduction
+# float64 pi is 1.2e-16 short); _TWO_PI_LD is the modulus of the extended reductions
 _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 _TWO_PI_LD = 2 * _PI_LD
 
@@ -38,18 +37,21 @@ def _reduce(logs: np.ndarray, t) -> np.ndarray:
 
 
 # The tables are held in chunks of _CHUNK rows (n = cC + 1 .. (c + 1)C in chunk
-# c), read-only arrays each built on first use from c alone, so no bit depends
-# on which sizes came first or on threads racing to build them.  Chunk 0
-# covers every main sum below t = 2 pi C^2 ~ 4.2e8.
+# c), read-only arrays each a function of c alone, built on first use (with
+# the chunks below it that it reads), so no bit depends on which sizes came
+# first or on threads racing to build them.  Chunk 0 covers every main sum
+# below t = 2 pi C^2 ~ 4.2e8.
 _CHUNK = 8192
 
 # the unit circle's table: e^{2 pi i r / _TURN} for r < _TURN
 _TURN = 1024
-# the prime logs and the unit circle are taken from 40 decimal digits; one
-# step of the circle in radians and Veltkamp's splitter 2^27 + 1 in float64
-_DEC = decimal.Context(prec=40)
-_PI_DEC = decimal.Decimal("3.141592653589793238462643383279502884197")
-_STEPS_PER_RADIAN = _DEC.divide(_TURN, _DEC.multiply(2, _PI_DEC))
+# The tables' constants are built in fixed point, Python ints with _FIX
+# fraction bits, from pi's first 50 digits, and rounded to double-doubles;
+# one step of the circle in radians and Veltkamp's splitter 2^27 + 1 serve the
+# float64 arithmetic of a call.
+_FIX = 128
+_PI_FIX = (314159265358979323846264338327950288419716939937510 << _FIX) // 10 ** 50
+_STEPS_FIX = (_TURN << 2 * _FIX) // (2 * _PI_FIX)          # 2^_FIX _TURN / 2 pi
 _STEP = 2.0 * math.pi / _TURN
 _SPLIT = 134217729.0
 # the int path's range: _TURN t log n / 2 pi below 2^53, so that its reduction
@@ -65,25 +67,33 @@ def _halves(x):
     return hi, x - hi
 
 
+def _double_double(values, bits: int = _FIX) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point ints x / 2^bits as (hi, lo) float64 arrays, hi the nearest
+    float and lo the nearest to the rest."""
+    hi = [x / (1 << bits) for x in values]
+    lo = [(x - (num << bits) // den) / (1 << bits)
+          for x, (num, den) in zip(values, (h.as_integer_ratio() for h in hi))]
+    return np.array(hi), np.array(lo)
+
+
 @functools.cache
 def _circle() -> tuple[np.ndarray, np.ndarray]:
     """e^{2 pi i r / _TURN} for r < _TURN as a double-double (hi, lo) of complex
-    arrays: the angle-addition recurrence from the Taylor series of the first
-    step, in 40 digits."""
-    step = _DEC.divide(_DEC.multiply(2, _PI_DEC), _TURN)
-    c1 = s1 = decimal.Decimal(0)
-    term = decimal.Decimal(1)
+    arrays: the angle-addition recurrence in fixed point from the Taylor
+    series of the first step."""
+    step = 2 * _PI_FIX // _TURN
+    c1 = s1 = 0
+    term = 1 << _FIX
     for k in range(32):
         if k % 2 == 0:
-            c1 = _DEC.add(c1, term) if k % 4 == 0 else _DEC.subtract(c1, term)
+            c1 += term if k % 4 == 0 else -term
         else:
-            s1 = _DEC.add(s1, term) if k % 4 == 1 else _DEC.subtract(s1, term)
-        term = _DEC.divide(_DEC.multiply(term, step), k + 1)
-    rows = [(decimal.Decimal(1), decimal.Decimal(0))]
+            s1 += term if k % 4 == 1 else -term
+        term = term * step // ((k + 1) << _FIX)
+    rows = [(1 << _FIX, 0)]
     for _ in range(_TURN - 1):
         c, s = rows[-1]
-        rows.append((_DEC.subtract(_DEC.multiply(c, c1), _DEC.multiply(s, s1)),
-                     _DEC.add(_DEC.multiply(s, c1), _DEC.multiply(c, s1))))
+        rows.append(((c * c1 - s * s1) >> _FIX, (s * c1 + c * s1) >> _FIX))
     (cos_hi, cos_lo), (sin_hi, sin_lo) = (_double_double(col) for col in zip(*rows))
     out = (cos_hi + 1j * sin_hi, cos_lo + 1j * sin_lo)
     for arr in out:
@@ -91,10 +101,26 @@ def _circle() -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _double_double(values) -> tuple[np.ndarray, np.ndarray]:
-    """decimals as (hi, lo) float64 pairs, hi the nearest float."""
-    hi = np.array([float(v) for v in values])
-    return hi, np.array([float(_DEC.subtract(v, decimal.Decimal(h))) for v, h in zip(values, hi)])
+def _log_fix(p: int, small: list[int], known: dict[int, int]) -> int:
+    """2^_FIX log p for a prime p, as log(p - 1) + 2 atanh(1 / (2p - 1)): the
+    logs of p - 1's prime factors (trial division by `small`, the primes up
+    to sqrt(p), leaves at most one larger factor) from `known` or their
+    chunks, then the series 2 sum_j x^{-j} / j over odd j, x = 2p - 1."""
+    m, total = p - 1, 0
+    for q in small:
+        if q * q > m:
+            break
+        while m % q == 0:
+            m //= q
+            total += known[q] if q in known else _chunk((q - 1) // _CHUNK).log_fix[q]
+    if m > 1:
+        total += known[m] if m in known else _chunk((m - 1) // _CHUNK).log_fix[m]
+    x, j, power = 2 * p - 1, 1, 2 * p - 1
+    while power <= 2 << _FIX:
+        total += (2 << _FIX) // (j * power)
+        j += 2
+        power *= x * x
+    return total
 
 
 # composite levels: ceil(log2 Omega(n)) <= 5 for Omega(n) <= 18, every n below 2^19
@@ -108,14 +134,16 @@ class _Chunk(NamedTuple):
     turns: np.ndarray      # rows hi, hi's two halves, lo: _TURN log p / 2 pi as a double-double
     levels: tuple          # per level l = 1.._LEVELS, rows n - 1, a - 1, b - 1 for n = a b
     counts: np.ndarray     # row j: primes, then composites per level, among the first j n
+    log_fix: dict          # p -> 2^_FIX log p for the chunk's primes
 
 
 @functools.cache
 def _chunk(c: int) -> _Chunk:
     """Chunk c of the multiplicative table.  A composite n is split as n = a b,
     with a the product of n's floor(Omega(n) / 2) smallest prime factors, so
-    its level ceil(log2 Omega(n)) is one above those of a and b.  Each prime's
-    log / 2 pi is taken from 40 decimal digits."""
+    its level ceil(log2 Omega(n)) is one above those of a and b.  The logs of
+    its primes are built in fixed point from those of smaller primes, in this
+    chunk or in the chunks below it."""
     lo = c * _CHUNK + 1
     n = np.arange(lo, lo + _CHUNK)
     logs = np.log(n.astype(np.longdouble)).astype(float)
@@ -141,14 +169,16 @@ def _chunk(c: int) -> _Chunk:
     # 0 for a prime, the level for a composite, -1 for n = 1
     kind = np.searchsorted([1, 2, 4, 8, 16, 32], omega) - (omega == 0)
     primes = np.flatnonzero(kind == 0)
-    hi, tail = _double_double([_DEC.multiply(_DEC.ln(p), _STEPS_PER_RADIAN)
-                               for p in n[primes].tolist()])
+    log_fix: dict[int, int] = {}
+    for p in n[primes].tolist():
+        log_fix[p] = _log_fix(p, small, log_fix)
+    hi, tail = _double_double([log_p * _STEPS_FIX for log_p in log_fix.values()], 2 * _FIX)
     levels = tuple(np.array([k + lo - 1, a[k] - 1, n[k] // a[k] - 1])
                    for k in (np.flatnonzero(kind == ell) for ell in range(1, _LEVELS + 1)))
     counts = np.zeros((_CHUNK + 1, _LEVELS + 1), dtype=np.int16)
     counts[1:] = np.cumsum(kind[:, None] == np.arange(_LEVELS + 1), axis=0)
     chunk = _Chunk(logs, primes + lo - 1, n[primes].astype(float),
-                   np.array([hi, *_halves(hi), tail]), levels, counts)
+                   np.array([hi, *_halves(hi), tail]), levels, counts, log_fix)
     for arr in (logs, chunk.primes, chunk.amp, chunk.turns, *levels, counts):
         arr.flags.writeable = False
     return chunk

@@ -170,21 +170,27 @@ def _rs_remainder(a: float, p: float) -> complex:
     return rssum
 
 
-def _rs_block(n_main: int, ts: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
-    """zeta_riemann_siegel at heights ts that share the main-sum length n_main,
-    with their main-sum terms built in `buffer` if given.  Every operation is
-    elementwise over the heights, so a value has the same bits alone as in
-    any block."""
+def _rs_values(ts: np.ndarray, n_main, s1: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel values at heights ts from their main sums s1 and lengths
+    n_main (one int, or one per height): the remainder from the lattice, then
+    theta.  Every operation is elementwise over the heights."""
     a = np.sqrt(ts / TWO_PI)
-    rssum = np.array([_rs_remainder(aj, 1.0 - 2.0 * (aj - n_main)) for aj in a.tolist()])
+    p = 1.0 - 2.0 * (a - n_main)
+    rssum = np.array([_rs_remainder(aj, pj) for aj, pj in zip(a.tolist(), p.tolist())])
     arg_main, arg_corr = theta_mod_2pi(ts)
     u = np.exp(-1j * arg_main)
-    s3 = (1.0 if n_main % 2 else -1.0) * u / np.sqrt(a)
-    terms = None if buffer is None else buffer[:len(ts) * n_main].reshape(len(ts), n_main)
-    s1 = np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1)
+    s3 = np.where(n_main % 2 == 1, 1.0, -1.0) * u / np.sqrt(a)
     r_val = s1 + s3 * rssum
     chi = u * u * np.exp(-2j * arg_corr)
     return r_val + chi * np.conj(r_val)
+
+
+def _rs_block(n_main: int, ts: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """zeta_riemann_siegel at heights ts that share the main-sum length n_main,
+    with their main-sum terms built in `buffer` if given; a value has the same
+    bits alone as in any block."""
+    terms = None if buffer is None else buffer[:len(ts) * n_main].reshape(len(ts), n_main)
+    return _rs_values(ts, n_main, np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1))
 
 
 def zeta_riemann_siegel(t: float) -> complex:
@@ -246,17 +252,9 @@ def _rs_grid(tau: float, ts: np.ndarray) -> np.ndarray:
     The main sums come from `shifted_sums` about tau, over n <= N(tau - 2),
     and each correction from the lattice, as in zeta_riemann_siegel.  So each
     value depends on (tau, ts[j]) alone, never on the rest of the grid."""
-    a = np.sqrt(ts / TWO_PI)
-    n_main = np.floor(a).astype(int)
-    p = 1.0 - 2.0 * (a - n_main)
+    n_main = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
     s1 = shifted_sums(tau, ts, math.floor(math.sqrt((tau - 2.0) / TWO_PI)), n_main)
-    rssum = np.array([_rs_remainder(aj, pj) for aj, pj in zip(a.tolist(), p.tolist())])
-    arg_main, arg_corr = theta_mod_2pi(ts)
-    u = np.exp(-1j * arg_main)
-    s3 = np.where(n_main % 2 == 1, 1.0, -1.0) * u / np.sqrt(a)
-    r_val = s1 + s3 * rssum
-    chi = u * u * np.exp(-2j * arg_corr)
-    return r_val + chi * np.conj(r_val)
+    return _rs_values(ts, n_main, s1)
 
 
 def zeta_on_grid(t: float, grid: np.ndarray) -> np.ndarray:

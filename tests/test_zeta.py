@@ -194,21 +194,21 @@ def test_rs_hard_points():
 # zeta_critical against mpmath (30 digits), per decade of t: fixed heights and
 # the bound on their relative gap, 5x the worst gap seen over 362
 # log-uniform heights in the decade (164 in the last), rounded up.  Above
-# t = 1e4 the gap grows about tenfold per decade, with the rounding of t log n
-# and of theta in the extended type (ROADMAP item 1).  The bounds may be
-# tightened, never loosened.
+# t = 1e4 the gap grows about tenfold per decade, with the rounding of theta
+# in the extended type (ROADMAP item 1).  The bounds may be tightened, never
+# loosened.
 MPMATH_DECADES = (
     ((25.25, 50.1, 80.75), 2e-14),
     ((250.25, 800.75), 4e-14),
     ((2500.25, 8000.75), 6e-14),
     ((25000.25, 80000.75), 2e-12),
-    ((2.5e5 + 0.25, 8e5 + 0.75), 3e-11),
+    ((2.5e5 + 0.25, 8e5 + 0.75), 2e-11),
     ((2.5e6 + 0.25, 8e6 + 0.75), 2e-10),
-    ((2.5e7 + 0.25, 8e7 + 0.75), 3e-9),
+    ((2.5e7 + 0.25, 8e7 + 0.75), 2e-9),
     ((2.5e8 + 0.25, 8e8 + 0.75), 3e-8),
     ((2.5e9 + 0.25, 8e9 + 0.75), 4e-7),
     ((2.5e10 + 0.25, 8e10 + 0.75), 2e-6),
-    ((9.9e11, 1e12), 3e-5),   # 1e12 is MAX_T
+    ((9.9e11, 1e12), 2e-5),   # 1e12 is MAX_T
 )
 
 
