@@ -106,15 +106,16 @@ def _log_fix(p: int, small: list[int], known: dict[int, int]) -> int:
     logs of p - 1's prime factors (trial division by `small`, the primes up
     to sqrt(p), leaves at most one larger factor) from `known` or their
     chunks, then the series 2 sum_j x^{-j} / j over odd j, x = 2p - 1."""
-    m, total = p - 1, 0
+    m, factors = p - 1, []
     for q in small:
         if q * q > m:
             break
         while m % q == 0:
             m //= q
-            total += known[q] if q in known else _chunk((q - 1) // _CHUNK).log_fix[q]
+            factors.append(q)
     if m > 1:
-        total += known[m] if m in known else _chunk((m - 1) // _CHUNK).log_fix[m]
+        factors.append(m)
+    total = sum(known[q] if q in known else _chunk((q - 1) // _CHUNK).log_fix[q] for q in factors)
     x, j, power = 2 * p - 1, 1, 2 * p - 1
     while power <= 2 << _FIX:
         total += (2 << _FIX) // (j * power)
@@ -218,7 +219,7 @@ def _prime_powers(chunk: _Chunk, k: int, t, sigma) -> np.ndarray:
 
 def logs(n: int) -> np.ndarray:
     """float64 log k for k = 1..n, from the table."""
-    return np.concatenate([_chunk(c).logs for c in range(-(-n // _CHUNK))])[:n]
+    return np.concatenate([_chunk(c).logs for c in range(max(1, -(-n // _CHUNK)))])[:n]
 
 
 def powers(n, s, out: np.ndarray | None = None) -> np.ndarray:
@@ -242,9 +243,9 @@ def powers(n, s, out: np.ndarray | None = None) -> np.ndarray:
         else:
             rows, cols = out.reshape(-1, n), (slice(None),)
             t, sigma = s.imag.reshape(-1, 1), s.real.reshape(-1, 1)
-        if np.max(np.abs(t)) * math.log(n) > _MAX_PHASE:
+        if np.max(np.abs(t)) * math.log(max(n, 1)) > _MAX_PHASE:
             raise CapacityError(f"|t| log n beyond {_MAX_PHASE:.3g} at n = {n}")
-        rows[cols + (0,)] = 1.0
+        rows[cols + (slice(None, 1),)] = 1.0
         reads = [(_chunk(c), _chunk(c).counts[min(n - c * _CHUNK, _CHUNK)].tolist())
                  for c in range(-(-n // _CHUNK))]
         for chunk, cut in reads:

@@ -13,6 +13,7 @@ import pytest
 
 import zetalab
 from zetalab import parallel, walk, zeta
+from zetalab.errors import CapacityError
 from zetalab.walk import euler_product_check, higher_order_tail, partial_sum, primes_in_log_range
 from zetalab.zeta import MAX_T, zeta_critical, zeta_on_grid
 
@@ -130,6 +131,16 @@ def test_reading_n_rows_builds_ceil_n_over_c_chunks(n):
     assert walk._chunk.cache_info().currsize == math.ceil(n / 8192)
     assert walk._bessel_chunk.cache_info().currsize == math.ceil(n / 8192)
     assert abs(sums[0] - np.sum(walk.powers(n, 0.5 + 1e3j))) <= 1e-12 * math.sqrt(n)
+
+
+def test_int_powers_range_and_empty():
+    # the int path's reduction is exact while |t| log n / 2 pi < 2^43 (|t| up
+    # to 4.3e12 at n = 398,942); beyond, a call raises before it reads a chunk
+    assert walk.powers(0, 0.5 + 1e3j).shape == (0,)
+    assert walk.powers(1, 0.5 + 9.9e11j).tolist() == [1.0]
+    with pytest.raises(CapacityError):
+        walk.powers(400_000, 0.5 + 5e12j)
+    assert walk.logs(0).shape == (0,)
 
 
 def _sha(a: np.ndarray) -> str:
