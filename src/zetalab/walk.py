@@ -238,12 +238,13 @@ def powers(n, s, out: np.ndarray | None = None) -> np.ndarray:
             out = np.empty(s.shape + (n,), dtype=complex)
         # a single exponent as plain floats and one flat row: numpy's fastest path
         if s.size == 1:
-            rows, cols = out.reshape(n), ()
-            t, sigma = float(s.imag.flat[0]), float(s.real.flat[0])
+            rows, cols, z = out.reshape(n), (), s.item()
+            t, sigma, peak = z.imag, z.real, abs(z.imag)
         else:
             rows, cols = out.reshape(-1, n), (slice(None),)
             t, sigma = s.imag.reshape(-1, 1), s.real.reshape(-1, 1)
-        if np.max(np.abs(t)) * math.log(max(n, 1)) > _MAX_PHASE:
+            peak = np.max(np.abs(t))
+        if peak * math.log(max(n, 1)) > _MAX_PHASE:
             raise CapacityError(f"|t| log n beyond {_MAX_PHASE:.3g} at n = {n}")
         rows[cols + (slice(None, 1),)] = 1.0
         reads = [(_chunk(c), _chunk(c).counts[min(n - c * _CHUNK, _CHUNK)].tolist())

@@ -170,25 +170,29 @@ def _rs_remainder(a: float, p: float) -> complex:
     return rssum
 
 
-def _rs_values(ts: np.ndarray, n_main, s1: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel values at heights ts from their main sums s1 and lengths
-    n_main (one int, or one per height): the remainder from the lattice, then
-    theta.  Every operation is elementwise over the heights."""
+def _rs_values(ts, n_main, s1) -> np.ndarray:
+    """Riemann-Siegel values at heights ts (an array, or one height as a
+    scalar) from their main sums s1 and lengths n_main (one int, or one per
+    height): theta for all heights at once, then the remainder and the
+    combination height by height in Python's complex arithmetic.  A scalar
+    and an array take the same operations, so a value's bits never depend on
+    the other heights."""
     a = np.sqrt(ts / TWO_PI)
-    p = 1.0 - 2.0 * (a - n_main)
-    rssum = np.array([_rs_remainder(aj, pj) for aj, pj in zip(a.tolist(), p.tolist())])
     arg_main, arg_corr = theta_mod_2pi(ts)
     u = np.exp(-1j * arg_main)
-    s3 = np.where(n_main % 2 == 1, 1.0, -1.0) * u / np.sqrt(a)
-    r_val = s1 + s3 * rssum
-    chi = u * u * np.exp(-2j * arg_corr)
-    return r_val + chi * np.conj(r_val)
+    values = []
+    for aj, nj, uj, ej, sj in zip(*(np.atleast_1d(x).tolist() for x in (
+            a, np.broadcast_to(n_main, np.shape(ts)), u, np.exp(-2j * arg_corr), s1))):
+        s3 = (1.0 if nj % 2 else -1.0) * uj / math.sqrt(aj)
+        r_val = sj + s3 * _rs_remainder(aj, 1.0 - 2.0 * (aj - nj))
+        values.append(r_val + uj * uj * ej * r_val.conjugate())
+    return np.array(values)
 
 
-def _rs_block(n_main: int, ts: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
-    """zeta_riemann_siegel at heights ts that share the main-sum length n_main,
-    with their main-sum terms built in `buffer` if given; a value has the same
-    bits alone as in any block."""
+def _rs_block(n_main: int, ts, buffer: np.ndarray | None = None) -> np.ndarray:
+    """zeta_riemann_siegel at heights ts (or one height) that share the
+    main-sum length n_main, with their main-sum terms built in `buffer` if
+    given; a value has the same bits alone as in any block."""
     terms = None if buffer is None else buffer[:len(ts) * n_main].reshape(len(ts), n_main)
     return _rs_values(ts, n_main, np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1))
 
@@ -199,7 +203,7 @@ def zeta_riemann_siegel(t: float) -> complex:
     n_main = math.floor(math.sqrt(t / TWO_PI))
     if n_main < 1:
         raise DomainError(f"t={t} too small for the main sum")
-    return complex(_rs_block(n_main, np.array([t]))[0])
+    return complex(_rs_block(n_main, np.float64(t))[0])
 
 
 # main-sum terms per block of heights: 2^16 complex values, 1 MB, so a block's

@@ -60,7 +60,7 @@ def test_golden_bits():
     assert {s: _hex(zeta_euler_maclaurin(s)) for s in EM_HEX} == EM_HEX
     step = 2.0 * math.pi / (8.0 * math.log(1e8))      # tail_zeta's grid at big_t = 1e8
     h, m = max_on_grid(1.5e8, np.arange(-1.0, 1.0 + step / 2, step))
-    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef8914c3dp+3")
+    assert (h.hex(), m.hex()) == ("0x1.1dcd21f9f2f98p-2", "0x1.3869ef8914c3ep+3")
 
 
 @pytest.mark.parametrize("descending", [False, True])
