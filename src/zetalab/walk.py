@@ -194,8 +194,8 @@ def _prime_powers(chunk: _Chunk, k: int, t, sigma) -> np.ndarray:
     t (rows), in float64 arithmetic.  -t log p / 2 pi is reduced mod 1 in
     double-double (t times the high word is exact as Dekker's two-product) to
     (r + y) / _TURN with |y| < 0.86: e^{2 pi i r / _TURN} comes from the table
-    and e^{2 pi i y / _TURN} from its Taylor series, so each value is within a
-    unit in the last place and a few 1e-19 while |t| log p / 2 pi < 2^43."""
+    and e^{2 pi i y / _TURN} from its Taylor series, so each value is within
+    about a unit in the last place while |t| log p / 2 pi < 2^43."""
     hi, hh, hl, lo = chunk.turns[:, :k]
     t = -t
     th, tl = _halves(t)

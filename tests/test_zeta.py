@@ -163,13 +163,17 @@ def test_rs_vs_em_agreement(rng):
 
 
 # (band, README's bound on the Riemann-Siegel vs Euler-Maclaurin gap there,
-# the height where a dense grid found the band's worst gap)
-RS_EM_BANDS = ((50.0, 60.0, 5e-14, 56.8115), (60.0, 1e3, 5e-14, 905.95), (1e3, 1e4, 1e-13, 8105.0))
+# the height where a dense grid found the band's worst gap while each t log n
+# was reduced in the extended type), and the heights of the worst gaps on the
+# same grids with the multiplicative main sums
+RS_EM_BANDS = ((50.0, 60.0, 5e-14, 56.8535), (60.0, 1e3, 5e-14, 156.6), (1e3, 1e4, 1e-13, 9608.0))
+RS_EM_WORST = (56.8115, 905.95, 8105.0)
 
 
 @pytest.mark.parametrize("lo, hi, bound, worst_t", RS_EM_BANDS)
 def test_rs_vs_em_band_bounds(rng, lo, hi, bound, worst_t):
-    ts = np.append(rng.uniform(lo, hi, size=150), worst_t)
+    ts = np.concatenate([rng.uniform(lo, hi, size=150), [worst_t],
+                         [t for t in RS_EM_WORST if lo <= t < hi]])
     worst = max(relative_gap(zeta_riemann_siegel(float(t)),
                              zeta_euler_maclaurin(0.5 + 1j * float(t))) for t in ts)
     assert worst <= bound
@@ -240,9 +244,8 @@ def _tail_grid(big_t: float) -> np.ndarray:
 
 # (lowest and highest tau, number of taus, bound on the relative gap of the
 # one-pass grid to per-point zeta_critical): both take their main sums from
-# the multiplicative powers, so the bounds are about 10 times the worst gaps
-# seen on tail_zeta's grids (README), where they were 1e-12, 1e-10, 1e-9 and
-# 3e-7 while the per-point path reduced each t log n in the extended type
+# the int path of powers, and the bounds are about 10 times the worst gaps
+# seen on tail_zeta's grids (README)
 GRID_BANDS = ((60.0, 1e5, 8, 1e-13), (1e7, 2e7, 2, 2e-13), (1e8, 2e8, 2, 5e-13),
               (1e10, 2e10, 1, 1e-12))
 
