@@ -19,6 +19,7 @@ from .errors import DomainError, InsufficientSampleError, ToleranceError
 from .model import centering
 
 STEP_VAR = 0.5
+TAIL_SD = 8.0   # every Gaussian kernel, and the DP's state space, ends this many sd out
 C_UPPER = 3.0   # the barrier's log-slope, at desk scale
 
 
@@ -50,10 +51,11 @@ class BridgeSurvival:
     conditional: float    # joint / P(end in [w, w+1])
 
 
-def _gauss_kernel(mesh_step: float, half_width: float = 8.0) -> np.ndarray:
-    m = int(math.ceil(half_width * math.sqrt(STEP_VAR) / mesh_step))
+def _gauss_kernel(mesh_step: float, var: float) -> np.ndarray:
+    """N(0, var) sampled on the mesh out to TAIL_SD sd, normalized to sum 1."""
+    m = int(math.ceil(TAIL_SD * math.sqrt(var) / mesh_step))
     xs = np.arange(-m, m + 1) * mesh_step
-    k = np.exp(-xs * xs / (2.0 * STEP_VAR))
+    k = np.exp(-xs * xs / (2.0 * var))
     return k / (k.sum())
 
 
@@ -71,19 +73,11 @@ def _same_convolver(kernel: np.ndarray, n: int):
     return convolve
 
 
-def _cut_above(density: np.ndarray, grid: np.ndarray, level: float) -> np.ndarray:
-    """Zero mass above `level`, with a linear fraction for the straddling cell."""
-    if math.isinf(level):
-        return density
-    out = density.copy()
+def _cut_above(density: np.ndarray, grid: np.ndarray, level: float) -> None:
+    """Zero, in place, every cell whose upper edge reaches `level`; the cells
+    wholly below it keep all their mass."""
     step = grid[1] - grid[0]
-    idx = int(np.searchsorted(grid + 0.5 * step, level))   # first cell fully above
-    if idx < len(grid):
-        out[idx:] = 0.0
-        if idx > 0:
-            frac = (level - (grid[idx - 1] - 0.5 * step)) / step
-            out[idx - 1] *= min(max(frac, 0.0), 1.0)
-    return out
+    density[np.searchsorted(grid + 0.5 * step, level):] = 0.0
 
 
 def _bin_mass(density: np.ndarray, grid: np.ndarray, a: float, b: float) -> float:
@@ -101,41 +95,62 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
     `barrier` maps j = 1..k to a level (may be +inf).  Within-step crossings
     of the step's level are removed by the reflection image charge, so a
     constant barrier reproduces the Brownian-bridge formula.  State space is
-    truncated at 8 total standard deviations with the tail mass counted as
-    absorbed.
+    truncated at TAIL_SD total standard deviations with the tail mass counted
+    as absorbed.  A step is inert when its level is +inf or lies above the
+    grid's top edge: it cuts no cell and its image falls off the grid, so it
+    is a plain convolution, and each run of m inert steps is taken as one
+    convolution by N(0, m/2), which equals the m-fold one up to rounding.
     """
     if mesh < 200:
         raise ToleranceError("mesh below 200 points per unit standard deviation")
     sigma_total = math.sqrt(k * STEP_VAR)
     step = math.sqrt(STEP_VAR) / mesh
     levels = [float(barrier(j)) for j in range(1, k + 1)]
-    reach = 8.0 * math.sqrt(STEP_VAR)    # one-step kernel support
+    reach = TAIL_SD * math.sqrt(STEP_VAR)    # one-step kernel support
     if all(np.isfinite(levels)):
         # the reflection image sits above the barrier and feeds back down
         # within one kernel width, so keep that much headroom
-        top = min(max(levels), 8.0 * sigma_total) + reach + 1.0
+        top = min(max(levels), TAIL_SD * sigma_total) + reach + 1.0
     else:
-        top = 8.0 * sigma_total + reach + 1.0
-    n_lo = int(math.ceil(8.0 * sigma_total / step))
+        top = TAIL_SD * sigma_total + reach + 1.0
+    n_lo = int(math.ceil(TAIL_SD * sigma_total / step))
     n_hi = int(math.ceil(top / step))
     grid = np.arange(-n_lo, n_hi + 1) * step          # 0 sits exactly on the grid
-    convolve = _same_convolver(_gauss_kernel(step), len(grid))
+    edge = grid[-1] + 0.5 * step                      # a level above it is inert
+    convolvers = {}
+
+    def diffuse(m: int, density: np.ndarray) -> np.ndarray:
+        """m steps with no barrier, as one linear convolution."""
+        if m not in convolvers:
+            convolvers[m] = _same_convolver(_gauss_kernel(step, m * STEP_VAR), len(grid))
+        return convolvers[m](density)
+
+    # within-step reflection needs a finite level and a constrained previous
+    # position (the start point is known)
+    reflects = [not math.isinf(level) and (j == 0 or not math.isinf(levels[j - 1]))
+                for j, level in enumerate(levels)]
     density = np.zeros_like(grid)
     density[n_lo] = 1.0 / step                        # delta at the origin
-    prev_constrained = True                           # the start point is known
-    for j in range(1, k + 1):
-        level = levels[j - 1]
-        reflect = not math.isinf(level) and prev_constrained
-        if reflect:
-            # mass already above the step's barrier is absorbed before diffusing,
-            # and the image charge goes in before the one (linear) convolution
-            density = _cut_above(density, grid, level)
-            density -= np.interp(2.0 * level - grid, grid, density, left=0.0, right=0.0)
-        new = convolve(density)
-        if reflect:
-            np.clip(new, 0.0, None, out=new)
-        density = _cut_above(new, grid, level)
-        prev_constrained = not math.isinf(level)
+    j = 0
+    while j < k:
+        level = levels[j]
+        if level > edge:
+            end = j + 1
+            while end < k and levels[end] > edge:
+                end += 1
+            density = diffuse(end - j, density)
+            j = end - 1                               # the run's last step
+        else:
+            if reflects[j]:
+                # mass already above the step's barrier is absorbed before diffusing,
+                # and the image charge goes in before the one (linear) convolution
+                _cut_above(density, grid, level)
+                density -= np.interp(2.0 * level - grid, grid, density, left=0.0, right=0.0)
+            density = diffuse(1, density)
+            _cut_above(density, grid, level)
+        if reflects[j]:
+            np.clip(density, 0.0, None, out=density)  # the image's negative remainder
+        j += 1
     joint = _bin_mass(density, grid, w, w + 1.0)
     z0 = w / (sigma_total * math.sqrt(2.0))
     z1 = (w + 1.0) / (sigma_total * math.sqrt(2.0))
@@ -183,22 +198,31 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
     # within-step reflection is active when the step's own level is finite and
     # the previous position was already constrained (start counts)
     active = finite & np.concatenate([[True], finite[:-1]])
+    safe_levels = np.where(finite, levels, 0.0)
     hits = survive = 0
     chunk = max(1, min(n_paths, 2_000_000 // max(k, 1)))
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        steps = rng.normal(0.0, math.sqrt(STEP_VAR), size=(m, k))
-        paths = np.cumsum(steps, axis=1)
+        paths = rng.normal(0.0, math.sqrt(STEP_VAR), size=(m, k))
+        np.cumsum(paths, axis=1, out=paths)
         below = np.all(paths <= levels[None, :], axis=1)
-        prev = np.concatenate([np.zeros((m, 1)), paths[:, :-1]], axis=1)
-        safe_levels = np.where(finite, levels, 0.0)
-        p_cross = np.exp(-2.0 * np.clip(safe_levels - prev, 0, None)
-                         * np.clip(safe_levels - paths, 0, None) / STEP_VAR)
-        p_cross = np.where(active[None, :], p_cross, 0.0)
+        endpoint = paths[:, -1].copy()
+        # the crossing chance exp(-2 (L - S_{j-1})+ (L - S_j)+ / STEP_VAR), in
+        # one buffer, with `paths` reused for L - S_j
+        p_cross = np.empty_like(paths)
+        p_cross[:, 0] = safe_levels[0]                     # S_0 = 0
+        np.subtract(safe_levels[1:], paths[:, :-1], out=p_cross[:, 1:])
+        np.clip(p_cross, 0, None, out=p_cross)
+        p_cross *= -2.0
+        np.subtract(safe_levels, paths, out=paths)
+        np.clip(paths, 0, None, out=paths)
+        p_cross *= paths
+        p_cross /= STEP_VAR
+        np.exp(p_cross, out=p_cross)
+        p_cross[:, ~active] = 0.0
         u = rng.uniform(size=(m, k))
         below &= ~np.any(u < p_cross, axis=1)
-        endpoint = paths[:, -1]
         in_bin = (endpoint >= w) & (endpoint < w + 1.0)
         hits += int(np.sum(in_bin))
         survive += int(np.sum(in_bin & below))

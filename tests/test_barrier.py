@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from zetalab import parallel
 from zetalab.errors import DomainError, InsufficientSampleError, ToleranceError
-from zetalab.barrier import (STEP_VAR, BarrierProfile, _gauss_kernel, _same_convolver,
-                             ballot_bound, bridge_survival_dp, bridge_survival_exact,
-                             bridge_survival_mc, upper_barrier)
+from zetalab.barrier import (STEP_VAR, BarrierProfile, _cut_above, _gauss_kernel,
+                             _normal_mass, _same_convolver, ballot_bound, bridge_survival_dp,
+                             bridge_survival_exact, bridge_survival_mc, upper_barrier)
 from zetalab.experiments import ExperimentConfig, run
 from zetalab.model import centering
 
@@ -29,6 +30,19 @@ def test_barrier_domain():
 def test_dp_infinite_barrier_unit():
     out = bridge_survival_dp(30, -0.5, lambda j: math.inf)
     assert out.conditional == pytest.approx(1.0, abs=1e-6)
+    # every step is inert, so the DP is one convolution by N(0, k/2)
+    for k, w in ((30, -0.5), (100, 3.0), (400, 20.0)):
+        out = bridge_survival_dp(k, w, lambda j: math.inf)
+        assert out.joint == pytest.approx(_normal_mass(w, w + 1.0, math.sqrt(k / 2)), rel=2e-7)
+
+
+def test_cut_above_zeroes_every_cell_whose_upper_edge_reaches_the_level():
+    grid = np.arange(4.0)                     # upper edges 0.5, 1.5, 2.5, 3.5
+    for level, want in ((1.7, [1, 1, 0, 0]), (1.5, [1, 0, 0, 0]), (3.5, [1, 1, 1, 0]),
+                        (3.6, [1, 1, 1, 1]), (math.inf, [1, 1, 1, 1])):
+        density = np.ones(4)
+        _cut_above(density, grid, level)
+        assert density.tolist() == want
 
 
 def test_dp_unreachable_bin():
@@ -48,10 +62,50 @@ def test_dp_golden_bits():
     assert out.joint.hex() == "0x1.16d6d57c05440p-6"
 
 
+def test_dp_without_inert_runs_keeps_its_bits():
+    # pinned float.hex of DPs whose inert steps, if any, stand alone: the
+    # constant barriers of ballot_sweep's random configs at seed 13 (4 configs)
+    for k, level, w, conditional, joint in (
+            (40, "0x1.d6c0966ab6eaep+1", -0.5, "0x1.7add9282914a6p-1", "0x1.0dd0a48c448ccp-4"),
+            (45, "0x1.02da76a6fec35p+1", 0.0, "0x1.e8b639640f5a3p-3", "0x1.46672b8f4d550p-6"),
+            (52, "0x1.8b1003e40ad5cp+1", 0.0, "0x1.d4c6493df8341p-2", "0x1.238aa93ccaae0p-5"),
+            (104, "0x1.108ec5161aac5p+1", 0.0, "0x1.fee94f84f4e2ep-4", "0x1.c2ccc2a480ca0p-8")):
+        out = bridge_survival_dp(k, w, lambda j: float.fromhex(level))
+        assert (out.conditional.hex(), out.joint.hex()) == (conditional, joint)
+    # one inert step between binding ones, above the grid or infinite
+    out = bridge_survival_dp(30, -0.5, lambda j: 3.0 if j % 2 else 100.0)
+    assert (out.conditional.hex(), out.joint.hex()) == ("0x1.7180893ffc2f8p-1",
+                                                        "0x1.2fa5260748eccp-4")
+    out = bridge_survival_dp(30, -0.5, lambda j: math.inf if j % 2 else 2.5)
+    assert (out.conditional.hex(), out.joint.hex()) == ("0x1.6e8a9fb6d7277p-1",
+                                                        "0x1.2d3651fdec370p-4")
+
+
+def test_dp_inert_runs_match_stepwise_values():
+    # `joint` of the DP taken one convolution per step: the rows of
+    # ballot_sweep's table, and a barrier with every kind of step
+    # (+inf at j = 1, a run above the grid, binding steps, above the grid again)
+    rows = {(25, 1.0): 0.03339724987920778, (25, 3.0): 0.03380658952476889,
+            (25, 6.0): 0.033806592091039867, (100, 1.0): 0.018613015924735854,
+            (100, 3.0): 0.018752135062263475, (100, 6.0): 0.01875213573177581,
+            (400, 1.0): 0.00981006882672053, (400, 3.0): 0.009867656821771154,
+            (400, 6.0): 0.009867657053428291}
+    for (k, y), want in rows.items():
+        profile = BarrierProfile(y=y, n=2.0 * k + 1.0)
+        out = bridge_survival_dp(k, float(math.floor(math.sqrt(k))),
+                                 lambda j: centering(j, profile.n) + upper_barrier(j, profile))
+        assert out.joint == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def mixed(j):
+        return math.inf if j == 1 else 3.0 if 11 <= j <= 25 else 100.0
+    assert bridge_survival_dp(40, -0.5, mixed).joint == pytest.approx(0.061507236803337306,
+                                                                      rel=1e-12, abs=0.0)
+
+
 def test_dp_convolution_matches_fftconvolve(rng):
     from scipy.signal import fftconvolve
     step = math.sqrt(STEP_VAR) / 200          # the DP's default mesh
-    kernel = _gauss_kernel(step)
+    kernel = _gauss_kernel(step, STEP_VAR)
     n = 18_733                                # the grid of k = 100 under a level-3 barrier
     convolve = _same_convolver(kernel, n)
     delta = np.zeros(n)
@@ -133,6 +187,23 @@ def test_mc_agrees_with_dp(rng):
         dp = bridge_survival_dp(k, -0.5, lambda j: level)
         est, se = bridge_survival_mc(rng, k, -0.5, lambda j: level, 60_000)
         assert abs(est - dp.conditional) <= 3 * se
+
+
+def test_mc_memory_and_bits():
+    # ballot_sweep's k = 104 config at seed 13: chunks of 19,230 x 104 steps
+    level = float.fromhex("0x1.108ec5161aac5p+1")
+    tracemalloc.start()
+    try:
+        got = bridge_survival_mc(np.random.default_rng(13), 104, 0.0, lambda j: level, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * 2 ** 20
+    # pinned float.hex: the same draws in the same order, the same arithmetic
+    assert [x.hex() for x in got] == ["0x1.c7f2cfb8679ffp-4", "0x1.3899363ba3f67p-7"]
+    got = bridge_survival_mc(np.random.default_rng(13), 30, -0.5,
+                             lambda j: math.inf if j == 1 else 2.0 if j % 3 else 1e9, 20_000)
+    assert [x.hex() for x in got] == ["0x1.bfc1b41377b9fp-2", "0x1.625d7f62e2c64p-7"]
 
 
 def test_mc_insufficient_hits(rng):
