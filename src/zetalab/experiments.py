@@ -344,6 +344,7 @@ def run_smoothing_suite(config: ExperimentConfig):
     samples, split = model.sample_window_sums(rng, table, 0.0, 2.0, n_samples)
     metrics: dict[str, float] = {"n_exact_primes": split.n_exact,
                                  "tail_bias_bound": split.tail_bias_bound}
+    u = float(np.quantile(samples, 0.5))   # the bin's anchor, the same for every bump
     ok = True
     for delta in (3.0, 5.0, 8.0):
         bump = sm.make_bump(delta, 3.0)
@@ -353,7 +354,6 @@ def run_smoothing_suite(config: ExperimentConfig):
         support_mass = bump.support_violation_mass()
         l1 = bump.l1_transform()
         expansion = sm.make_expansion(bump, 40)
-        u = float(np.quantile(samples, 0.5))
         rep = sm.indicator_sandwich_check(bump, expansion, samples, u)
         tag = f"d{int(delta)}"
         metrics[f"{tag}_range_violation"] = range_violation

@@ -244,25 +244,6 @@ def _osc_cell_integrals(a: np.ndarray, b: np.ndarray, c: float) -> tuple[np.ndar
     return i0, i1, i2
 
 
-def _filon_piecewise(edges: np.ndarray, values: np.ndarray,
-                     integrals: tuple[np.ndarray, ...]) -> complex:
-    """int f(xi) e^{i c xi} with f quadratic per cell through (edge, mid, edge).
-
-    `values` holds f at [a, mid, b] per cell, shape (n_cells, 3);
-    `integrals` is `_osc_cell_integrals(edges[:-1], edges[1:], c)`.
-    """
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    i0, i1, i2 = integrals
-    fa, fm, fb = values[:, 0], values[:, 1], values[:, 2]
-    # Lagrange quadratic coefficients on (a, mid, b)
-    h = 0.5 * (b - a)
-    c2 = (fa - 2.0 * fm + fb) / (2.0 * h * h)
-    c1 = (fb - fa) / (2.0 * h) - 2.0 * c2 * mid
-    c0 = fm - c1 * mid - c2 * mid * mid
-    return complex(np.sum(c0 * i0 + c1 * i1 + c2 * i2))
-
-
 @dataclass
 class TruncatedExpansion:
     """Polynomial sum_l c_l x^l matching the bump's Taylor data at 0."""
@@ -278,15 +259,37 @@ class TruncatedExpansion:
             out = out * x + c
         return out
 
+
+def _tail_edges(lobe_edges: np.ndarray, order: int) -> np.ndarray:
+    """The tail's cell edges in u: `lobe_edges`, closed at 1, with each lobe
+    [a, b] cut into n = min(ceil(max(h/(0.02 a), order h/(0.1 a), 1)), 24)
+    equal cells (h = b - a): more where 1/u or u^order bends within the lobe.
+
+    All lobes in one pass, by np.linspace's own arithmetic: edge k of a lobe
+    is k (h/n) + a, and its last edge is b.
+    """
+    if lobe_edges.size == 0 or lobe_edges[-1] < 1.0:
+        lobe_edges = np.append(lobe_edges, 1.0)
+    a, b = lobe_edges[:-1], lobe_edges[1:]
+    h = b - a
+    n_sub = np.ceil(np.maximum(np.maximum(h / (0.02 * a), order * h / (0.1 * a)), 1.0))
+    n_sub = np.minimum(n_sub, 24).astype(np.intp)
+    ends = np.cumsum(n_sub)
+    k = np.arange(1, n_sub.sum() + 1) - np.repeat(ends - n_sub, n_sub)
+    edges = k * np.repeat(h / n_sub, n_sub) + np.repeat(a, n_sub)
+    edges[ends - 1] = b
+    return np.concatenate((lobe_edges[:1], edges))
+
+
 def make_expansion(bump: BandlimitedBump, order: int) -> TruncatedExpansion:
     """Moment coefficients c_l = (2 pi i)^l / l! * int xi^l ghat(xi) d xi.
 
-    The transform integral splits at the third sinc lobe: the head is smooth
-    composite Gauss-Legendre (8 nodes, 64 panels per lobe); in the tail the
-    window sinc is decomposed into two exponentials and integrated by Filon
-    quadrature (quadratic slow part per lobe, oscillatory factor in closed
-    form).  Coefficients combine in log scale; overflow raises a capacity
-    error.
+    The transform integral splits at the twelfth sinc zero, |xi| = 12 /
+    length: the head is smooth composite Gauss-Legendre (8 nodes, 768 panels
+    over its 24 lobes, so 32 per lobe); in the tail the window sinc is
+    decomposed into two exponentials and integrated by Filon quadrature
+    (quadratic slow part per cell, oscillatory factor in closed form).
+    Coefficients combine in log scale; overflow raises a capacity error.
     """
     if order > 60:
         raise CapacityError("orders above 60 overflow double precision")
@@ -304,49 +307,50 @@ def make_expansion(bump: BandlimitedBump, order: int) -> TruncatedExpansion:
     ghead = bump.ghat(xi_nodes)
 
     # tail lobes in u = xi / spread: sinc zeroes sit at multiples of
-    # 1/(length*spread); subdivide where 1/u or u^order bends within a lobe
+    # 1/(length*spread)
     m_hi = int(math.floor(spread * length))
-    lobe_edges = np.arange(head_lobes, m_hi + 1) / (length * spread)
-    if lobe_edges.size == 0 or lobe_edges[-1] < 1.0:
-        lobe_edges = np.append(lobe_edges, 1.0)
-    refined = [np.array([lobe_edges[0]])]
-    for a_e, b_e in zip(lobe_edges[:-1], lobe_edges[1:]):
-        h = b_e - a_e
-        n_sub = int(math.ceil(max(h / (0.02 * a_e), order * h / (0.1 * a_e), 1.0)))
-        n_sub = min(n_sub, 24)
-        refined.append(np.linspace(a_e, b_e, n_sub + 1)[1:])
-    u_edges = np.concatenate(refined)
+    u_edges = _tail_edges(np.arange(head_lobes, m_hi + 1) / (length * spread), order)
     freqs = (math.pi * length - math.pi / bump.delta,
              -math.pi * length - math.pi / bump.delta)
-
-    def cells_for(u_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # per side, all but u^{ell-1} is the same for every ell: the cells'
+    # midpoints, the Lagrange denominators 2h*h and 2h, the slow part at the
+    # edges and midpoints, and both exponentials' cell integrals
+    sides = []
+    for u_e in (u_edges, -u_edges[::-1]):
         a_e, b_e = u_e[:-1], u_e[1:]
-        pts = np.stack([a_e, 0.5 * (a_e + b_e), b_e], axis=1)
-        slow = bump.base.fhat_normalized_fast(pts.ravel()).reshape(pts.shape) / (2.0j * math.pi)
-        return pts, slow
-
-    sides = [cells_for(u_edges), cells_for(-u_edges[::-1])]
-    powers = [1.0 / s[0] for s in sides]   # u^{ell-1} at the nodes, ell = 0 here
-    # cell edges and their oscillatory integrals do not depend on ell
-    edge_vecs = [np.append(pts[:, 0], pts[-1, 2]) for pts, _ in sides]
-    integrals = [[_osc_cell_integrals(e[:-1], e[1:], f * spread) for f in freqs]
-                 for e in edge_vecs]
+        u_mid = 0.5 * (a_e + b_e)
+        h = 0.5 * (b_e - a_e)
+        slow_e, slow_m = (bump.base.fhat_normalized_fast(u) / (2.0j * math.pi)
+                          for u in (u_e, u_mid))
+        integrals = [_osc_cell_integrals(a_e, b_e, f * spread) for f in freqs]
+        # 1/u: u^{ell-1} at ell = 0, raised in place as ell grows
+        sides.append((u_e, u_mid, slow_e, slow_m, 1.0 / u_e, 1.0 / u_mid,
+                      2.0 * h * h, 2.0 * h, integrals))
     log_spread = math.log(spread)
     out = np.zeros(order + 1, dtype=complex)
     for ell in range(order + 1):
         head = complex(np.sum(w_nodes * xi_nodes ** ell * ghead))
         tail = 0.0 + 0.0j
-        for (_, slow), upow, edge_vec, (fwd, bwd) in zip(sides, powers, edge_vecs, integrals):
-            vals = slow * upow
-            tail += _filon_piecewise(edge_vec, vals, fwd)
-            tail -= _filon_piecewise(edge_vec, vals, bwd)
+        for u_e, u_mid, slow_e, slow_m, pow_e, pow_m, hh2, h2, integrals in sides:
+            # Lagrange quadratic c0 + c1 u + c2 u^2 per cell through the slow
+            # part times u^{ell-1} at its (a, mid, b)
+            f_e = slow_e * pow_e
+            fa, fm, fb = f_e[:-1], slow_m * pow_m, f_e[1:]
+            c2 = (fa - 2.0 * fm + fb) / hh2
+            c1 = (fb - fa) / h2 - 2.0 * c2 * u_mid
+            c0 = fm - c1 * u_mid - c2 * u_mid * u_mid
+            fwd, bwd = (complex(np.sum(c0 * i0 + c1 * i1 + c2 * i2))
+                        for i0, i1, i2 in integrals)
+            tail += fwd
+            tail -= bwd
+            pow_e *= u_e
+            pow_m *= u_mid
         log_pref = ell * math.log(2.0 * math.pi) - math.lgamma(ell + 1)
         value = (1j ** ell) * (_exp_or_raise(log_pref) * head
                                + _exp_or_raise(log_pref + ell * log_spread) * tail)
         if not np.isfinite(value):
             raise CapacityError(f"coefficient {ell} overflows double precision")
         out[ell] = value
-        powers = [pw * s[0] for pw, s in zip(powers, sides)]
     return TruncatedExpansion(delta=bump.delta, a_param=bump.a_param, coefficients=out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,15 @@ EXPANSION_D5_HEX = [
     ("-0x1.f4e56c01594a6p+429", "0x1.1623d8a8278bfp+427"),
     ("0x1.338e5bb831345p+442", "-0x1.b95ad3ca95e5ap+441"),
 ]
+
+
+# sha256 of make_expansion(make_bump(delta, 3), order).coefficients.tobytes(),
+# recorded before the tail's refinement and Filon weights were vectorized
+EXPANSION_SHA256 = {
+    (3.0, 40): "671b3de0242a9f44c93136292582e18a7663abe7cec89646bd03142e537f7169",
+    (8.0, 40): "d099bcdcb3ce841a7fb712f73634c492b2e9f6a1c038df7b331114fdc075ed12",
+    (8.0, 60): "1844d67ff67e10c34759c4a58fa9ebdba7694c79d7bbdfcfae672afb5ec63dd6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +168,46 @@ def test_golden_bits():
         ("0x1.b0f81fd4c64c8p-1", "0x1.daac55bb2beb3p-1"),
         ("0x1.ca9a0f75519a0p-1", "0x1.f238ff8b0979bp-1"),
     ]
+
+
+@pytest.mark.parametrize(("delta", "order"), sorted(EXPANSION_SHA256))
+def test_expansion_pinned_bits(delta, order):
+    coefficients = make_expansion(make_bump(delta, 3.0), order).coefficients
+    assert hashlib.sha256(coefficients.tobytes()).hexdigest() == EXPANSION_SHA256[delta, order]
+
+
+def linspace_tail_edges(lobe_edges, order):
+    """The tail's cell edges by one np.linspace per lobe: the loop that
+    `smoothing._tail_edges` replaces, kept as its oracle."""
+    if lobe_edges.size == 0 or lobe_edges[-1] < 1.0:
+        lobe_edges = np.append(lobe_edges, 1.0)
+    refined = [np.array([lobe_edges[0]])]
+    for a_e, b_e in zip(lobe_edges[:-1], lobe_edges[1:]):
+        h = b_e - a_e
+        n_sub = int(math.ceil(max(h / (0.02 * a_e), order * h / (0.1 * a_e), 1.0)))
+        n_sub = min(n_sub, 24)
+        refined.append(np.linspace(a_e, b_e, n_sub + 1)[1:])
+    return np.concatenate(refined)
+
+
+def bump_lobe_edges(delta):
+    """The sinc zeroes past the head, in u = xi / spread, as make_expansion
+    builds them for make_bump(delta, 3)."""
+    bump = make_bump(delta, 3.0)
+    scale = bump.indicator_length * bump.spread
+    return np.arange(12, math.floor(scale) + 1) / scale
+
+
+@pytest.mark.parametrize("order", [0, 7, 40, 60])
+@pytest.mark.parametrize("lobe_edges", [
+    *(pytest.param(bump_lobe_edges(d), id=f"d{d:g}") for d in (3.0, 5.0, 8.0)),
+    pytest.param(np.array([0.125, 0.3, 0.55, 0.9]), id="closed-at-1"),
+    pytest.param(np.array([1.0]), id="no-lobes"),
+])
+def test_tail_edges_match_linspace_loop(lobe_edges, order):
+    fast = smoothing._tail_edges(lobe_edges, order)
+    slow = linspace_tail_edges(lobe_edges, order)
+    assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
 
 
 def test_ingham_normalization(ingham):
