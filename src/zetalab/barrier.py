@@ -89,6 +89,20 @@ def _bin_mass(density: np.ndarray, grid: np.ndarray, a: float, b: float) -> floa
     return float(cb - ca)
 
 
+def _levels(barrier, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The levels barrier(j) for j = 1..k, and which steps reflect: those
+    whose level is finite and whose previous position was constrained (the
+    start point counts as constrained).  A level may be +inf, no barrier at
+    that step; k < 1 or a level that is NaN or -inf is a DomainError."""
+    if k < 1:
+        raise DomainError(f"need at least one step, got k={k}")
+    levels = np.array([float(barrier(j)) for j in range(1, k + 1)])
+    if not np.all(levels > -math.inf):   # NaN fails this too
+        raise DomainError(f"barrier levels must be finite or +inf, got {levels.min()}")
+    finite = np.isfinite(levels)
+    return levels, finite & np.concatenate([[True], finite[:-1]])
+
+
 def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurvival:
     """Transfer-operator survival below barrier(j), endpoint in [w, w+1].
 
@@ -103,16 +117,13 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
     """
     if mesh < 200:
         raise ToleranceError("mesh below 200 points per unit standard deviation")
+    levels, reflects = _levels(barrier, k)
     sigma_total = math.sqrt(k * STEP_VAR)
     step = math.sqrt(STEP_VAR) / mesh
-    levels = [float(barrier(j)) for j in range(1, k + 1)]
     reach = TAIL_SD * math.sqrt(STEP_VAR)    # one-step kernel support
-    if all(np.isfinite(levels)):
-        # the reflection image sits above the barrier and feeds back down
-        # within one kernel width, so keep that much headroom
-        top = min(max(levels), TAIL_SD * sigma_total) + reach + 1.0
-    else:
-        top = TAIL_SD * sigma_total + reach + 1.0
+    # the reflection image sits above the barrier and feeds back down within
+    # one kernel width, so keep that much headroom (a +inf level caps nothing)
+    top = min(levels.max(), TAIL_SD * sigma_total) + reach + 1.0
     n_lo = int(math.ceil(TAIL_SD * sigma_total / step))
     n_hi = int(math.ceil(top / step))
     grid = np.arange(-n_lo, n_hi + 1) * step          # 0 sits exactly on the grid
@@ -125,10 +136,6 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
             convolvers[m] = _same_convolver(_gauss_kernel(step, m * STEP_VAR), len(grid))
         return convolvers[m](density)
 
-    # within-step reflection needs a finite level and a constrained previous
-    # position (the start point is known)
-    reflects = [not math.isinf(level) and (j == 0 or not math.isinf(levels[j - 1]))
-                for j, level in enumerate(levels)]
     density = np.zeros_like(grid)
     density[n_lo] = 1.0 / step                        # delta at the origin
     j = 0
@@ -193,14 +200,10 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
     """(estimate, binomial std error) for the same event as the DP."""
     if n_paths < 10_000:
         raise DomainError("need at least 1e4 paths")
-    levels = np.array([float(barrier(j)) for j in range(1, k + 1)])
-    finite = np.isfinite(levels)
-    # within-step reflection is active when the step's own level is finite and
-    # the previous position was already constrained (start counts)
-    active = finite & np.concatenate([[True], finite[:-1]])
-    safe_levels = np.where(finite, levels, 0.0)
+    levels, reflects = _levels(barrier, k)
+    safe_levels = np.where(reflects, levels, 0.0)   # a step that does not reflect reads 0
     hits = survive = 0
-    chunk = max(1, min(n_paths, 2_000_000 // max(k, 1)))
+    chunk = max(1, min(n_paths, 2_000_000 // k))
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
@@ -220,7 +223,7 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
         p_cross *= paths
         p_cross /= STEP_VAR
         np.exp(p_cross, out=p_cross)
-        p_cross[:, ~active] = 0.0
+        p_cross[:, ~reflects] = 0.0
         u = rng.uniform(size=(m, k))
         below &= ~np.any(u < p_cross, axis=1)
         in_bin = (endpoint >= w) & (endpoint < w + 1.0)

@@ -105,10 +105,10 @@ def write_metrics_csv(config: ExperimentConfig, metrics: dict[str, float]) -> st
     return path
 
 
-def _chunk_sizes(total: int, chunks: int = CHUNKS) -> list[int]:
-    base = total // chunks
-    out = [base] * chunks
-    for i in range(total - base * chunks):
+def _chunk_sizes(total: int) -> list[int]:
+    base = total // CHUNKS
+    out = [base] * CHUNKS
+    for i in range(total - base * CHUNKS):
         out[i] += 1
     return [c for c in out if c > 0]
 
@@ -545,7 +545,7 @@ def run_tail_surrogate(config: ExperimentConfig):
     # headline run count its spread straddles the tolerance band, so the slope
     # is measured on a larger pool (a stricter check of the same shape) while
     # the summary statistics keep the stated run count
-    slope_runs = param(config, "slope_runs", max(4 * runs, runs), above=0)
+    slope_runs = param(config, "slope_runs", 4 * runs, above=0)
     chunks = parallel_chunks(config.seed, max(runs, slope_runs),
                              lambda rng, n: model.sample_hierarchical_maxima(rng, depth, math.e, n))
     maxima = np.concatenate(chunks)

@@ -63,9 +63,8 @@ class WindowSplit:
         return self.tail_variance + float(np.sum(x_p_variance(self.head)))
 
 
-def window_split(table: PrimeTable, j: float, k: float,
-                 exact_below: float = EXACT_PRIME_CUTOFF) -> WindowSplit:
-    """Split the primes of the window (j, k]: those up to `exact_below` are
+def window_split(table: PrimeTable, j: float, k: float) -> WindowSplit:
+    """Split the primes of the window (j, k]: those up to `EXACT_PRIME_CUTOFF` are
     simulated exactly, the rest are replaced by one Gaussian of their exact
     variance.  The replacement bias (third-moment Edgeworth bound, reported)
     is orders of magnitude below any tolerance used in the experiments.  The
@@ -73,7 +72,7 @@ def window_split(table: PrimeTable, j: float, k: float,
     a caller drawing many chunks computes the split once; they take `np.sum`
     per segment of 2^20 primes and `math.fsum` across, in bounded memory."""
     primes = primes_in_log_range(table, j, k)
-    head, tail = np.split(primes, [np.searchsorted(primes, exact_below, side="right")])
+    head, tail = np.split(primes, [np.searchsorted(primes, EXACT_PRIME_CUTOFF, side="right")])
 
     def tail_sum(term) -> float:
         return math.fsum(float(np.sum(term(tail[lo:lo + SEGMENT_SIZE])))
@@ -152,10 +151,9 @@ def draw_window_sums(rng: np.random.Generator, split: WindowSplit,
 
 
 def sample_window_sums(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
-                       n_samples: int, exact_below: float = EXACT_PRIME_CUTOFF,
-                       ) -> tuple[np.ndarray, WindowSplit]:
+                       n_samples: int) -> tuple[np.ndarray, WindowSplit]:
     """Draws of sum_{window} X_p at h = 0, and the `window_split` they used."""
-    split = window_split(table, j, k, exact_below)
+    split = window_split(table, j, k)
     return draw_window_sums(rng, split, n_samples), split
 
 

@@ -349,13 +349,13 @@ def _sum_ld(x: np.ndarray) -> float:
     return float(np.sum(x, dtype=np.longdouble))
 
 
-def _alpha_tail(primes: np.ndarray, w: np.ndarray, threshold: float = 1e-18) -> float:
-    """sum over alpha >= 3 of Re(w^alpha)/alpha, truncated at |w|^alpha < threshold."""
-    log_cut = -math.log(threshold)
+def _alpha_tail(primes: np.ndarray, w: np.ndarray) -> float:
+    """sum over alpha >= 3 of Re(w^alpha)/alpha, truncated at |w|^alpha < 1e-18."""
+    log_cut = -math.log(1e-18)
     total = 0.0
     alpha = 3
     while True:
-        # only primes with p^{-alpha/2} >= threshold contribute
+        # only primes with p^{-alpha/2} >= 1e-18 contribute
         m = int(np.searchsorted(primes, math.exp(2.0 * log_cut / alpha), side="right"))
         if m == 0:
             break

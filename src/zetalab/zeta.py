@@ -20,6 +20,8 @@ from .errors import DomainError, CapacityError
 from .walk import powers, shifted_sums, theta_mod_2pi
 
 TWO_PI = 2.0 * math.pi
+RS_SWITCH = 50.0
+MAX_T = 1e12
 
 # B_{2k} for the Euler-Maclaurin tail
 _BERNOULLI = [
@@ -139,14 +141,14 @@ def _rs_d_table(levels: int) -> list[list[float]]:
 _RS_MAX_LEVELS = 20
 
 
-def _rs_depth(a: float, target: float = 1e-12) -> int:
-    """Correction levels, at most _RS_MAX_LEVELS: minimize the term-size envelope."""
+def _rs_depth(a: float) -> int:
+    """Correction levels, at most _RS_MAX_LEVELS: minimize the term-size envelope (to 1e-12)."""
     best_l, best = 2, math.inf
     for level in range(2, _RS_MAX_LEVELS + 1):
         bound = 2.03 * math.gamma(0.5 * level) * (2.0 * a) ** (-level)
         if bound < best:
             best_l, best = level, bound
-        if bound < target or bound > 10 * best:
+        if bound < 1e-12 or bound > 10 * best:
             break
     return best_l
 
@@ -198,11 +200,14 @@ def _rs_block(n_main: int, ts, buffer: np.ndarray | None = None) -> np.ndarray:
 
 
 def zeta_riemann_siegel(t: float) -> complex:
-    """zeta(1/2 + i t) by the Riemann-Siegel expansion (t above ~ 20)."""
+    """zeta(1/2 + i t) by the Riemann-Siegel expansion (t above ~ 20), for
+    2 pi <= t <= MAX_T."""
     t = float(t)
+    if not t >= TWO_PI:   # NaN fails this too
+        raise DomainError(f"t={t} too small for the main sum (need t >= 2 pi)")
+    if t > MAX_T:
+        raise CapacityError(f"t={t} beyond supported range {MAX_T}")
     n_main = math.floor(math.sqrt(t / TWO_PI))
-    if n_main < 1:
-        raise DomainError(f"t={t} too small for the main sum")
     return complex(_rs_block(n_main, np.float64(t))[0])
 
 
@@ -212,12 +217,10 @@ _BLOCK_TERMS = 1 << 16
 
 
 def _rs_heights(ts: np.ndarray) -> np.ndarray:
-    """zeta_riemann_siegel at every height ts[j], grouped by main-sum length in
-    blocks of at most _BLOCK_TERMS terms, built in one buffer; bit for bit as
-    one call per height."""
+    """zeta_riemann_siegel at every height ts[j] (at least one), grouped by
+    main-sum length in blocks of at most _BLOCK_TERMS terms, built in one
+    buffer; bit for bit as one call per height."""
     values = np.empty(len(ts), dtype=complex)
-    if not len(ts):
-        return values
     n_main = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
     order = np.argsort(n_main, kind="stable")
     buffer = np.empty(_BLOCK_TERMS, dtype=complex)
@@ -228,10 +231,6 @@ def _rs_heights(ts: np.ndarray) -> np.ndarray:
             block = group[i:i + size]
             values[block] = _rs_block(n, ts[block], buffer if n <= _BLOCK_TERMS else None)
     return values
-
-
-RS_SWITCH = 50.0
-MAX_T = 1e12
 
 
 def zeta_critical(t: float) -> complex:
@@ -248,6 +247,19 @@ def zeta_critical(t: float) -> complex:
 def relative_gap(a: complex, b: complex) -> float:
     """|a - b| / max(1, |a|, |b|); the guard keeps the gap meaningful at zeros."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _critical_values(ts: np.ndarray, rs_batch) -> np.ndarray:
+    """zeta_critical at every height ts[j]: one call per height below
+    RS_SWITCH or outside the supported range (where it raises), and one call
+    of `rs_batch` on the rest, whose Riemann-Siegel values it returns."""
+    values = np.empty(len(ts), dtype=complex)
+    batched = (ts >= RS_SWITCH) & (ts <= MAX_T)
+    for j in np.flatnonzero(~batched):
+        values[j] = zeta_critical(ts[j])
+    if batched.any():
+        values[batched] = rs_batch(ts[batched])
+    return values
 
 
 def _rs_grid(tau: float, ts: np.ndarray) -> np.ndarray:
@@ -275,13 +287,7 @@ def zeta_on_grid(t: float, grid: np.ndarray) -> np.ndarray:
         raise DomainError(f"need t + h > 0, got t = {t} and shifts down to {grid.min()}")
     if np.any(ts > MAX_T):
         raise CapacityError(f"t + h beyond supported range {MAX_T} at t = {t}")
-    values = np.empty(len(ts), dtype=complex)
-    above = ts >= RS_SWITCH
-    for j in np.flatnonzero(~above):
-        values[j] = zeta_critical(ts[j])
-    if above.any():
-        values[above] = _rs_grid(float(t), ts[above])
-    return values
+    return _critical_values(ts, lambda heights: _rs_grid(float(t), heights))
 
 
 def max_on_grid(t: float, grid: np.ndarray) -> tuple[float, float]:
@@ -307,14 +313,10 @@ def moment_estimate(big_t: float, power: int, n_samples: int,
         raise DomainError("power must be 2 or 4")
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    if not math.isfinite(big_t):
+        raise DomainError(f"need a finite T, got {big_t}")
     taus = rng.uniform(big_t, 2 * big_t, size=n_samples)
-    # draws below RS_SWITCH (or out of range, which raise) one at a time, as
-    # zeta_critical, then the rest in blocks
-    values = np.empty(n_samples, dtype=complex)
-    blocked = (taus >= RS_SWITCH) & (taus <= MAX_T)
-    for j in np.flatnonzero(~blocked):
-        values[j] = zeta_critical(taus[j])
-    values[blocked] = _rs_heights(taus[blocked])
+    values = _critical_values(taus, _rs_heights)
     vals = np.array([abs(v) ** power for v in values.tolist()])
     mean = float(np.mean(vals))
     if n_samples < 2:

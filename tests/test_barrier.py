@@ -7,7 +7,7 @@ import pytest
 
 from zetalab import parallel
 from zetalab.errors import DomainError, InsufficientSampleError, ToleranceError
-from zetalab.barrier import (STEP_VAR, BarrierProfile, _cut_above, _gauss_kernel,
+from zetalab.barrier import (STEP_VAR, BarrierProfile, _cut_above, _gauss_kernel, _levels,
                              _normal_mass, _same_convolver, ballot_bound, bridge_survival_dp,
                              bridge_survival_exact, bridge_survival_mc, upper_barrier)
 from zetalab.experiments import ExperimentConfig, run
@@ -204,6 +204,29 @@ def test_mc_memory_and_bits():
     got = bridge_survival_mc(np.random.default_rng(13), 30, -0.5,
                              lambda j: math.inf if j == 1 else 2.0 if j % 3 else 1e9, 20_000)
     assert [x.hex() for x in got] == ["0x1.bfc1b41377b9fp-2", "0x1.625d7f62e2c64p-7"]
+
+
+def test_reflection_mask():
+    # a finite level reflects when the previous step's level was finite; the start counts as one
+    levels, reflects = _levels(lambda j: [2.0, math.inf, 3.0, 3.0, math.inf, math.inf, 1.0][j - 1], 7)
+    assert levels.tolist() == [2.0, math.inf, 3.0, 3.0, math.inf, math.inf, 1.0]
+    assert reflects.tolist() == [True, False, False, True, False, False, False]
+
+
+@pytest.mark.parametrize("k, barrier", [(0, lambda j: 1.0), (-3, lambda j: 1.0),
+                                        (5, lambda j: math.nan if j == 3 else 1.0),
+                                        (5, lambda j: -math.inf if j == 5 else 1.0),
+                                        (1, lambda j: math.nan)],
+                         ids=["no steps", "negative k", "nan level", "-inf level", "nan start"])
+def test_barrier_input_contract(k, barrier):
+    # both estimators refuse what neither can estimate, and the same way
+    with pytest.raises(DomainError):
+        bridge_survival_dp(k, -0.5, barrier)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        bridge_survival_mc(rng, k, -0.5, barrier, 10_000)
+    assert rng.bit_generator.state == state
 
 
 def test_mc_insufficient_hits(rng):

@@ -12,8 +12,8 @@ import zetalab
 from zetalab import parallel
 from zetalab.errors import CapacityError, DomainError
 from zetalab.experiments import chunk_streams, parallel_chunks, seed_stream
-from zetalab.model import (MAX_SAMPLES, _jumped, branching_pattern, centering, density_check,
-                           e_z_xp_quadrature, increment_gaussianity, laplace_check,
+from zetalab.model import (MAX_SAMPLES, WindowSplit, _jumped, branching_pattern, centering,
+                           density_check, e_z_xp_quadrature, increment_gaussianity, laplace_check,
                            sample_hierarchical_leaves, sample_hierarchical_maxima,
                            draw_window_sums, sample_window_sums, tail_slope,
                            window_split, x_p_values, x_p_variance)
@@ -54,14 +54,14 @@ def test_euler_path_zero_angles_match_walk(table_small):
 
 
 def test_window_sums_split_consistency(table_medium):
-    # forcing everything exact vs the gaussianized tail: same mean/variance
+    # every prime of the window simulated exactly vs the gaussianized tail:
+    # same mean/variance
     rng1 = np.random.default_rng(11)
     rng2 = np.random.default_rng(11)
-    exact, info_exact = sample_window_sums(rng1, table_medium, 1.0, 2.3, 40_000,
-                                           exact_below=10 ** 7)
+    all_exact = WindowSplit(primes_in_log_range(table_medium, 1.0, 2.3), 0.0, 0.0)
+    exact = draw_window_sums(rng1, all_exact, 40_000)
     split, info_split = sample_window_sums(rng2, table_medium, 1.0, 2.3, 40_000)
-    assert info_exact.tail_variance == 0.0
-    assert info_split.n_exact < len(table_medium.primes)
+    assert info_split.n_exact < all_exact.n_exact
     assert info_split.tail_bias_bound < 1e-5
     assert abs(np.var(exact) - np.var(split)) < 4 * np.var(exact) / math.sqrt(40_000)
 

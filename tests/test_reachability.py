@@ -1,10 +1,10 @@
 """Every top-level public function and class of the package has a use inside
-the package, every option of a public function or method and every
-defaulted field of a public dataclass is set by some statement of the
-package to more than one value, and every field of a public dataclass is
-read by some statement of the package, so neither code that only its own
-tests reach, nor knobs that only a test turns or that take a single value,
-nor results that nothing reads grow back."""
+the package, every option of a top-level function (public or private) or
+of a public method and every defaulted field of a public dataclass is set
+by some statement of the package to more than one value, and every field
+of a public dataclass is read by some statement of the package, so neither
+code that only its own tests reach, nor knobs that only a test turns or
+that take a single value, nor results that nothing reads grow back."""
 
 import ast
 from pathlib import Path
@@ -19,8 +19,6 @@ UNSET_OPTIONS_ALLOWED = {
         "perfbench's hook reads `cutoff` from the bound arguments",
     "barrier.bridge_survival_dp.mesh":
         "tests check the default mesh against a finer one (200 against 420)",
-    "model.sample_window_sums.exact_below":
-        "tests simulate every prime below 1e7 exactly as the Gaussian split's reference",
     "mollifier.mollifier_approx_check.omega_cap":
         "the mollifier capped at omega prime factors is the module's object",
     "cli.main.argv":
@@ -69,17 +67,15 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused_definitions(PACKAGE) == []
 
 
-def _public_functions(package: Path):
+def _functions(package: Path):
     """(`module.qualified_name`, function node, leading parameters a call does
-    not pass: `self` or `cls`) for each public function and public method of a
-    public class."""
+    not pass: `self` or `cls`) for each top-level function, public or
+    private, and each public method of a public class."""
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
-                continue
             if isinstance(stmt, ast.FunctionDef):
                 yield f"{path.stem}.{stmt.name}", stmt, 0
-            else:
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
                 for fn in stmt.body:
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                         yield f"{path.stem}.{stmt.name}.{fn.name}", fn, 1
@@ -170,11 +166,12 @@ def _literal(node) -> str | None:
 
 
 def unset_options(package: Path) -> list[str]:
-    """`module.function.parameter` of each defaulted parameter of a public
-    function or method, and `module.Class.field` of each defaulted field of a
-    public dataclass that no statement of the package assigns, when no call
-    in the package passes it, or when every call gives it one and the same
-    literal (a call that passes nothing counts with the default).  Calls from
+    """`module.function.parameter` of each defaulted parameter of a top-level
+    function (public or private) or of a public method, and
+    `module.Class.field` of each defaulted field of a public dataclass that
+    no statement of the package assigns, when no call in the package passes
+    it, or when every call gives it one and the same literal (a call that
+    passes nothing counts with the default).  Calls from
     tests do not count: an option only a test sets is a knob, and one that
     the package sets to a single value is a constant."""
     paths = sorted(package.glob("*.py"))
@@ -188,7 +185,7 @@ def unset_options(package: Path) -> list[str]:
         return len(values) == 1 and None not in values
 
     out = []
-    for qualname, fn, skipped in _public_functions(package):
+    for qualname, fn, skipped in _functions(package):
         positional = fn.args.posonlyargs + fn.args.args
         first_default = len(positional) - len(fn.args.defaults)
         options = [(arg.arg, i - skipped, fn.args.defaults[i - first_default])

@@ -153,6 +153,20 @@ def test_domain_guards():
         zeta_euler_maclaurin(1.0 + 0j)
 
 
+@pytest.mark.parametrize("t, error", [(math.nan, DomainError), (-math.inf, DomainError),
+                                      (0.0, DomainError), (6.28, DomainError),
+                                      (MAX_T * 2, CapacityError), (math.inf, CapacityError)])
+def test_rs_input_contract(t, error):
+    # zeta_critical's errors, and below 2 pi the main sum is empty
+    with pytest.raises(error):
+        zeta_riemann_siegel(t)
+
+
+def test_rs_range_ends():
+    assert np.isfinite(zeta_riemann_siegel(2.0 * math.pi))
+    assert zeta_riemann_siegel(MAX_T) == zeta_critical(MAX_T)
+
+
 def test_rs_vs_em_agreement(rng):
     worst = 0.0
     for t in rng.uniform(50, 1e4, size=60):
@@ -394,6 +408,11 @@ def test_moment_bootstrap_rows_match_one_matrix_draw():
 def test_moment_guards(rng):
     with pytest.raises(DomainError):
         moment_estimate(1e6, 3, 100, rng)
+    state = rng.bit_generator.state
+    for big_t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            moment_estimate(big_t, 2, 10, rng)
+    assert rng.bit_generator.state == state   # refused before any draw
 
 
 def test_grid_max_discretization(rng):
