@@ -10,8 +10,8 @@ from .model import (centering, density_check, increment_gaussianity, laplace_che
 from .barrier import (BarrierProfile, ballot_bound, bridge_survival_dp, bridge_survival_mc,
                       upper_barrier)
 from .smoothing import (BandlimitedBump, SmoothingFunction, TruncatedExpansion,
-                        dirichlet_value, discretized_max_bound, indicator_sandwich_check,
-                        make_bump, make_expansion, make_ingham, poisson_reconstruct)
+                        dirichlet_value, indicator_sandwich_check, make_bump, make_expansion,
+                        make_ingham, poisson_reconstruct)
 from .local_factors import (ShiftVector, ZERO_SHIFT, b_closed, b_series, b_zero,
                             local_factor, sigma_zw)
 from .experiments import ExperimentConfig, ResultRecord, REGISTRY, run, seed_stream

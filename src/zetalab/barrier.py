@@ -89,13 +89,16 @@ def _bin_mass(density: np.ndarray, grid: np.ndarray, a: float, b: float) -> floa
     return float(cb - ca)
 
 
-def _levels(barrier, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _levels(barrier, k: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     """The levels barrier(j) for j = 1..k, and which steps reflect: those
     whose level is finite and whose previous position was constrained (the
     start point counts as constrained).  A level may be +inf, no barrier at
-    that step; k < 1 or a level that is NaN or -inf is a DomainError."""
+    that step; k < 1, an endpoint bin [w, w+1) with w not finite, or a level
+    that is NaN or -inf is a DomainError."""
     if k < 1:
         raise DomainError(f"need at least one step, got k={k}")
+    if not math.isfinite(w):
+        raise DomainError(f"the endpoint bin needs a finite w, got w={w}")
     levels = np.array([float(barrier(j)) for j in range(1, k + 1)])
     if not np.all(levels > -math.inf):   # NaN fails this too
         raise DomainError(f"barrier levels must be finite or +inf, got {levels.min()}")
@@ -117,7 +120,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
     """
     if mesh < 200:
         raise ToleranceError("mesh below 200 points per unit standard deviation")
-    levels, reflects = _levels(barrier, k)
+    levels, reflects = _levels(barrier, k, w)
     sigma_total = math.sqrt(k * STEP_VAR)
     step = math.sqrt(STEP_VAR) / mesh
     reach = TAIL_SD * math.sqrt(STEP_VAR)    # one-step kernel support
@@ -159,9 +162,7 @@ def bridge_survival_dp(k: int, w: float, barrier, mesh: int = 200) -> BridgeSurv
             np.clip(density, 0.0, None, out=density)  # the image's negative remainder
         j += 1
     joint = _bin_mass(density, grid, w, w + 1.0)
-    z0 = w / (sigma_total * math.sqrt(2.0))
-    z1 = (w + 1.0) / (sigma_total * math.sqrt(2.0))
-    endpoint = 0.5 * (erf(z1) - erf(z0))
+    endpoint = _normal_mass(w, w + 1.0, sigma_total)
     return BridgeSurvival(joint=joint, conditional=joint / endpoint if endpoint > 0 else 0.0)
 
 
@@ -182,8 +183,9 @@ def bridge_survival_exact(k: int, w: float, level: float) -> float:
     N(0, k/2) less that of N(2 level, k/2): the constant-barrier law that the
     DP discretizes.
     """
-    if k < 1 or not level > 0.0:
-        raise DomainError(f"need k >= 1 and a level above the start, got k={k}, level={level}")
+    if k < 1 or not level > 0.0 or not math.isfinite(w):
+        raise DomainError(f"need k >= 1, a level above the start and a finite w, "
+                          f"got k={k}, level={level}, w={w}")
     sd = math.sqrt(k * STEP_VAR)
     endpoint = _normal_mass(w, w + 1.0, sd)
     if endpoint == 0.0:
@@ -200,7 +202,7 @@ def bridge_survival_mc(rng: np.random.Generator, k: int, w: float, barrier,
     """(estimate, binomial std error) for the same event as the DP."""
     if n_paths < 10_000:
         raise DomainError("need at least 1e4 paths")
-    levels, reflects = _levels(barrier, k)
+    levels, reflects = _levels(barrier, k, w)
     safe_levels = np.where(reflects, levels, 0.0)   # a step that does not reflect reads 0
     hits = survive = 0
     chunk = max(1, min(n_paths, 2_000_000 // k))

@@ -7,7 +7,6 @@ form; their agreement is one of the package's acceptance checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,37 +79,28 @@ def b_series(p: float, alpha: int, z: ShiftVector) -> complex:
     return complex(num / den)
 
 
-def _b_closed_regular(p: float, alpha: int, z: ShiftVector):
-    # alpha couples to the (z1, z2) pair, matching the defining series
+def b_closed(p: float, alpha: int, z: ShiftVector) -> complex:
+    """Closed form of B, regular at z1 = z2.
+
+    With x, y = p^-z1, p^-z2 and s_m = sigma_zw(p, m, z1, z2), each bracket
+    of the rational form is (x - y) times a sum (x^{m+1} - y^{m+1} = (x - y)
+    s_m), so B = (s_alpha - (p^-z3 + p^-z4) xy s_{alpha-1} / p
+    + p^-sum(z) xy s_{alpha-2} / p^2) / (1 - p^-sum(z) / p^2), where alpha
+    couples to the (z1, z2) pair as in the defining series and s_{-1} = 0.
+    """
+    if alpha == 0:
+        return 1.0 + 0.0j
     lp = np.log(p)
 
     def pw(e: complex):
         return np.exp(-e * lp)
 
-    b0 = pw(z.z1 * (alpha + 1)) - pw(z.z2 * (alpha + 1))
-    b1 = (pw(z.z3) + pw(z.z4)) * pw(z.z1 + z.z2) * (pw(z.z1 * alpha) - pw(z.z2 * alpha))
-    b2 = pw(z.total) * (pw(z.z2 + z.z1 * alpha) - pw(z.z1 + z.z2 * alpha))
-    p2 = p * p
-    den = (pw(z.z1) - pw(z.z2)) * (1.0 - pw(z.total) / p2)
-    return (b0 - b1 / p + b2 / p2) / den
-
-
-def b_closed(p: float, alpha: int, z: ShiftVector) -> complex:
-    """Closed rational-exponential form of B; z1 = z2 goes through a limit.
-
-    The removable singularity at z1 = z2 is evaluated by a 4-point Richardson
-    extrapolation in the difference variable (declared tolerance 1e-9).
-    """
-    if alpha == 0:
-        return 1.0 + 0.0j
-    if abs(z.z1 - z.z2) >= 1e-12:
-        return complex(_b_closed_regular(p, alpha, z))
-    delta = 3e-3 / (alpha * math.log(p))
-    vals = []
-    for d in (delta, -delta, 2 * delta, -2 * delta):
-        vals.append(_b_closed_regular(p, alpha,
-                                      ShiftVector(z.z1 + d, z.z2, z.z3, z.z4)))
-    return complex((4.0 * (vals[0] + vals[1]) - (vals[2] + vals[3])) / 6.0)
+    xy, total, p2 = pw(z.z1 + z.z2), pw(z.total), p * p
+    num = sigma_zw(p, alpha, z.z1, z.z2) \
+        - (pw(z.z3) + pw(z.z4)) * xy * sigma_zw(p, alpha - 1, z.z1, z.z2) / p
+    if alpha >= 2:
+        num += total * xy * sigma_zw(p, alpha - 2, z.z1, z.z2) / p2
+    return complex(num / (1.0 - total / p2))
 
 
 def local_factor(p: float, v1: int, v2: int, z: ShiftVector) -> complex:
@@ -121,16 +111,11 @@ def local_factor(p: float, v1: int, v2: int, z: ShiftVector) -> complex:
     """
     if v1 < 0 or v2 < 0:
         raise DomainError("valuations must be >= 0")
-    zero = z.norm() == 0.0
     cache: dict[tuple[str, int], complex] = {}
 
     def b_val(which: str, alpha: int):
         if (which, alpha) not in cache:
-            if zero:
-                cache[(which, alpha)] = complex(b_zero(p, alpha))
-            else:
-                zz = z if which == "z" else z.swapped
-                cache[(which, alpha)] = b_closed(p, alpha, zz)
+            cache[(which, alpha)] = b_closed(p, alpha, z if which == "z" else z.swapped)
         return cache[(which, alpha)]
 
     out = 0j

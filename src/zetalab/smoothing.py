@@ -35,6 +35,14 @@ def _sinc_half_widths(k_factors: int) -> np.ndarray:
     return 0.5 * raw / raw.sum()          # sum of widths is exactly 1/2
 
 
+def _f0(half_widths: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(prod_j sinc(2 a_j x))^2 at the float array x."""
+    out = np.ones_like(x)
+    for a in half_widths:
+        out *= np.sinc(2.0 * a * x)
+    return out * out
+
+
 @dataclass(frozen=True)
 class SmoothingFunction:
     """F0 = (prod_j sinc(2 a_j x))^2 with sum a_j = 1/2, plus lattice caches."""
@@ -45,11 +53,7 @@ class SmoothingFunction:
     l1_norm: float             # exact integral of F0
 
     def value(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.ones_like(x)
-        for a in self.half_widths:
-            out *= np.sinc(2.0 * a * x)
-        return out * out
+        return _f0(self.half_widths, np.atleast_1d(np.asarray(x, dtype=float)))
 
     def fhat(self, xi) -> np.ndarray:
         """Transform of F0 by the exact lattice cosine series (|xi| < 3)."""
@@ -125,13 +129,10 @@ class SmoothingFunction:
         map_blocks(block, range(0, len(x), 256))   # fixed blocks: same bits on any pool
         return out / self.l1_norm
 
-    def transform_tail_mass(self) -> float:
-        """Numerical mass of the transform outside [-1, 1] (FFT route)."""
-        return self._tail_mass
-
     @cached_property
-    def _tail_mass(self) -> float:
-        # every bump shares its base object, so the FFT runs once per base
+    def transform_tail_mass(self) -> float:
+        """Numerical mass of the transform outside [-1, 1] (FFT route); every
+        bump shares its base object, so the FFT runs once per base."""
         grid_extent, n_points = 4.0, 1 << 17
         dx = 2.0 * NODE_EXTENT / n_points
         xs = (np.arange(n_points) - n_points // 2) * dx
@@ -154,10 +155,7 @@ def make_ingham() -> SmoothingFunction:
     """
     widths = _sinc_half_widths(SINC_FACTORS)
     nodes = np.arange(-NODE_EXTENT, NODE_EXTENT + NODE_SPACING / 2, NODE_SPACING)
-    tmp = np.ones_like(nodes)
-    for a in widths:
-        tmp *= np.sinc(2.0 * a * nodes)
-    vals = tmp * tmp
+    vals = _f0(widths, nodes)
     l1 = NODE_SPACING * math.fsum(memoryview(vals))   # the node sum, correctly rounded
     return SmoothingFunction(half_widths=widths, nodes=nodes, node_values=vals, l1_norm=l1)
 
@@ -203,7 +201,7 @@ class BandlimitedBump:
 
     def support_violation_mass(self) -> float:
         """Upper estimate of transform mass beyond +-delta^{2a} (exactly 0)."""
-        return self.base.transform_tail_mass() / (math.pi * self.base.l1_norm)
+        return self.base.transform_tail_mass / (math.pi * self.base.l1_norm)
 
     def l1_transform(self) -> float:
         """Integral of |ghat| by 12 midpoint samples per lobe of the window sinc.
@@ -471,39 +469,3 @@ def poisson_reconstruct(coeffs: np.ndarray, t: float, h0: float) -> complex:
     # the kernel takes a lattice: evaluate the hull of the kept points, then select
     vals = dirichlet_value(np.asarray(coeffs, dtype=complex), t, hs[lo:hi + 1])
     return complex(np.sum(vals[keep[lo:hi + 1]] * weights[keep]) / (2.0 + eps))
-
-
-@dataclass
-class GridMaxReport:
-    ratio: float          # fine-grid max over the weighted lattice sum
-    tail_fraction: float
-
-
-def discretized_max_bound(coeff_list: list[np.ndarray], t: float) -> GridMaxReport:
-    """Max of sum |D_i|^2 on a fine grid over [-2, 2) against the weighted lattice sum.
-
-    Lattice step is 2 pi / (8 log N), the fine step an eighth of it; beyond
-    16 log N lattice points the contribution carries the weight (1 + |j|^100)^{-1}.
-    """
-    n_len = max(len(c) for c in coeff_list)
-    log_n = math.log(n_len)
-    step = 2.0 * math.pi / (8.0 * log_n)
-    fine = np.arange(-2.0, 2.0, step / 8)
-    fine_vals = np.zeros(len(fine))
-    for c in coeff_list:
-        fine_vals += np.abs(dirichlet_value(np.asarray(c, dtype=complex), t, fine)) ** 2
-    j_main = int(math.ceil(16.0 * log_n))
-    j_tail = 2 * j_main
-    js = np.arange(-j_tail, j_tail + 1)
-    hs = js * step
-    lattice_vals = np.zeros(len(js))
-    for c in coeff_list:
-        lattice_vals += np.abs(dirichlet_value(np.asarray(c, dtype=complex), t, hs)) ** 2
-    main_mask = np.abs(js) <= j_main
-    with np.errstate(over="ignore"):
-        tail_weights = 1.0 / (1.0 + np.abs(js[~main_mask], dtype=float) ** 100.0)
-    main = float(np.sum(lattice_vals[main_mask]))
-    tail = float(np.sum(lattice_vals[~main_mask] * tail_weights))
-    total = main + tail
-    return GridMaxReport(ratio=float(fine_vals.max() / total),
-                         tail_fraction=tail / total if total else 0.0)

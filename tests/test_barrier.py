@@ -67,8 +67,8 @@ def test_dp_without_inert_runs_keeps_its_bits():
     # constant barriers of ballot_sweep's random configs at seed 13 (4 configs)
     for k, level, w, conditional, joint in (
             (40, "0x1.d6c0966ab6eaep+1", -0.5, "0x1.7add9282914a6p-1", "0x1.0dd0a48c448ccp-4"),
-            (45, "0x1.02da76a6fec35p+1", 0.0, "0x1.e8b639640f5a3p-3", "0x1.46672b8f4d550p-6"),
-            (52, "0x1.8b1003e40ad5cp+1", 0.0, "0x1.d4c6493df8341p-2", "0x1.238aa93ccaae0p-5"),
+            (45, "0x1.02da76a6fec35p+1", 0.0, "0x1.e8b639640f5a5p-3", "0x1.46672b8f4d550p-6"),
+            (52, "0x1.8b1003e40ad5cp+1", 0.0, "0x1.d4c6493df8342p-2", "0x1.238aa93ccaae0p-5"),
             (104, "0x1.108ec5161aac5p+1", 0.0, "0x1.fee94f84f4e2ep-4", "0x1.c2ccc2a480ca0p-8")):
         out = bridge_survival_dp(k, w, lambda j: float.fromhex(level))
         assert (out.conditional.hex(), out.joint.hex()) == (conditional, joint)
@@ -159,7 +159,8 @@ def test_exact_law_edges():
                                      abs=2e-6)
     # 12 sd below the start, where erf(b) - erf(a) would be 0 / 0: 1 - ~e^{-25.5}
     assert bridge_survival_exact(20, -40.0, 3.0) == pytest.approx(1.0 - 1e-11, abs=1e-11)
-    for k, w, level in ((20, 0.0, 0.0), (0, 0.0, 1.0), (20, 1e6, 1e7)):
+    for k, w, level in ((20, 0.0, 0.0), (0, 0.0, 1.0), (20, 1e6, 1e7),
+                        (20, math.nan, 1.0), (20, math.inf, 1.0), (20, -math.inf, 1.0)):
         with pytest.raises(DomainError):
             bridge_survival_exact(k, w, level)
 
@@ -208,24 +209,28 @@ def test_mc_memory_and_bits():
 
 def test_reflection_mask():
     # a finite level reflects when the previous step's level was finite; the start counts as one
-    levels, reflects = _levels(lambda j: [2.0, math.inf, 3.0, 3.0, math.inf, math.inf, 1.0][j - 1], 7)
+    levels, reflects = _levels(lambda j: [2.0, math.inf, 3.0, 3.0, math.inf, math.inf, 1.0][j - 1], 7, 0.0)
     assert levels.tolist() == [2.0, math.inf, 3.0, 3.0, math.inf, math.inf, 1.0]
     assert reflects.tolist() == [True, False, False, True, False, False, False]
 
 
-@pytest.mark.parametrize("k, barrier", [(0, lambda j: 1.0), (-3, lambda j: 1.0),
-                                        (5, lambda j: math.nan if j == 3 else 1.0),
-                                        (5, lambda j: -math.inf if j == 5 else 1.0),
-                                        (1, lambda j: math.nan)],
-                         ids=["no steps", "negative k", "nan level", "-inf level", "nan start"])
-def test_barrier_input_contract(k, barrier):
+@pytest.mark.parametrize("k, w, barrier", [(0, -0.5, lambda j: 1.0), (-3, -0.5, lambda j: 1.0),
+                                           (5, -0.5, lambda j: math.nan if j == 3 else 1.0),
+                                           (5, -0.5, lambda j: -math.inf if j == 5 else 1.0),
+                                           (1, -0.5, lambda j: math.nan),
+                                           (5, math.nan, lambda j: 2.0),
+                                           (5, math.inf, lambda j: 2.0),
+                                           (5, -math.inf, lambda j: 2.0)],
+                         ids=["no steps", "negative k", "nan level", "-inf level", "nan start",
+                              "nan w", "inf w", "-inf w"])
+def test_barrier_input_contract(k, w, barrier):
     # both estimators refuse what neither can estimate, and the same way
     with pytest.raises(DomainError):
-        bridge_survival_dp(k, -0.5, barrier)
+        bridge_survival_dp(k, w, barrier)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        bridge_survival_mc(rng, k, -0.5, barrier, 10_000)
+        bridge_survival_mc(rng, k, w, barrier, 10_000)
     assert rng.bit_generator.state == state
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from zetalab.errors import DomainError
@@ -69,13 +70,24 @@ def test_series_vs_closed_grid():
         for alpha in (1, 2, 3, 4):
             for z in shifts:
                 worst = max(worst, abs(b_series(p, alpha, z) - complex(b_closed(p, alpha, z))))
-    assert worst <= 1e-8
+    assert worst <= 1e-12
 
 
 def test_closed_limit_route():
-    z = ShiftVector(0.4e-3, 0.4e-3, 1e-3, -0.7e-3)   # z1 == z2
-    for p, alpha in ((11, 1), (11, 3), (101, 2)):
-        assert abs(b_series(p, alpha, z) - complex(b_closed(p, alpha, z))) <= 1e-9
+    # z1 == z2, where the rational form's brackets and denominator all vanish
+    z = ShiftVector(0.4e-3, 0.4e-3, 1e-3, -0.7e-3)
+    cases = [(11, 1), (11, 3), (101, 2)]
+    cases += [(p, alpha) for p in (2, 3) for alpha in range(1, 7)]
+    for p, alpha in cases:
+        assert abs(b_series(p, alpha, z) - complex(b_closed(p, alpha, z))) <= 1e-12
+
+
+def test_closed_at_zero_shift():
+    for p in (2, 3, 5, 11, 101, 1009, 10007):
+        for alpha in range(8):
+            value = b_closed(p, alpha, ZERO_SHIFT)
+            assert value.imag == 0.0
+            assert abs(value.real - b_zero(p, alpha)) <= 2 * np.spacing(b_zero(p, alpha))
 
 
 def test_perturbation_scaling():

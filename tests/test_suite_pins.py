@@ -46,8 +46,8 @@ SIZES = {
 PINS = {
     "ballot_sweep": {
         "ballot_sweep.csv": "7fcad125af6fbdcd",
-        "ballot_sweep_metrics.csv": "4186c47d4b3d7c0f",
-        "ballot_sweep_record.json": "c88dd4b17ea8ab5e",
+        "ballot_sweep_metrics.csv": "afa020669c809eae",
+        "ballot_sweep_record.json": "e6e6da8dcf401734",
     },
     "berry_esseen": {
         "berry_esseen_metrics.csv": "11c99a8c1af99a83",
@@ -59,9 +59,9 @@ PINS = {
         "density_ratios.csv": "46ff91911c96186e",
     },
     "fourth_moment_suite": {
-        "fourth_moment_identities.csv": "e4f80689a07c9280",
-        "fourth_moment_suite_metrics.csv": "a225cd9248884bcc",
-        "fourth_moment_suite_record.json": "244ad960894aacb0",
+        "fourth_moment_identities.csv": "3aeb69538d274779",
+        "fourth_moment_suite_metrics.csv": "bb65cf9bd7e636c2",
+        "fourth_moment_suite_record.json": "8ab77aeee8e70a0d",
     },
     "mertens": {
         "mertens_metrics.csv": "c4832cd52088947a",
@@ -80,8 +80,8 @@ PINS = {
         "moments_zeta_record.json": "dd199b165f6df22b",
     },
     "poisson_suite": {
-        "poisson_suite_metrics.csv": "9195b099838b08ef",
-        "poisson_suite_record.json": "e63c32692f356a3d",
+        "poisson_suite_metrics.csv": "daa0c42289481601",
+        "poisson_suite_record.json": "b88981b18b52ed42",
     },
     "smoothing_suite": {
         "smoothing_suite_metrics.csv": "9e1c7a3843075d5f",
