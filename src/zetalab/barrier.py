@@ -171,7 +171,7 @@ def _normal_mass(a: float, b: float, sd: float) -> float:
     if b <= 0.0:
         a, b = -b, -a
     scale = sd * math.sqrt(2.0)
-    if a >= 0.0:
+    if a > 0.0:
         return 0.5 * (erfc(a / scale) - erfc(b / scale))
     return 0.5 * (erf(b / scale) - erf(a / scale))
 

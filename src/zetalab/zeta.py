@@ -85,32 +85,6 @@ def _rs_node(k: int) -> np.ndarray:
     return _rs_derivatives(k / _RS_LATTICE, len(_RS_M))
 
 
-@functools.cache
-def _rs_terms(levels: int) -> list:
-    """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
-    correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l)."""
-    d = _rs_d_table(levels)
-    return [[(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
-             for ell in range(3 * n // 2 + 1)]
-            for n in range(levels)]
-
-
-def _rs_shift(derivs: np.ndarray, delta: float, count: int) -> list[complex]:
-    """F^(m)(p + delta) for m < count from F^(m)(p) in contiguous `derivs`: the
-    Taylor shift sum_s F^(m+s)(p) delta^s / s!, which needs count |delta| <= 1
-    (its s-th term is then below 2^-s of the first) and stops at 2^-53."""
-    weights, bound = [1.0], 1.0
-    while True:
-        s = len(weights)
-        bound *= (count - 1 + s) / s * abs(delta) / _RS_RADIUS
-        if bound < 2.0 ** -53:
-            break
-        weights.append(weights[-1] * (delta / s))
-    # row s of this view is derivs[s:s + count], without a copy
-    rows = np.ndarray((len(weights), count), derivs.dtype, derivs, strides=(derivs.itemsize,) * 2)
-    return (np.array(weights) @ rows).tolist()
-
-
 def _rs_d_table(levels: int) -> list[list[float]]:
     """Coefficients d[n][k] of the expansion at sigma = 1/2."""
     d: list[list[float]] = [[1.0]]
@@ -139,64 +113,168 @@ def _rs_d_table(levels: int) -> list[list[float]]:
 # below picks just above t = 50) read orders near 100, whose contour values
 # have lost their digits to rounding
 _RS_MAX_LEVELS = 20
+_RS_LEVELS = np.arange(2, _RS_MAX_LEVELS + 1)
+_RS_ENVELOPE = np.array([2.03 * math.gamma(0.5 * level) for level in _RS_LEVELS.tolist()])
 
 
-def _rs_depth(a: float) -> int:
-    """Correction levels, at most _RS_MAX_LEVELS: minimize the term-size envelope (to 1e-12)."""
-    best_l, best = 2, math.inf
-    for level in range(2, _RS_MAX_LEVELS + 1):
-        bound = 2.03 * math.gamma(0.5 * level) * (2.0 * a) ** (-level)
-        if bound < best:
-            best_l, best = level, bound
-        if bound < 1e-12 or bound > 10 * best:
-            break
-    return best_l
+def _rs_depth(a: np.ndarray) -> np.ndarray:
+    """Correction levels at each height, at most _RS_MAX_LEVELS: going up from
+    level 2, the level of least term-size envelope 2.03 Gamma(l/2) (2a)^-l so
+    far, at the first level whose envelope is below 1e-12 or above ten times
+    that least.  numpy's pow can round (2a)^-l an ulp away from libm's, which
+    the rule was set with, so a height with a comparison within 2^-40 of a
+    tie takes Python's pow."""
+    bound = _RS_ENVELOPE * np.power(2.0 * a[:, None], -_RS_LEVELS)
+    least = np.minimum.accumulate(bound, axis=1)
+    # the rule compares a level's envelope with the least below it, ten times
+    # that, and 1e-12: each as a ratio, which is 1 at a tie
+    ratio = bound[:, 1:] / least[:, :-1]
+    gaps = np.concatenate([ratio, 0.1 * ratio, 1e12 * bound], axis=1)
+    gaps -= 1.0
+    near = np.abs(gaps, out=gaps).min(axis=1) <= 2.0 ** -40
+    if near.any():
+        bound[near] = [[c * (2.0 * aj) ** (-level) for c, level in zip(_RS_ENVELOPE.tolist(), _RS_LEVELS.tolist())]
+                       for aj in a[near].tolist()]
+        least = np.minimum.accumulate(bound, axis=1)
+    stop = (bound < 1e-12) | (bound > 10 * least)
+    stop[:, -1] = True
+    bound[np.arange(len(_RS_LEVELS)) > stop.argmax(axis=1)[:, None]] = np.inf
+    return bound.argmin(axis=1) + 2
 
 
-def _rs_remainder(a: float, p: float) -> complex:
+@functools.cache
+def _rs_table(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l) of a correction of
+    `levels` levels, one row per level n, padded with zero terms to the
+    longest: (order 3n - 2l, a coefficient c, a real divisor D per part) with
+    c F / D the term.  The denominator is real for even l, and then c is
+    d[n][l] and D the denominator; for odd l it is i b with b real, and then
+    c = -i d[n][l] and D = b.  So each part of c F is divided by one real
+    number, as CPython divides by a purely real or imaginary complex."""
+    d = _rs_d_table(levels)
+    shape = (levels, 3 * (levels - 1) // 2 + 1)
+    order, coef, den = np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex), np.ones(shape)
+    for n in range(levels):
+        for ell in range(3 * n // 2 + 1):
+            z = math.pi ** (2 * n - ell) * (2j) ** ell
+            order[n, ell] = 3 * n - 2 * ell
+            coef[n, ell], den[n, ell] = (d[n][ell], z.real) if ell % 2 == 0 else (-1j * d[n][ell], z.imag)
+    return order, coef, np.repeat(den, 2, axis=1)
+
+
+def _loop_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of x along `axis` in a Python loop's order, ((0 + x0) + x1) +
+    ..., by np.add.accumulate: np.sum's pairwise order would move bits.  x is
+    overwritten."""
+    head = (slice(None),) * axis
+    x[head + (0,)] += 0.0   # 0 + x0, which turns -0.0 into 0.0
+    return np.add.accumulate(x, axis=axis)[head + (-1,)]
+
+
+# Taylor weights the lattice shift may take beyond the first
+_RS_SHIFT_CAP = 15
+_RS_SHIFT_S = np.arange(1, _RS_SHIFT_CAP + 1)
+# (count - 1 + s) / s / _RS_RADIUS for counts up to 3 * 19 + 1 and s = 1, 2, ...
+_RS_SHIFT_GROWTH = (np.arange(3 * _RS_MAX_LEVELS)[:, None] - 1 + _RS_SHIFT_S) / _RS_SHIFT_S / _RS_RADIUS
+# per count, the weights beyond the first that |delta| = 1/512 takes, which
+# no smaller |delta| exceeds: 8 at 20 levels
+_RS_SHIFT_WIDTH = (np.multiply.accumulate(_RS_SHIFT_GROWTH / 512.0, axis=1) >= 2.0 ** -53).sum(axis=1)
+
+
+def _rs_shift(derivs: np.ndarray, delta: np.ndarray, count) -> np.ndarray:
+    """F^(m)(p_j + delta_j) for m < count at each height j, from the rows
+    derivs[j] = F^(m)(p_j) (count + _RS_SHIFT_CAP orders, contiguous): the
+    Taylor shift sum_s F^(m+s)(p_j) delta_j^s / s!, which needs
+    |delta_j| <= 1/512 (count |delta_j| < 1, so its s-th term is below 2^-s
+    of the first), each height's weights stopping at 2^-53.  `count` is one
+    int or one per height; the orders returned are those below the largest."""
+    count = np.asarray(count)
+    orders = int(count.max())
+    width = int(_RS_SHIFT_WIDTH[orders])
+    # the bound on term s, which falls with s; halving is exact, so this is
+    # (count - 1 + s) / s * |delta| / _RS_RADIUS as one height's loop takes it
+    bound = np.multiply.accumulate(_RS_SHIFT_GROWTH[count, :width] * np.abs(delta)[:, None], axis=1)
+    weights = np.ones((len(delta), width + 1))   # 1, delta / 1, (delta / 1) (delta / 2), ...
+    np.multiply.accumulate(delta[:, None] / _RS_SHIFT_S[:width], axis=1, out=weights[:, 1:])
+    weights[:, 1:] *= bound >= 2.0 ** -53   # a height's weights stop at its own 2^-53
+    # row s of a height's window is derivs[j, s:s + orders], without a copy;
+    # a real weight times a complex derivative is exact in either part, as
+    # in one height's weights @ rows
+    step = derivs.strides[1]
+    window = np.ndarray((len(delta), width + 1, orders), derivs.dtype, derivs,
+                        strides=(derivs.strides[0], step, step))
+    return _loop_sum(weights[:, :, None] * window, axis=1)
+
+
+def _rs_level(levels: int, a: np.ndarray, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The correction series at heights of depth `levels`, from the lattice
+    nodes k and offsets delta = p - k / _RS_LATTICE: each term and sum in the
+    order of CPython's complex arithmetic at one height, part by part."""
+    order, coef, den = _rs_table(levels)
+    count = 3 * (levels - 1) + 1
+    nodes = sorted(set(k.tolist()))
+    derivs = np.array([_rs_node(v)[:count + _RS_SHIFT_CAP] for v in nodes])[np.searchsorted(nodes, k)]
+    terms = coef * np.take(_rs_shift(derivs, delta, count), order, axis=1)
+    terms.view(float)[...] /= den
+    a_pow = np.empty((len(a), levels))   # 1, 1/a, (1/a)/a, ...
+    a_pow[:, 0], a_pow[:, 1:] = 1.0, a[:, None]
+    return _loop_sum(_loop_sum(terms, axis=2) * np.divide.accumulate(a_pow, axis=1), axis=1)
+
+
+# shifted derivatives per slice of heights of one depth, which keeps the
+# slice's temporaries under about 1 MB each
+_RS_SLICE_ORDERS = 1 << 15
+
+
+def _rs_remainder(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The correction series sum_n a^{-n} sum_l d[n][l] F^(3n-2l)(p) /
-    (pi^{2n-l} (2i)^l) at a = sqrt(t / 2 pi) and p = 1 - 2 frac(a), with F's
-    derivatives shifted from the nearest lattice node: |delta| <= 1/512 meets
-    _rs_shift's condition at every depth up to _RS_MAX_LEVELS."""
-    levels = _rs_depth(a)
-    k = round(p * _RS_LATTICE)
-    fp = _rs_shift(_rs_node(k), p - k / _RS_LATTICE, 3 * (levels - 1) + 1)
-    rssum = 0.0 + 0.0j
-    a_pow = 1.0
-    for terms in _rs_terms(levels):
-        acc = 0.0 + 0.0j
-        for coef, m, den in terms:
-            acc += coef * fp[m] / den
-        rssum += acc * a_pow
-        a_pow /= a
-    return rssum
+    (pi^{2n-l} (2i)^l) at each height, with a = sqrt(t / 2 pi) and
+    p = 1 - 2 frac(a).  F's derivatives are shifted from the nearest lattice
+    node: |delta| <= 1/512 meets _rs_shift's condition at every depth up to
+    _RS_MAX_LEVELS.  The heights go by depth, in slices, and a value's bits
+    never depend on the other heights."""
+    depth = _rs_depth(a)
+    k = np.rint(p * _RS_LATTICE).astype(int)   # half to even, as Python's round
+    delta = p - k / _RS_LATTICE
+    rem = np.empty(len(a), dtype=complex)
+    for levels in sorted(set(depth.tolist())):
+        rows = np.flatnonzero(depth == levels)
+        size = max(1, _RS_SLICE_ORDERS // (_RS_SHIFT_CAP * (3 * levels - 2)))
+        for i in range(0, len(rows), size):
+            part = rows[i:i + size]
+            rem[part] = _rs_level(levels, a[part], k[part], delta[part])
+    return rem
 
 
-def _rs_values(ts, n_main, s1) -> np.ndarray:
-    """Riemann-Siegel values at heights ts (an array, or one height as a
-    scalar) from their main sums s1 and lengths n_main (one int, or one per
-    height): theta for all heights at once, then the remainder and the
-    combination height by height in Python's complex arithmetic.  A scalar
-    and an array take the same operations, so a value's bits never depend on
-    the other heights."""
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for complex arrays as CPython's complex product, part by part:
+    numpy's own complex multiply may fuse a product and a sum."""
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _rs_values(ts: np.ndarray, n_main, s1: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel values at heights ts from their main sums s1 and lengths
+    n_main (one int, or one per height): theta, the remainder and the
+    combination r + u^2 e conj(r) as whole-array passes, each complex product
+    and quotient taken part by part in CPython's order, so a value has the
+    bits of the same formula at its height alone."""
     a = np.sqrt(ts / TWO_PI)
     arg_main, arg_corr = theta_mod_2pi(ts)
     u = np.exp(-1j * arg_main)
-    values = []
-    for aj, nj, uj, ej, sj in zip(*(np.atleast_1d(x).tolist() for x in (
-            a, np.broadcast_to(n_main, np.shape(ts)), u, np.exp(-2j * arg_corr), s1))):
-        s3 = (1.0 if nj % 2 else -1.0) * uj / math.sqrt(aj)
-        r_val = sj + s3 * _rs_remainder(aj, 1.0 - 2.0 * (aj - nj))
-        values.append(r_val + uj * uj * ej * r_val.conjugate())
-    return np.array(values)
+    s3 = (n_main % 2 * 2.0 - 1.0) * u   # +-u, for odd and even N
+    s3.view(float).reshape(-1, 2)[...] /= np.sqrt(a)[:, None]
+    r = s1 + _cmul(s3, _rs_remainder(a, 1.0 - 2.0 * (a - n_main)))
+    return r + _cmul(_cmul(_cmul(u, u), np.exp(-2j * arg_corr)), np.conj(r))
 
 
-def _rs_block(n_main: int, ts, buffer: np.ndarray | None = None) -> np.ndarray:
-    """zeta_riemann_siegel at heights ts (or one height) that share the
-    main-sum length n_main, with their main-sum terms built in `buffer` if
-    given; a value has the same bits alone as in any block."""
+def _rs_block(n_main: int, ts: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """The main sums at heights ts that share the main-sum length n_main, with
+    their terms built in `buffer` if given."""
     terms = None if buffer is None else buffer[:len(ts) * n_main].reshape(len(ts), n_main)
-    return _rs_values(ts, n_main, np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1))
+    return np.sum(powers(n_main, 0.5 + 1j * ts, terms), axis=-1)
 
 
 def zeta_riemann_siegel(t: float) -> complex:
@@ -208,19 +286,24 @@ def zeta_riemann_siegel(t: float) -> complex:
     if t > MAX_T:
         raise CapacityError(f"t={t} beyond supported range {MAX_T}")
     n_main = math.floor(math.sqrt(t / TWO_PI))
-    return complex(_rs_block(n_main, np.float64(t))[0])
+    ts = np.array([t])
+    return complex(_rs_values(ts, n_main, _rs_block(n_main, ts))[0])
 
 
 # main-sum terms per block of heights: 2^16 complex values, 1 MB, so a block's
 # temporaries stay near 4 MB
 _BLOCK_TERMS = 1 << 16
+# heights per pass of _rs_values in _rs_heights, whose temporaries then stay
+# under about 2 MB
+_RS_SLICE = 1024
 
 
 def _rs_heights(ts: np.ndarray) -> np.ndarray:
-    """zeta_riemann_siegel at every height ts[j] (at least one), grouped by
-    main-sum length in blocks of at most _BLOCK_TERMS terms, built in one
-    buffer; bit for bit as one call per height."""
-    values = np.empty(len(ts), dtype=complex)
+    """zeta_riemann_siegel at every height ts[j] (at least one): the main sums
+    grouped by length in blocks of at most _BLOCK_TERMS terms, built in one
+    buffer, then the rest in slices of _RS_SLICE heights; bit for bit as one
+    call per height."""
+    s1 = np.empty(len(ts), dtype=complex)
     n_main = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
     order = np.argsort(n_main, kind="stable")
     buffer = np.empty(_BLOCK_TERMS, dtype=complex)
@@ -229,7 +312,12 @@ def _rs_heights(ts: np.ndarray) -> np.ndarray:
         size = max(1, _BLOCK_TERMS // n)
         for i in range(0, len(group), size):
             block = group[i:i + size]
-            values[block] = _rs_block(n, ts[block], buffer if n <= _BLOCK_TERMS else None)
+            s1[block] = _rs_block(n, ts[block], buffer if n <= _BLOCK_TERMS else None)
+    del buffer
+    values = np.empty(len(ts), dtype=complex)
+    for i in range(0, len(ts), _RS_SLICE):
+        part = order[i:i + _RS_SLICE]
+        values[part] = _rs_values(ts[part], n_main[part], s1[part])
     return values
 
 

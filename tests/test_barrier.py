@@ -36,6 +36,20 @@ def test_dp_infinite_barrier_unit():
         assert out.joint == pytest.approx(_normal_mass(w, w + 1.0, math.sqrt(k / 2)), rel=2e-7)
 
 
+def test_normal_mass_from_zero_takes_erf():
+    # a bin that starts at 0 is erf(b / (sd sqrt 2)) / 2, with no cancellation
+    # when b / sd is small, where the erfc form 0.5 (1 - erfc(b / (sd sqrt 2)))
+    # keeps only the digits that erfc ~ 1 leaves: at b / sd = 1e-9 it is off
+    # by about 1e-7 relative
+    from scipy.special import erf
+    mpmath = pytest.importorskip("mpmath")
+    for b, sd in ((1.0, 7.0), (1.0, 10.0), (0.5, 30.0), (1e-3, 1.0), (1e-9, 1.0)):
+        mass = _normal_mass(0.0, b, sd)
+        assert mass == 0.5 * erf(b / (sd * math.sqrt(2.0))) == _normal_mass(-b, 0.0, sd)
+        exact = mpmath.erf(mpmath.mpf(b) / (mpmath.mpf(sd) * mpmath.sqrt(2))) / 2
+        assert abs(mass - float(exact)) <= 4e-16 * mass
+
+
 def test_cut_above_zeroes_every_cell_whose_upper_edge_reaches_the_level():
     grid = np.arange(4.0)                     # upper edges 0.5, 1.5, 2.5, 3.5
     for level, want in ((1.7, [1, 1, 0, 0]), (1.5, [1, 0, 0, 0]), (3.5, [1, 1, 1, 0]),
@@ -67,8 +81,8 @@ def test_dp_without_inert_runs_keeps_its_bits():
     # constant barriers of ballot_sweep's random configs at seed 13 (4 configs)
     for k, level, w, conditional, joint in (
             (40, "0x1.d6c0966ab6eaep+1", -0.5, "0x1.7add9282914a6p-1", "0x1.0dd0a48c448ccp-4"),
-            (45, "0x1.02da76a6fec35p+1", 0.0, "0x1.e8b639640f5a5p-3", "0x1.46672b8f4d550p-6"),
-            (52, "0x1.8b1003e40ad5cp+1", 0.0, "0x1.d4c6493df8342p-2", "0x1.238aa93ccaae0p-5"),
+            (45, "0x1.02da76a6fec35p+1", 0.0, "0x1.e8b639640f5a3p-3", "0x1.46672b8f4d550p-6"),
+            (52, "0x1.8b1003e40ad5cp+1", 0.0, "0x1.d4c6493df8341p-2", "0x1.238aa93ccaae0p-5"),
             (104, "0x1.108ec5161aac5p+1", 0.0, "0x1.fee94f84f4e2ep-4", "0x1.c2ccc2a480ca0p-8")):
         out = bridge_survival_dp(k, w, lambda j: float.fromhex(level))
         assert (out.conditional.hex(), out.joint.hex()) == (conditional, joint)

@@ -46,8 +46,8 @@ SIZES = {
 PINS = {
     "ballot_sweep": {
         "ballot_sweep.csv": "7fcad125af6fbdcd",
-        "ballot_sweep_metrics.csv": "afa020669c809eae",
-        "ballot_sweep_record.json": "e6e6da8dcf401734",
+        "ballot_sweep_metrics.csv": "4186c47d4b3d7c0f",
+        "ballot_sweep_record.json": "c88dd4b17ea8ab5e",
     },
     "berry_esseen": {
         "berry_esseen_metrics.csv": "11c99a8c1af99a83",

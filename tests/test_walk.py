@@ -243,18 +243,21 @@ def test_rs_lattice_shared_by_threads(monkeypatch, workers):
 
 def test_rs_lattice_shift_matches_direct_contour(rng):
     # F^(m)(p) shifted from the nearest node against a contour at p itself,
-    # for every order that a correction of up to 20 levels reads; relative
-    # to |F^(m)(p)|, floored at m! / 2^m, the size below which the contour's
-    # own rounding (absolute, about 2^-52 m! / radius^m) decides
+    # for every order that a correction of up to 20 levels reads, all 400 p
+    # in one call; relative to |F^(m)(p)|, floored at m! / 2^m, the size
+    # below which the contour's own rounding (absolute, about
+    # 2^-52 m! / radius^m) decides
     assert zeta._RS_MAX_LEVELS == 20
     m = np.arange(3 * 19 + 1)
     floor = np.array([math.factorial(int(v)) for v in m]) / 2.0 ** m
+    ps = rng.uniform(-1.0, 1.0, size=400)
+    counts = np.array([3 * (int(rng.integers(2, 21)) - 1) + 1 for _ in ps])
+    ks = np.rint(ps * zeta._RS_LATTICE).astype(int)
+    derivs = np.array([zeta._rs_node(k)[:counts.max() + zeta._RS_SHIFT_CAP] for k in ks.tolist()])
+    shifted = zeta._rs_shift(derivs, ps - ks / zeta._RS_LATTICE, counts)
     worst = 0.0
-    for p in rng.uniform(-1.0, 1.0, size=400):
-        count = 3 * (int(rng.integers(2, 21)) - 1) + 1
-        k = round(p * zeta._RS_LATTICE)
-        shifted = zeta._rs_shift(zeta._rs_node(k), p - k / zeta._RS_LATTICE, count)
+    for p, count, row in zip(ps, counts.tolist(), shifted):
         direct = zeta._rs_derivatives(p, count)
-        worst = max(worst, float(np.max(np.abs(shifted - direct)
+        worst = max(worst, float(np.max(np.abs(row[:count] - direct)
                                         / np.maximum(np.abs(direct), floor[:count]))))
     assert worst <= 1e-13

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -207,6 +208,152 @@ def test_rs_hard_points():
     for t in (50.0, 50.5, 2 * math.pi * 4 * 4 + 1e-9, 2 * math.pi * 25 - 1e-9, 9999.5):
         gap = relative_gap(zeta_riemann_siegel(t), zeta_euler_maclaurin(0.5 + 1j * t))
         assert gap <= 1e-12
+
+
+# The scalar Riemann-Siegel correction as it was written before the array
+# kernel, kept verbatim as its oracle: one height at a time in Python's
+# complex arithmetic, the shift by a matrix product
+
+
+@functools.cache
+def _ref_rs_terms(levels: int) -> list:
+    """Per level n, the terms (d[n][l], 3n - 2l, pi^{2n-l} (2i)^l) of the
+    correction d[n][l] F^(3n-2l)(p) / (pi^{2n-l} (2i)^l)."""
+    d = zeta._rs_d_table(levels)
+    return [[(d[n][ell], 3 * n - 2 * ell, math.pi ** (2 * n - ell) * (2j) ** ell)
+             for ell in range(3 * n // 2 + 1)]
+            for n in range(levels)]
+
+
+def _ref_rs_shift(derivs: np.ndarray, delta: float, count: int) -> list[complex]:
+    """F^(m)(p + delta) for m < count from F^(m)(p) in contiguous `derivs`: the
+    Taylor shift sum_s F^(m+s)(p) delta^s / s!, which needs count |delta| <= 1
+    (its s-th term is then below 2^-s of the first) and stops at 2^-53."""
+    weights, bound = [1.0], 1.0
+    while True:
+        s = len(weights)
+        bound *= (count - 1 + s) / s * abs(delta) / zeta._RS_RADIUS
+        if bound < 2.0 ** -53:
+            break
+        weights.append(weights[-1] * (delta / s))
+    # row s of this view is derivs[s:s + count], without a copy
+    rows = np.ndarray((len(weights), count), derivs.dtype, derivs, strides=(derivs.itemsize,) * 2)
+    return (np.array(weights) @ rows).tolist()
+
+
+def _ref_rs_depth(a: float) -> int:
+    """Correction levels, at most _RS_MAX_LEVELS: minimize the term-size envelope (to 1e-12)."""
+    best_l, best = 2, math.inf
+    for level in range(2, zeta._RS_MAX_LEVELS + 1):
+        bound = 2.03 * math.gamma(0.5 * level) * (2.0 * a) ** (-level)
+        if bound < best:
+            best_l, best = level, bound
+        if bound < 1e-12 or bound > 10 * best:
+            break
+    return best_l
+
+
+def _ref_rs_remainder(a: float, p: float) -> complex:
+    """The correction series sum_n a^{-n} sum_l d[n][l] F^(3n-2l)(p) /
+    (pi^{2n-l} (2i)^l) at a = sqrt(t / 2 pi) and p = 1 - 2 frac(a), with F's
+    derivatives shifted from the nearest lattice node: |delta| <= 1/512 meets
+    _rs_shift's condition at every depth up to _RS_MAX_LEVELS."""
+    levels = _ref_rs_depth(a)
+    k = round(p * zeta._RS_LATTICE)
+    fp = _ref_rs_shift(zeta._rs_node(k), p - k / zeta._RS_LATTICE, 3 * (levels - 1) + 1)
+    rssum = 0.0 + 0.0j
+    a_pow = 1.0
+    for terms in _ref_rs_terms(levels):
+        acc = 0.0 + 0.0j
+        for coef, m, den in terms:
+            acc += coef * fp[m] / den
+        rssum += acc * a_pow
+        a_pow /= a
+    return rssum
+
+
+def _ref_rs_values(ts, n_main, s1) -> np.ndarray:
+    a = np.sqrt(ts / zeta.TWO_PI)
+    arg_main, arg_corr = walk.theta_mod_2pi(ts)
+    u = np.exp(-1j * arg_main)
+    values = []
+    for aj, nj, uj, ej, sj in zip(*(np.atleast_1d(x).tolist() for x in (
+            a, np.broadcast_to(n_main, np.shape(ts)), u, np.exp(-2j * arg_corr), s1))):
+        s3 = (1.0 if nj % 2 else -1.0) * uj / math.sqrt(aj)
+        r_val = sj + s3 * _ref_rs_remainder(aj, 1.0 - 2.0 * (aj - nj))
+        values.append(r_val + uj * uj * ej * r_val.conjugate())
+    return np.array(values)
+
+
+def _bits(z: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def _depth_edges() -> np.ndarray:
+    """Every a in [1, 4e5] where the scalar depth changes, to the last bit,
+    with the three floats on either side."""
+    grid = np.exp(np.linspace(0.0, math.log(4e5), 4001)).tolist()
+    depth = [_ref_rs_depth(a) for a in grid]
+    edges = []
+    for lo, hi, d_lo in zip(grid, grid[1:], depth):
+        if _ref_rs_depth(hi) == d_lo:
+            continue
+        # positive floats order as their bits
+        lo_bits, hi_bits = (int(np.float64(x).view(np.int64)) for x in (lo, hi))
+        while hi_bits - lo_bits > 1:
+            mid = (lo_bits + hi_bits) // 2
+            if _ref_rs_depth(float(np.int64(mid).view(np.float64))) == d_lo:
+                lo_bits = mid
+            else:
+                hi_bits = mid
+        edges += [float(np.int64(hi_bits + j).view(np.float64)) for j in range(-3, 4)]
+    return np.array(edges)
+
+
+# random heights per band of the oracle test: the deepest corrections near
+# t = 50, the switch to shallower ones, and the benchmark's and the
+# range's heights
+RS_KERNEL_BANDS = ((50.0, 200.0), (200.0, 1e4), (1e6, 2e6), (1e7, 2e7), (1e8, 2e8), (1e11, 1e12))
+
+
+@pytest.mark.parametrize("lo, hi", RS_KERNEL_BANDS, ids=[f"{lo:g}" for lo, _ in RS_KERNEL_BANDS])
+def test_rs_kernel_keeps_the_scalar_bits(rng, lo, hi):
+    ts = rng.uniform(lo, hi, size=4000)
+    a = np.sqrt(ts / zeta.TWO_PI)
+    n_main = np.floor(a).astype(int)
+    p = 1.0 - 2.0 * (a - n_main)
+    assert zeta._rs_depth(a).tolist() == [_ref_rs_depth(x) for x in a.tolist()]
+    ref = np.array([_ref_rs_remainder(x, y) for x, y in zip(a.tolist(), p.tolist())])
+    assert np.array_equal(_bits(zeta._rs_remainder(a, p)), _bits(ref))
+    s1 = rng.normal(size=200) + 1j * rng.normal(size=200)
+    assert np.array_equal(_bits(zeta._rs_values(ts[:200], n_main[:200], s1)),
+                          _bits(_ref_rs_values(ts[:200], n_main[:200], s1)))
+
+
+def test_rs_kernel_at_depth_edges_and_lattice_nodes(rng):
+    # the depth rule's edges, where numpy's pow and Python's may disagree by
+    # an ulp and the kernel falls back to Python's; p exactly on a lattice
+    # node (delta = 0) at both parities of N = floor(a); and a block of one
+    # against a block of many
+    a = _depth_edges()
+    assert set(_ref_rs_depth(x) for x in a.tolist()) == set(range(3, 21))
+    assert zeta._rs_depth(a).tolist() == [_ref_rs_depth(x) for x in a.tolist()]
+    p = rng.uniform(-1.0, 1.0, size=len(a))
+    big_n = np.arange(2, 40)
+    node_a = (big_n[:, None] + np.arange(0, 512, 37) / 512.0).ravel()   # a - N = j / 512
+    node_p = 1.0 - 2.0 * (node_a - np.floor(node_a))
+    assert np.array_equal(node_p * zeta._RS_LATTICE, np.rint(node_p * zeta._RS_LATTICE))
+    a, p = np.concatenate([a, node_a]), np.concatenate([p, node_p])
+    ref = np.array([_ref_rs_remainder(x, y) for x, y in zip(a.tolist(), p.tolist())])
+    many = zeta._rs_remainder(a, p)
+    assert np.array_equal(_bits(many), _bits(ref))
+    alone = [zeta._rs_remainder(a[j:j + 1], p[j:j + 1])[0] for j in range(0, len(a), 7)]
+    assert np.array_equal(_bits(alone), _bits(many[::7]))
+    ts = zeta.TWO_PI * node_a ** 2
+    n_main = np.floor(np.sqrt(ts / zeta.TWO_PI)).astype(int)
+    assert {0, 1} <= set((n_main % 2).tolist())
+    s1 = rng.normal(size=len(ts)) + 1j * rng.normal(size=len(ts))
+    assert np.array_equal(_bits(zeta._rs_values(ts, n_main, s1)), _bits(_ref_rs_values(ts, n_main, s1)))
 
 
 # zeta_critical against mpmath (30 digits), per decade of t: fixed heights and
