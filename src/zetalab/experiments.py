@@ -504,13 +504,14 @@ def run_moments_zeta(config: ExperimentConfig):
     first_zero = abs(zt.zeta_critical(14.1347251417))
     n_cross = param(config, "n_cross", 200, above=0)
     ts = rng.uniform(50.0, 1e4, size=n_cross)
-    # the Riemann-Siegel values in one batch, each with a lone call's bits;
-    # the worst gap is re-taken from a lone call at its height, so the
-    # reported figure is the public function's
-    em = [zt.zeta_euler_maclaurin(0.5 + 1j * t) for t in ts.tolist()]
-    gaps = [zt.relative_gap(rs, e) for rs, e in zip(zt._critical_values(ts, zt._rs_heights).tolist(), em)]
-    worst = int(np.argmax(gaps))
-    worst_gap = zt.relative_gap(zt.zeta_riemann_siegel(float(ts[worst])), em[worst])
+    # the random heights in one batch, as moment_estimate evaluates its
+    # draws; test_zeta's hard points one public call each, as zeta_critical
+    # makes them: the switch, where the correction is deepest, either side of
+    # an integer sqrt(t / 2 pi), where p reaches +-1, and the band's top
+    hard = [zt.RS_SWITCH, 50.5, zt.TWO_PI * 16 + 1e-9, zt.TWO_PI * 25 - 1e-9, 9999.5]
+    rs = zt._critical_values(ts, zt._rs_heights).tolist() + [zt.zeta_riemann_siegel(t) for t in hard]
+    worst_gap = max(zt.relative_gap(v, zt.zeta_euler_maclaurin(0.5 + 1j * t))
+                    for t, v in zip(ts.tolist() + hard, rs))
     est2 = zt.moment_estimate(big_t, 2, param(config, "n_samples", 2000, above=0),
                               seed_stream(config.seed, 1))
     ratio2 = est2.mean / math.log(big_t)

@@ -121,22 +121,9 @@ def _rs_depth(a: np.ndarray) -> np.ndarray:
     """Correction levels at each height, at most _RS_MAX_LEVELS: going up from
     level 2, the level of least term-size envelope 2.03 Gamma(l/2) (2a)^-l so
     far, at the first level whose envelope is below 1e-12 or above ten times
-    that least.  numpy's pow can round (2a)^-l an ulp away from libm's, which
-    the rule was set with, so a height with a comparison within 2^-40 of a
-    tie takes Python's pow."""
+    that least."""
     bound = _RS_ENVELOPE * np.power(2.0 * a[:, None], -_RS_LEVELS)
-    least = np.minimum.accumulate(bound, axis=1)
-    # the rule compares a level's envelope with the least below it, ten times
-    # that, and 1e-12: each as a ratio, which is 1 at a tie
-    ratio = bound[:, 1:] / least[:, :-1]
-    gaps = np.concatenate([ratio, 0.1 * ratio, 1e12 * bound], axis=1)
-    gaps -= 1.0
-    near = np.abs(gaps, out=gaps).min(axis=1) <= 2.0 ** -40
-    if near.any():
-        bound[near] = [[c * (2.0 * aj) ** (-level) for c, level in zip(_RS_ENVELOPE.tolist(), _RS_LEVELS.tolist())]
-                       for aj in a[near].tolist()]
-        least = np.minimum.accumulate(bound, axis=1)
-    stop = (bound < 1e-12) | (bound > 10 * least)
+    stop = (bound < 1e-12) | (bound > 10 * np.minimum.accumulate(bound, axis=1))
     stop[:, -1] = True
     bound[np.arange(len(_RS_LEVELS)) > stop.argmax(axis=1)[:, None]] = np.inf
     return bound.argmin(axis=1) + 2
@@ -212,8 +199,7 @@ def _rs_level(levels: int, a: np.ndarray, k: np.ndarray, delta: np.ndarray) -> n
     order of CPython's complex arithmetic at one height, part by part."""
     order, coef, den = _rs_table(levels)
     count = 3 * (levels - 1) + 1
-    nodes = sorted(set(k.tolist()))
-    derivs = np.array([_rs_node(v)[:count + _RS_SHIFT_CAP] for v in nodes])[np.searchsorted(nodes, k)]
+    derivs = np.array([_rs_node(v)[:count + _RS_SHIFT_CAP] for v in k.tolist()])
     terms = coef * np.take(_rs_shift(derivs, delta, count), order, axis=1)
     terms.view(float)[...] /= den
     a_pow = np.empty((len(a), levels))   # 1, 1/a, (1/a)/a, ...
@@ -221,9 +207,9 @@ def _rs_level(levels: int, a: np.ndarray, k: np.ndarray, delta: np.ndarray) -> n
     return _loop_sum(_loop_sum(terms, axis=2) * np.divide.accumulate(a_pow, axis=1), axis=1)
 
 
-# shifted derivatives per slice of heights of one depth, which keeps the
-# slice's temporaries under about 1 MB each
-_RS_SLICE_ORDERS = 1 << 15
+# heights per pass of the correction series: at 20 levels a pass's
+# temporaries peak near 5 MiB
+_RS_SLICE = 256
 
 
 def _rs_remainder(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -231,18 +217,16 @@ def _rs_remainder(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     (pi^{2n-l} (2i)^l) at each height, with a = sqrt(t / 2 pi) and
     p = 1 - 2 frac(a).  F's derivatives are shifted from the nearest lattice
     node: |delta| <= 1/512 meets _rs_shift's condition at every depth up to
-    _RS_MAX_LEVELS.  The heights go by depth, in slices, and a value's bits
-    never depend on the other heights."""
-    depth = _rs_depth(a)
+    _RS_MAX_LEVELS.  The heights go in slices of _RS_SLICE, and within one by
+    depth; a value's bits never depend on the other heights."""
     k = np.rint(p * _RS_LATTICE).astype(int)   # half to even, as Python's round
     delta = p - k / _RS_LATTICE
     rem = np.empty(len(a), dtype=complex)
-    for levels in sorted(set(depth.tolist())):
-        rows = np.flatnonzero(depth == levels)
-        size = max(1, _RS_SLICE_ORDERS // (_RS_SHIFT_CAP * (3 * levels - 2)))
-        for i in range(0, len(rows), size):
-            part = rows[i:i + size]
-            rem[part] = _rs_level(levels, a[part], k[part], delta[part])
+    for i in range(0, len(a), _RS_SLICE):
+        depth = _rs_depth(a[i:i + _RS_SLICE])
+        for levels in sorted(set(depth.tolist())):
+            rows = i + np.flatnonzero(depth == levels)
+            rem[rows] = _rs_level(levels, a[rows], k[rows], delta[rows])
     return rem
 
 
@@ -293,15 +277,12 @@ def zeta_riemann_siegel(t: float) -> complex:
 # main-sum terms per block of heights: 2^16 complex values, 1 MB, so a block's
 # temporaries stay near 4 MB
 _BLOCK_TERMS = 1 << 16
-# heights per pass of _rs_values in _rs_heights, whose temporaries then stay
-# under about 2 MB
-_RS_SLICE = 1024
 
 
 def _rs_heights(ts: np.ndarray) -> np.ndarray:
     """zeta_riemann_siegel at every height ts[j] (at least one): the main sums
     grouped by length in blocks of at most _BLOCK_TERMS terms, built in one
-    buffer, then the rest in slices of _RS_SLICE heights; bit for bit as one
+    buffer, then the rest over all heights in one pass; bit for bit as one
     call per height."""
     s1 = np.empty(len(ts), dtype=complex)
     n_main = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
@@ -314,11 +295,7 @@ def _rs_heights(ts: np.ndarray) -> np.ndarray:
             block = group[i:i + size]
             s1[block] = _rs_block(n, ts[block], buffer if n <= _BLOCK_TERMS else None)
     del buffer
-    values = np.empty(len(ts), dtype=complex)
-    for i in range(0, len(ts), _RS_SLICE):
-        part = order[i:i + _RS_SLICE]
-        values[part] = _rs_values(ts[part], n_main[part], s1[part])
-    return values
+    return _rs_values(ts, n_main, s1)
 
 
 def zeta_critical(t: float) -> complex:

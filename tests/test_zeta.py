@@ -331,10 +331,10 @@ def test_rs_kernel_keeps_the_scalar_bits(rng, lo, hi):
 
 
 def test_rs_kernel_at_depth_edges_and_lattice_nodes(rng):
-    # the depth rule's edges, where numpy's pow and Python's may disagree by
-    # an ulp and the kernel falls back to Python's; p exactly on a lattice
-    # node (delta = 0) at both parities of N = floor(a); and a block of one
-    # against a block of many
+    # the depth rule's edges, where an ulp of numpy's pow against Python's
+    # would change a height's depth; p exactly on a lattice node (delta = 0)
+    # at both parities of N = floor(a); and a block of one against a block
+    # of many
     a = _depth_edges()
     assert set(_ref_rs_depth(x) for x in a.tolist()) == set(range(3, 21))
     assert zeta._rs_depth(a).tolist() == [_ref_rs_depth(x) for x in a.tolist()]
