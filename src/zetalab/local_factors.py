@@ -111,13 +111,6 @@ def local_factor(p: float, v1: int, v2: int, z: ShiftVector) -> complex:
     """
     if v1 < 0 or v2 < 0:
         raise DomainError("valuations must be >= 0")
-    cache: dict[tuple[str, int], complex] = {}
-
-    def b_val(which: str, alpha: int):
-        if (which, alpha) not in cache:
-            cache[(which, alpha)] = b_closed(p, alpha, z if which == "z" else z.swapped)
-        return cache[(which, alpha)]
-
     out = 0j
     for k1 in range(3):
         for k2 in range(3):
@@ -125,5 +118,5 @@ def local_factor(p: float, v1: int, v2: int, z: ShiftVector) -> complex:
             m = min(e1, e2)
             # the ufunc, not `**` on a scalar (C pow), keeps the bits
             weight = F_WEIGHTS[k1] * F_WEIGHTS[k2] * np.power(p, float(-max(e1, e2)))
-            out = out + weight * b_val("z", e1 - m) * b_val("w", e2 - m)
+            out = out + weight * b_closed(p, e1 - m, z) * b_closed(p, e2 - m, z.swapped)
     return complex(out)

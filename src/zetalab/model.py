@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .errors import CapacityError, DomainError
 from .parallel import map_blocks
@@ -185,7 +186,6 @@ class GaussianComparison:
 
 
 def _gauss_cdf(x: np.ndarray, var: float) -> np.ndarray:
-    from scipy.special import erf
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0 * var)))
 
 

@@ -30,12 +30,6 @@ _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 _TWO_PI_LD = 2 * _PI_LD
 
 
-def _reduce(logs: np.ndarray, t) -> np.ndarray:
-    """t log n mod 2 pi from extended-precision logs, for the array path of
-    `powers` and the few direct terms of `shifted_sums`."""
-    return np.mod(np.longdouble(t) * logs, _TWO_PI_LD).astype(float)
-
-
 # The tables are held in chunks of _CHUNK rows (n = cC + 1 .. (c + 1)C in chunk
 # c), read-only arrays each a function of c alone, built on first use (with
 # the chunks below it that it reads), so no bit depends on which sizes came
@@ -259,7 +253,8 @@ def powers(n, s, out: np.ndarray | None = None) -> np.ndarray:
                     rows[cols + (idx,)] = rows[cols + (a,)] * rows[cols + (b,)]
         return out
     logs_ld = np.log(np.asarray(n).astype(np.longdouble))
-    return np.exp(-s.real * logs_ld.astype(float)) * np.exp(-1j * _reduce(logs_ld, s.imag))
+    phase = np.mod(np.longdouble(s.imag) * logs_ld, _TWO_PI_LD).astype(float)
+    return np.exp(-s.real * logs_ld.astype(float)) * np.exp(-1j * phase)
 
 
 # Jacobi-Anger: e^{-i d log n} = sum_k eps_k (-i)^k J_k(2 log n) T_k(d / 2), with
@@ -300,13 +295,15 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
     """sum_{n <= tops[j]} n^{-1/2 - i ts[j]} for heights ts within 2 of tau,
     with every tops[j] >= n0.
 
-    The terms n <= n0 come from one reduction at tau: with a_n = n^{-1/2-i tau}
-    and d = ts[j] - tau (exact in float64), sum_n a_n e^{-i d log n} is the
+    Every term comes from one reduction at tau: with a_n = n^{-1/2-i tau} and
+    d = ts[j] - tau (exact in float64), sum_{n <= n0} a_n e^{-i d log n} is the
     Chebyshev series sum_k c_k T_k(d / 2), c_k = eps_k (-i)^k sum_n a_n
-    J_k(2 log n).  The few terms in (n0, tops[j]] are taken directly.  Every
-    operation is elementwise over the heights or fixed by tau and n0, so each
-    value depends only on (tau, ts[j], tops[j])."""
-    a = powers(n0, 0.5 + 1j * tau).view(float).reshape(n0, 2)
+    J_k(2 log n), and the few terms in (n0, tops[j]] are a_n e^{-i d log n}
+    taken directly.  Every operation is elementwise over the heights or fixed
+    by tau and n0, so each value depends only on (tau, ts[j], tops[j])."""
+    top = int(tops.max())
+    terms = powers(top, 0.5 + 1j * tau)
+    a = terms[:n0].view(float).reshape(n0, 2)
     # one pass per Bessel chunk for the real and imaginary parts; einsum, not
     # a BLAS product, so the bits do not depend on the BLAS thread count
     re_im = np.einsum("nr,nk->rk", a[:_CHUNK], _bessel_chunk(0)[:n0])
@@ -315,14 +312,15 @@ def shifted_sums(tau: float, ts: np.ndarray, n0: int, tops: np.ndarray) -> np.nd
                            _bessel_chunk(c)[:n0 - c * _CHUNK])
     coeffs = (re_im[0] + 1j * re_im[1]) * _JA_PHASE
     # Clenshaw's recurrence for sum_k c_k T_k(x), x = d / 2
-    x = 0.5 * (ts - tau)
+    d = ts - tau
+    x = 0.5 * d
     b1 = b2 = np.zeros(len(ts), dtype=complex)
     for c in coeffs[:0:-1]:
         b1, b2 = c + 2.0 * x * b1 - b2, b1
     sums = coeffs[0] + x * b1 - b2
-    for n in range(n0 + 1, int(tops.max()) + 1):
-        term = n ** -0.5 * np.exp(-1j * _reduce(np.log(np.longdouble(n)), ts))
-        sums = sums + np.where(tops >= n, term, 0)
+    for n in range(n0 + 1, top + 1):
+        log_n = _chunk((n - 1) // _CHUNK).logs[(n - 1) % _CHUNK]
+        sums = sums + np.where(tops >= n, terms[n - 1] * np.exp(-1j * d * log_n), 0)
     return sums
 
 

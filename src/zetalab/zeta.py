@@ -168,16 +168,13 @@ _RS_SHIFT_GROWTH = (np.arange(3 * _RS_MAX_LEVELS)[:, None] - 1 + _RS_SHIFT_S) / 
 _RS_SHIFT_WIDTH = (np.multiply.accumulate(_RS_SHIFT_GROWTH / 512.0, axis=1) >= 2.0 ** -53).sum(axis=1)
 
 
-def _rs_shift(derivs: np.ndarray, delta: np.ndarray, count) -> np.ndarray:
+def _rs_shift(derivs: np.ndarray, delta: np.ndarray, count: int) -> np.ndarray:
     """F^(m)(p_j + delta_j) for m < count at each height j, from the rows
     derivs[j] = F^(m)(p_j) (count + _RS_SHIFT_CAP orders, contiguous): the
     Taylor shift sum_s F^(m+s)(p_j) delta_j^s / s!, which needs
     |delta_j| <= 1/512 (count |delta_j| < 1, so its s-th term is below 2^-s
-    of the first), each height's weights stopping at 2^-53.  `count` is one
-    int or one per height; the orders returned are those below the largest."""
-    count = np.asarray(count)
-    orders = int(count.max())
-    width = int(_RS_SHIFT_WIDTH[orders])
+    of the first), each height's weights stopping at 2^-53."""
+    width = int(_RS_SHIFT_WIDTH[count])
     # the bound on term s, which falls with s; halving is exact, so this is
     # (count - 1 + s) / s * |delta| / _RS_RADIUS as one height's loop takes it
     bound = np.multiply.accumulate(_RS_SHIFT_GROWTH[count, :width] * np.abs(delta)[:, None], axis=1)
@@ -188,7 +185,7 @@ def _rs_shift(derivs: np.ndarray, delta: np.ndarray, count) -> np.ndarray:
     # a real weight times a complex derivative is exact in either part, as
     # in one height's weights @ rows
     step = derivs.strides[1]
-    window = np.ndarray((len(delta), width + 1, orders), derivs.dtype, derivs,
+    window = np.ndarray((len(delta), width + 1, count), derivs.dtype, derivs,
                         strides=(derivs.strides[0], step, step))
     return _loop_sum(weights[:, :, None] * window, axis=1)
 

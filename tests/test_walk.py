@@ -243,9 +243,9 @@ def test_rs_lattice_shared_by_threads(monkeypatch, workers):
 
 def test_rs_lattice_shift_matches_direct_contour(rng):
     # F^(m)(p) shifted from the nearest node against a contour at p itself,
-    # for every order that a correction of up to 20 levels reads, all 400 p
-    # in one call; relative to |F^(m)(p)|, floored at m! / 2^m, the size
-    # below which the contour's own rounding (absolute, about
+    # for every order that a correction of up to 20 levels reads, the 400 p
+    # in one call per count; relative to |F^(m)(p)|, floored at m! / 2^m, the
+    # size below which the contour's own rounding (absolute, about
     # 2^-52 m! / radius^m) decides
     assert zeta._RS_MAX_LEVELS == 20
     m = np.arange(3 * 19 + 1)
@@ -253,11 +253,13 @@ def test_rs_lattice_shift_matches_direct_contour(rng):
     ps = rng.uniform(-1.0, 1.0, size=400)
     counts = np.array([3 * (int(rng.integers(2, 21)) - 1) + 1 for _ in ps])
     ks = np.rint(ps * zeta._RS_LATTICE).astype(int)
-    derivs = np.array([zeta._rs_node(k)[:counts.max() + zeta._RS_SHIFT_CAP] for k in ks.tolist()])
-    shifted = zeta._rs_shift(derivs, ps - ks / zeta._RS_LATTICE, counts)
     worst = 0.0
-    for p, count, row in zip(ps, counts.tolist(), shifted):
-        direct = zeta._rs_derivatives(p, count)
-        worst = max(worst, float(np.max(np.abs(row[:count] - direct)
-                                        / np.maximum(np.abs(direct), floor[:count]))))
+    for count in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == count)
+        derivs = np.array([zeta._rs_node(k)[:count + zeta._RS_SHIFT_CAP] for k in ks[rows].tolist()])
+        shifted = zeta._rs_shift(derivs, ps[rows] - ks[rows] / zeta._RS_LATTICE, count)
+        for p, row in zip(ps[rows], shifted):
+            direct = zeta._rs_derivatives(p, count)
+            worst = max(worst, float(np.max(np.abs(row - direct)
+                                            / np.maximum(np.abs(direct), floor[:count]))))
     assert worst <= 1e-13

@@ -404,9 +404,10 @@ def _tail_grid(big_t: float) -> np.ndarray:
 
 
 # (lowest and highest tau, number of taus, bound on the relative gap of the
-# one-pass grid to per-point zeta_critical): both take their main sums from
-# the int path of powers, and the bounds are about 10 times the worst gaps
-# seen on tail_zeta's grids (README)
+# one-pass grid to per-point zeta_critical): both take every main-sum term
+# from the int path of powers, the grid from one reduction at tau, and the
+# bounds are about 10 times the worst gaps seen on tail_zeta's grids, at
+# step heights too (README)
 GRID_BANDS = ((60.0, 1e5, 8, 1e-13), (1e7, 2e7, 2, 2e-13), (1e8, 2e8, 2, 5e-13),
               (1e10, 2e10, 1, 1e-12))
 
@@ -443,14 +444,17 @@ def test_grid_point_depends_only_on_its_shift(tau):
         assert zeta_on_grid(tau, grid[i:i + 1])[0] == values[i]
 
 
-def test_grid_where_n_changes():
-    # sqrt(t / 2 pi) passes 40 at t = 3200 pi = 10053.1, inside the grid
-    tau = 3200.0 * math.pi + 0.3
+@pytest.mark.parametrize("n", [40, 4886, 48860], ids=["1e4", "1e8", "1e10"])
+def test_grid_where_n_changes(n):
+    # sqrt(t / 2 pi) passes n at t = 2 pi n^2, inside the grid, so the points
+    # above it add the term n to the series' n <= n - 1; held to the band's bound
+    tau = 2.0 * math.pi * n * n + 0.3
     grid = np.linspace(-1.0, 1.0, 41)
     ns = np.floor(np.sqrt((tau + grid) / (2.0 * math.pi)))
-    assert set(ns) == {39.0, 40.0}
+    assert set(ns) == {n - 1.0, float(n)}
+    bound = next(b for lo, hi, _, b in GRID_BANDS if lo <= tau <= hi)
     values = zeta_on_grid(tau, grid)
-    assert max(relative_gap(v, zeta_critical(tau + h)) for h, v in zip(grid, values)) <= 1e-12
+    assert max(relative_gap(v, zeta_critical(tau + h)) for h, v in zip(grid, values)) <= bound
 
 
 def test_grid_straddling_rs_switch():
