@@ -95,18 +95,22 @@ def test_ingham_transform_support(ingham):
 
 
 def reference_cdf(sf, x, extent=smoothing.CDF_EXTENT):
-    """The serial block loop that cdf threads; blocks of 256 rows over the
-    nodes with |node| <= extent."""
+    """The serial block loop that cdf threads: 0 or 1 at |x| > CDF_EXTENT, and
+    blocks of 256 of the other points over the nodes with |node| <= extent."""
+    far = np.abs(x) > smoothing.CDF_EXTENT
+    xs = x[~far]
     near = np.abs(sf.nodes) <= extent
     nodes, vals = sf.nodes[near], sf.node_values[near]
-    out = np.empty_like(x)
+    sums = np.empty_like(xs)
     scale = math.pi / smoothing.NODE_SPACING
-    for lo in range(0, len(x), 256):
-        hi = min(len(x), lo + 256)
-        si = sici(scale * (x[lo:hi, None] - nodes[None, :]))[0]
+    for lo in range(0, len(xs), 256):
+        hi = min(len(xs), lo + 256)
+        si = sici(scale * (xs[lo:hi, None] - nodes[None, :]))[0]
         bracket = 0.5 + si / math.pi
-        out[lo:hi] = smoothing.NODE_SPACING * (bracket @ vals)
-    return out / sf.l1_norm
+        sums[lo:hi] = smoothing.NODE_SPACING * np.einsum("kn,n->k", bracket, vals)
+    out = (x > 0).astype(float)
+    out[~far] = sums / sf.l1_norm
+    return out
 
 
 def reference_fhat(sf, xi):
@@ -122,8 +126,10 @@ def reference_fhat(sf, xi):
     return out
 
 
-def test_threaded_blocks_bit_identical(ingham, monkeypatch):
-    x = np.linspace(-60.0, 60.0, 3 * 256 + 41)       # three full blocks and a ragged one
+def test_threaded_blocks_bit_identical(ingham, monkeypatch, rng):
+    # three full blocks and a ragged one of series points, shuffled among far ones
+    far = np.linspace(50.5, 60.0, 96)
+    x = rng.permutation(np.concatenate([np.linspace(-50.0, 50.0, 3 * 256 + 41), far, -far]))
     xi = np.linspace(-1.3, 1.3, 3 * 512 + 77)
     want_cdf, want_fhat = reference_cdf(ingham, x), reference_fhat(ingham, xi)
     assert np.array_equal(ingham.cdf(x), want_cdf)
@@ -136,14 +142,71 @@ def test_threaded_blocks_bit_identical(ingham, monkeypatch):
 
 def test_cdf_nodes_carry_the_mass(ingham):
     # the nodes cdf drops hold less than 2^-64 of the mass, and dropping them
-    # moves cdf by at most 1e-18 (a bound set before any run)
+    # moves cdf by at most 1e-18 (a bound set before any run); beyond
+    # CDF_EXTENT cdf is exactly 0 or 1, which test_cdf_far_mass bounds, and
+    # the float series is no oracle there (its rounding reaches 2.2e-16)
     beyond = np.abs(ingham.nodes) > smoothing.CDF_EXTENT
     dropped = smoothing.NODE_SPACING * np.sum(ingham.node_values[beyond])
     assert dropped < 2.0 ** -64 * ingham.l1_norm
-    for reach in (3e5, 300.0):
+    for reach in (3e5, 300.0, smoothing.CDF_EXTENT):
         x = np.linspace(-reach, reach, 2001)
-        full = reference_cdf(ingham, x, extent=smoothing.NODE_EXTENT)
-        assert np.max(np.abs(ingham.cdf(x) - full)) <= 1e-18
+        got = ingham.cdf(x)
+        far = np.abs(x) > smoothing.CDF_EXTENT
+        full = reference_cdf(ingham, x[~far], extent=smoothing.NODE_EXTENT)
+        assert np.max(np.abs(got[~far] - full)) <= 1e-18
+        assert np.array_equal(got[far], (x[far] > 0).astype(float))
+
+
+def test_cdf_far_mass(ingham):
+    """F0's integral beyond CDF_EXTENT, which cdf's exact 0 and 1 leave out,
+    is below 2^-64 of l1_norm (F0 is even, so one side covers both): by
+    quadrature on [50, 200], and beyond 200 by the integral of
+    prod_j min(1, 1/(2 pi a_j x))^2, which bounds F0 there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        widths = [mpmath.mpf(float(a)) for a in ingham.half_widths]
+
+        def f0(x):
+            b = mpmath.fprod(mpmath.sinc(2 * mpmath.pi * a * x) for a in widths)
+            return b * b
+
+        edges = mpmath.linspace(smoothing.CDF_EXTENT, 200, 151)
+        body, err = mpmath.quad(f0, edges, method="gauss-legendre", error=True)
+        # the factors with 2 pi a_j x >= 1 at x = 200 stay so beyond; the
+        # others are at most 1
+        big = [2 * mpmath.pi * a for a in widths if 2 * mpmath.pi * a * 200 >= 1]
+        m = len(big)
+        tail = mpmath.fprod(c ** -2 for c in big) * mpmath.mpf(200) ** (1 - 2 * m) / (2 * m - 1)
+        assert tail < 1e-39
+        assert (body + err + tail) / ingham.l1_norm < mpmath.mpf(2) ** -64
+
+
+def test_cdf_point_bits_match_batch(ingham, rng):
+    # each point's bits depend on its x alone, not on the points it shares a block with
+    x = rng.permutation(np.concatenate([rng.uniform(-60.0, 60.0, 300),
+                                        [-50.0, 50.0, 0.0, -1e6, 1e6]]))
+    batch = ingham.cdf(x)
+    singles = np.array([ingham.cdf(v)[0] for v in x])
+    assert batch.tobytes() == singles.tobytes()
+
+
+def test_cdf_non_finite(ingham, bump3):
+    assert np.isnan(ingham.cdf([np.nan])).all()
+    assert np.isnan(bump3.value([np.nan])).all()
+    assert ingham.cdf([np.inf, -np.inf]).tolist() == [1.0, 0.0]
+
+
+def test_cdf_series_only_near(ingham, monkeypatch):
+    rows = []
+
+    def counting_sici(args):
+        rows.append(args.shape[0])
+        return sici(args)
+
+    monkeypatch.setattr(smoothing, "sici", counting_sici)
+    x = np.concatenate([np.linspace(-300.0, 300.0, 1201), [-50.0, 50.0]])
+    ingham.cdf(x)
+    assert sum(rows) == np.count_nonzero(np.abs(x) <= smoothing.CDF_EXTENT)
 
 
 def test_golden_bits():
@@ -302,8 +365,11 @@ def test_l1_transform_matches_direct_sum(bump3):
 
 
 def test_bump_guard():
-    with pytest.raises(DomainError):
-        make_bump(2.0, 3.0)
+    # NaN once built a bump with a NaN window, and inf one with the window (-0.0, 0.0)
+    for delta, a_param in [(2.0, 3.0), (3.0, 2.0), (math.nan, 3.0), (3.0, math.nan),
+                           (math.inf, 3.0), (3.0, math.inf)]:
+        with pytest.raises(DomainError):
+            make_bump(delta, a_param)
 
 
 def tail_bound_log(expansion, x):

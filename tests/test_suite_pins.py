@@ -84,8 +84,8 @@ PINS = {
         "poisson_suite_record.json": "b88981b18b52ed42",
     },
     "smoothing_suite": {
-        "smoothing_suite_metrics.csv": "9e1c7a3843075d5f",
-        "smoothing_suite_record.json": "c0b5d16b3861109a",
+        "smoothing_suite_metrics.csv": "161dfcf11c18daa8",
+        "smoothing_suite_record.json": "bd9a5642689fb2fd",
     },
     "tail_surrogate": {
         "surrogate_tail.csv": "15acaaef05d9a901",
