@@ -40,12 +40,13 @@ def x_p_variance(primes: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * pf) + 1.0 / (8.0 * pf * pf)
 
 
-def e_z_xp_quadrature(p: int, z: float) -> float:
-    """E[exp(z X_p)] by periodic trapezoid quadrature over the angle."""
+def e_z_xp_quadrature(primes, z: float) -> np.ndarray:
+    """E[exp(z X_p)] for each prime of `primes` (an int or an array), by
+    periodic trapezoid quadrature over the angle."""
     nodes = 2048
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    x = x_p_values(np.full(nodes, p), theta)
-    return float(np.mean(np.exp(z * x)))
+    x = x_p_values(np.asarray(primes)[..., None], theta)
+    return np.mean(np.exp(z * x), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,21 @@ class LaplaceReport:
     quadrature_residual: float   # |E exp(lam X_p) - (1 + lam^2 / 4p)| at QUADRATURE_PRIME
 
 
-def laplace_check(rng: np.random.Generator, table: PrimeTable, j: float, k: float,
-                  lam: float, n_samples: int) -> LaplaceReport:
-    """Monte Carlo E[exp(lam * (S_k - S_j))] against exp((k - j + 4) lam^2 / 4)."""
+def laplace_check(table: PrimeTable, j: float, k: float, lam: float) -> LaplaceReport:
+    """E[exp(lam * (S_k - S_j))] under the law `draw_window_sums` samples,
+    against exp((k - j + 4) lam^2 / 4).
+
+    The value is exact up to quadrature: the head primes' factors
+    E[exp(lam X_p)] by `e_z_xp_quadrature`, and exp(lam^2 sigma^2 / 2) for the
+    Gaussian tail of variance sigma^2, multiplied as one `math.fsum` of logs."""
     if abs(lam) > 10:
         raise DomainError("|lam| must be <= 10")
-    samples, _ = sample_window_sums(rng, table, j, k, n_samples)
-    vals = np.exp(lam * samples)
-    est = float(np.mean(vals))
+    split = window_split(table, j, k)
+    logs = np.log(e_z_xp_quadrature(split.head, lam)).tolist()
+    est = math.exp(math.fsum(logs + [0.5 * lam * lam * split.tail_variance]))
     bound = math.exp((k - j + 4.0) * lam * lam / 4.0)
     p = QUADRATURE_PRIME
-    quad = abs(e_z_xp_quadrature(p, lam) - (1.0 + lam * lam / (4.0 * p)))
+    quad = abs(float(e_z_xp_quadrature(p, lam)) - (1.0 + lam * lam / (4.0 * p)))
     return LaplaceReport(estimate=est, bound=bound, quadrature_residual=quad)
 
 
@@ -256,15 +261,25 @@ def centering(k: float, n: float) -> float:
     return k * (1.0 - 0.75 * math.log(n) / n)
 
 
-def sample_hierarchical_leaves(rng: np.random.Generator, pattern: list[int],
-                               runs: int) -> np.ndarray:
-    """Leaf values of the branching walk with child counts `pattern` per
-    level, shape (runs, prod(pattern))."""
-    values = np.zeros((runs, 1))
-    for c in pattern:
-        values = np.repeat(values, c, axis=1)
-        values = values + rng.normal(0.0, math.sqrt(0.5), size=values.shape)
-    return values
+def _draw_leaves(rng: np.random.Generator, pattern: list[int], runs: int,
+                 bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Leaf values of `runs` runs of the branching walk with child counts
+    `pattern` per level, shape (runs, prod(pattern)), drawn level by level in
+    the flat buffers `bufs`: the leaves in the first, their parents in the
+    second, and each level over the slots of its grandparents.  Each node is
+    its parent plus sqrt(1/2) times a standard normal, the normals read from
+    `rng` in node order."""
+    parents, width = None, 1
+    for level, c in enumerate(pattern):
+        values = bufs[(len(pattern) - 1 - level) % 2][:runs * width * c]
+        rng.standard_normal(out=values)
+        values *= math.sqrt(0.5)
+        if parents is not None:
+            tree = values.reshape(runs, width, c)
+            np.add(tree, parents[:, :, None], out=tree)
+        width *= c
+        parents = values.reshape(runs, width)
+    return parents
 
 
 def sample_hierarchical_maxima(rng: np.random.Generator, depth: int, b: float,
@@ -275,11 +290,12 @@ def sample_hierarchical_maxima(rng: np.random.Generator, depth: int, b: float,
     if n_leaves > MAX_LEAVES:
         raise CapacityError(f"{n_leaves} leaves exceed the budget of {MAX_LEAVES}")
     m_n = centering(depth, depth)
+    group = min(runs, 8)   # 8 runs of leaves at a time bound the memory
+    bufs = (np.empty(group * n_leaves), np.empty(group * math.prod(pattern[:-1])))
     out = np.empty(runs)
-    for lo in range(0, runs, 8):   # 8 runs of leaves at a time bound the memory
+    for lo in range(0, runs, 8):
         hi = min(runs, lo + 8)
-        leaves = sample_hierarchical_leaves(rng, pattern, hi - lo)
-        out[lo:hi] = leaves.max(axis=1) - m_n
+        out[lo:hi] = _draw_leaves(rng, pattern, hi - lo, bufs).max(axis=1) - m_n
     return out
 
 

@@ -49,14 +49,18 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sieve_segment(base: list[int], lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], given every prime up to sqrt(hi) in `base`."""
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
+def _sieve_segment(odd_base: list[int], lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], for lo > 2, given every odd prime up to sqrt(hi)
+    in `odd_base`.  The mask holds the odd numbers only: entry i is 2 i + lo_odd."""
+    lo_odd = lo | 1
+    mask = np.ones((hi - lo_odd) // 2 + 1, dtype=bool)
+    for p in odd_base:
         start = max(((lo + p - 1) // p) * p, p * p)
+        if start % 2 == 0:   # p is odd, so the next multiple is odd
+            start += p
         if start <= hi:
-            mask[start - lo :: p] = False
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
+            mask[(start - lo_odd) // 2 :: p] = False
+    return 2 * np.flatnonzero(mask) + lo_odd
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -66,9 +70,9 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(f"sieve limit {limit} outside [2, {MAX_SIEVE_LIMIT}]")
     base_limit = max(math.isqrt(limit), 2)
     base = _simple_sieve(base_limit)
-    base_list = base.tolist()
+    odd_base = base[1:].tolist()
     segments = map_blocks(
-        lambda lo: _sieve_segment(base_list, lo, min(lo + SEGMENT_SIZE - 1, limit)),
+        lambda lo: _sieve_segment(odd_base, lo, min(lo + SEGMENT_SIZE - 1, limit)),
         range(base_limit + 1, limit + 1, SEGMENT_SIZE))
     primes = np.concatenate([base[base <= limit]] + segments)
     return PrimeTable(limit=int(limit), primes=primes)

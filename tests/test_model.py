@@ -12,11 +12,11 @@ import zetalab
 from zetalab import parallel
 from zetalab.errors import CapacityError, DomainError
 from zetalab.experiments import chunk_streams, parallel_chunks, seed_stream
-from zetalab.model import (MAX_SAMPLES, WindowSplit, _jumped, branching_pattern, centering,
-                           density_check, e_z_xp_quadrature, increment_gaussianity, laplace_check,
-                           sample_hierarchical_leaves, sample_hierarchical_maxima,
-                           draw_window_sums, sample_window_sums, tail_slope,
-                           window_split, x_p_values, x_p_variance)
+from zetalab.model import (MAX_SAMPLES, WindowSplit, _draw_leaves, _jumped, branching_pattern,
+                           centering, density_check, e_z_xp_quadrature, increment_gaussianity,
+                           laplace_check, sample_hierarchical_maxima, draw_window_sums,
+                           sample_window_sums, tail_slope, window_split, x_p_values,
+                           x_p_variance)
 from zetalab.primes import SEGMENT_SIZE, primes_in_log_range, sieve_primes
 from zetalab.walk import partial_sum
 
@@ -216,17 +216,43 @@ def test_window_split_memory_is_one_segment_deep():
     assert split.tail_variance == pytest.approx(math.fsum(x_p_variance(tail)), rel=1e-15)
 
 
-def test_laplace_trivial_and_bound(table_small, rng):
-    rep = laplace_check(rng, table_small, 1.0, 2.0, 0.0, 10_000)
+def test_laplace_trivial_and_bound(table_small):
+    rep = laplace_check(table_small, 1.0, 2.0, 0.0)
     assert rep.estimate == 1.0
-    rep2 = laplace_check(rng, table_small, 1.0, 2.0, 1.0, 200_000)
+    rep2 = laplace_check(table_small, 1.0, 2.0, 1.0)
     assert rep2.estimate == pytest.approx(math.exp(0.25), abs=0.05)
     assert rep2.estimate <= rep2.bound
     # at z = 1 the residual is z^2/(16 p^2) + O(z^3 p^-3/2); the tighter 1e-9
     # figure at z = 0.1 is covered by test_quadrature_expansion
     assert rep2.quadrature_residual <= 1e-8
     with pytest.raises(DomainError):
-        laplace_check(rng, table_small, 1.0, 2.0, 11.0, 10_000)
+        laplace_check(table_small, 1.0, 2.0, 11.0)
+
+
+def test_laplace_zero_lambda_is_one_with_a_tail(table_medium):
+    assert window_split(table_medium, 2.1, 2.4).tail_variance > 0
+    assert laplace_check(table_medium, 2.1, 2.4, 0.0).estimate == 1.0
+
+
+def test_laplace_matches_the_sampled_law(table_small):
+    # 200,000 draws of the law laplace_check integrates: their mean's target is its value
+    samples, split = sample_window_sums(np.random.default_rng(101), table_small, 1.0, 2.0,
+                                        200_000)
+    assert split.n_exact == 249 and split.tail_variance == 0.0
+    vals = np.exp(samples)
+    stderr = float(np.std(vals)) / math.sqrt(len(vals))
+    exact = laplace_check(table_small, 1.0, 2.0, 1.0).estimate
+    assert abs(float(np.mean(vals)) - exact) <= 4 * stderr
+
+
+def test_laplace_is_head_product_times_gaussian_tail(table_medium):
+    split = window_split(table_medium, 2.1, 2.4)
+    assert split.n_exact == 738 and split.tail_variance > 0
+    lam = 1.5
+    head = math.prod(float(e_z_xp_quadrature(int(p), lam)) for p in split.head)
+    want = head * math.exp(0.5 * lam * lam * split.tail_variance)
+    # 738 factors: the product's roundings stay under 738 * 2^-53 = 8.2e-14
+    assert laplace_check(table_medium, 2.1, 2.4, lam).estimate == pytest.approx(want, rel=1e-13)
 
 
 def test_increment_gaussianity_small_range_is_far(table_small):
@@ -279,18 +305,84 @@ def test_branching_pattern_log_average():
     assert branching_pattern(6, 2.0) == [2] * 6
 
 
+def reference_leaves(rng, pattern, runs):
+    """The copying sampler, the oracle for `_draw_leaves`: each level repeated
+    over its children, plus a new array of normals."""
+    values = np.zeros((runs, 1))
+    for c in pattern:
+        values = np.repeat(values, c, axis=1)
+        values = values + rng.normal(0.0, math.sqrt(0.5), size=values.shape)
+    return values
+
+
+def reference_maxima(rng, depth, runs):
+    pattern = branching_pattern(depth, math.e)
+    out = np.empty(runs)
+    for lo in range(0, runs, 8):
+        hi = min(runs, lo + 8)
+        out[lo:hi] = reference_leaves(rng, pattern, hi - lo).max(axis=1) - centering(depth, depth)
+    return out
+
+
+def leaves(rng, pattern, runs):
+    """`_draw_leaves` into buffers of the sizes the sampler gives it."""
+    bufs = (np.empty(runs * math.prod(pattern)), np.empty(runs * math.prod(pattern[:-1])))
+    return _draw_leaves(rng, pattern, runs, bufs)
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+def test_leaves_drawn_in_place_match_reference(depth):
+    pattern = branching_pattern(depth, math.e)
+    for runs in (1, 5):
+        got = leaves(np.random.default_rng(7), pattern, runs)
+        assert np.array_equal(got, reference_leaves(np.random.default_rng(7), pattern, runs))
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+def test_maxima_drawn_in_place_match_reference(depth, monkeypatch):
+    for runs in (1, 5, 8, 16):
+        got = sample_hierarchical_maxima(np.random.default_rng(13), depth, math.e, runs)
+        assert np.array_equal(got, reference_maxima(np.random.default_rng(13), depth, runs))
+    # through the suite's chunks on pools of 1 and 2 threads; at depth 6 the
+    # chunks also hold 16 and 17 runs, two groups of 8 and a rest
+    totals = (1, 5, 8, 16) + ((517,) if depth == 6 else ())
+    for total in totals:
+        want = np.concatenate([reference_maxima(rng, depth, n)
+                               for rng, n in chunk_streams(31, total)])
+        for workers in (1, 2):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(parallel, "_pool", pool)
+                got = np.concatenate(parallel_chunks(
+                    31, total, lambda rng, n: sample_hierarchical_maxima(rng, depth, math.e, n)))
+            assert np.array_equal(got, want), (total, workers)
+
+
 def test_hierarchical_capacity():
-    # the 1e7-leaf budget is checked before any leaf is drawn
-    with pytest.raises(CapacityError):
-        sample_hierarchical_maxima(np.random.default_rng(0), 18, math.e, 1)
+    # the 1e7-leaf budget is checked before any buffer exists or any leaf is drawn
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            sample_hierarchical_maxima(rng, 18, math.e, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # one run's leaves would take 8 B each, over 80 MB
+    assert rng.bit_generator.state == before
+
+
+def test_hierarchical_depth_one_has_no_centering():
+    with pytest.raises(DomainError):
+        sample_hierarchical_maxima(np.random.default_rng(0), 1, math.e, 4)
 
 
 def test_hierarchical_covariance(rng):
     pattern = branching_pattern(6, math.e)
-    leaves = sample_hierarchical_leaves(rng, pattern, 4000)
+    values = leaves(rng, pattern, 4000)
     # first two leaves share all but the last few levels
     # leaves 0 and 1 split at the deepest level where the path last branches
-    cov = np.cov(leaves[:, 0], leaves[:, 1])[0, 1]
+    cov = np.cov(values[:, 0], values[:, 1])[0, 1]
     shared = 0
     idx0, idx1, width = 0, 1, math.prod(pattern)
     for c in pattern:
@@ -304,9 +396,9 @@ def test_hierarchical_covariance(rng):
 
 def test_hierarchical_depth_one(rng):
     pattern = branching_pattern(1, math.e)
-    leaves = sample_hierarchical_leaves(rng, pattern, 2000)
-    assert leaves.shape[1] == pattern[0]
-    assert abs(np.var(leaves.ravel()) - 0.5) < 0.05
+    values = leaves(rng, pattern, 2000)
+    assert values.shape[1] == pattern[0]
+    assert abs(np.var(values.ravel()) - 0.5) < 0.05
 
 
 def test_centering_values():

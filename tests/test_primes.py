@@ -44,6 +44,17 @@ def test_pooled_segments_match_simple_sieve(monkeypatch, last_segment):
         assert np.array_equal(table.primes, want)
 
 
+def test_odd_only_segments_match_simple_sieve():
+    # the first segment starts at isqrt(limit) + 1; 1049601 ends one number
+    # past it, and 1049602 two, the second of them even
+    edge = 1024 + 1 + SEGMENT_SIZE
+    assert math.isqrt(edge) == 1024
+    for limit in (2, 3, 4, 5, 9, SEGMENT_SIZE - 1, SEGMENT_SIZE + 1, edge, edge + 1):
+        got = sieve_primes(limit).primes
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _simple_sieve(limit)), limit
+
+
 def test_sieve_limit_guard():
     with pytest.raises(CapacityError):
         sieve_primes(1)

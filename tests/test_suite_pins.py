@@ -72,8 +72,8 @@ PINS = {
         "mollifier_suite_record.json": "050ce7109e19d3ec",
     },
     "moments_model": {
-        "moments_model_metrics.csv": "cf9d5d7d92e294e4",
-        "moments_model_record.json": "90ea17b2affe81a1",
+        "moments_model_metrics.csv": "3ff8d312588c0c16",
+        "moments_model_record.json": "e2d7e97769aaecb5",
     },
     "moments_zeta": {
         "moments_zeta_metrics.csv": "aa0017161f968211",
